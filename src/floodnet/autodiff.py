@@ -321,10 +321,15 @@ class Graph:
 
     # ---- neural primitives -------------------------------------------
 
-    def conv2d(self, x, kernel, groups: int = 1) -> Node:
-        """Grouped same-padded cross-correlation, stride 1.
+    def conv2d(self, x, kernel, groups: int = 1, stride: int = 1) -> Node:
+        """Grouped same-padded cross-correlation kept at rows and columns
+        0, stride, 2*stride, ...
 
-        x: (H, W, C_in), kernel: (K, K, C_in // groups, C_out).
+        x: (H, W, C_in) with H and W multiples of stride,
+        kernel: (K, K, C_in // groups, C_out); output (H/stride, W/stride, C_out).
+        Computed as one matmul batched over groups: an im2col matrix with
+        columns ordered (i, j, c) times the kernel viewed as
+        (groups, K*K*C_in/groups, C_out/groups).
         """
         x, kernel = self._coerce(x), self._coerce(kernel)
         if x.value.ndim != 3 or kernel.value.ndim != 4:
@@ -337,32 +342,32 @@ class Graph:
             raise ShapeError(f"channels ({c_in} in, {c_out} out) not divisible by groups={groups}")
         if cg != c_in // groups:
             raise ShapeError(f"kernel input slice {cg} != C_in/groups = {c_in // groups}")
-        P = K // 2
+        if stride < 1 or H % stride or W % stride:
+            raise ShapeError(f"extents {H}x{W} not divisible by stride {stride}")
+        P, s = K // 2, stride
+        Ho, Wo, cog = H // s, W // s, c_out // groups
+        # bwd rebuilds the columns: keeping them on the tape, once per sample,
+        # would hold K*K copies of every conv input until the sweep ends
         xp = np.pad(x.value, ((P, P), (P, P), (0, 0)))
-        # patches: (H, W, C_in, K, K)
-        S = sliding_window_view(xp, (K, K), axis=(0, 1))
-        cig, cog = c_in // groups, c_out // groups
-        out = np.empty((H, W, c_out))
-        for g_ in range(groups):
-            out[:, :, g_ * cog:(g_ + 1) * cog] = np.einsum(
-                "hwcij,ijcd->hwd",
-                S[:, :, g_ * cig:(g_ + 1) * cig],
-                kernel.value[:, :, :, g_ * cog:(g_ + 1) * cog],
-            )
+        kmat = kernel.value.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
+
+        def im2col():
+            win = sliding_window_view(xp, (K, K), axis=(0, 1))[::s, ::s]
+            win = win.reshape(Ho, Wo, groups, cg, K, K).transpose(2, 0, 1, 4, 5, 3)
+            return win.reshape(groups, Ho * Wo, K * K * cg)
+
+        out = np.matmul(im2col(), kmat).transpose(1, 0, 2).reshape(Ho, Wo, c_out)
 
         def bwd(g, grads):
-            dk = np.empty_like(kernel.value)
+            gm = g.reshape(Ho * Wo, groups, cog).transpose(1, 0, 2)
+            dk = np.matmul(im2col().transpose(0, 2, 1), gm)
+            grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
+            dcols = np.matmul(gm, kmat.transpose(0, 2, 1)).reshape(groups, Ho, Wo, K, K, cg)
             dxp = np.zeros_like(xp)
-            for g_ in range(groups):
-                cs = slice(g_ * cig, (g_ + 1) * cig)
-                ds = slice(g_ * cog, (g_ + 1) * cog)
-                go = g[:, :, ds]
-                dk[:, :, :, ds] = np.einsum("hwcij,hwd->ijcd", S[:, :, cs], go)
-                T = np.einsum("hwd,ijcd->hwcij", go, kernel.value[:, :, :, ds])
-                for i in range(K):
-                    for j in range(K):
-                        dxp[i:i + H, j:j + W, cs] += T[:, :, :, i, j]
-            grads[kernel.idx] += dk
+            dxp_g = dxp.reshape(H + 2 * P, W + 2 * P, groups, cg)
+            for i in range(K):
+                for j in range(K):
+                    dxp_g[i:i + H:s, j:j + W:s] += dcols[:, :, :, i, j].transpose(1, 2, 0, 3)
             grads[x.idx] += dxp[P:P + H, P:P + W]
 
         return self._record(out, (x, kernel), bwd, "conv2d")
@@ -426,21 +431,6 @@ class Graph:
             grads[x.idx] += g.reshape(H, 2, W, 2, C).sum(axis=(1, 3))
 
         return self._record(out, (x,), bwd, "upsample2")
-
-    def nearest_subsample(self, x, factor: int) -> Node:
-        """Nearest-neighbor downsampling: keep the top-left pixel per block."""
-        x = self._coerce(x)
-        if x.value.ndim != 3:
-            raise ShapeError(f"nearest_subsample expects (H,W,C), got {x.shape}")
-        H, W, _ = x.shape
-        if H % factor or W % factor:
-            raise ShapeError(f"extents {H}x{W} not divisible by factor {factor}")
-        out = x.value[::factor, ::factor].copy()
-
-        def bwd(g, grads):
-            grads[x.idx][::factor, ::factor] += g
-
-        return self._record(out, (x,), bwd, "subsample")
 
     def dropout(self, x, rate: float, rng: np.random.Generator) -> Node:
         """Inverted dropout; caller only invokes this in train mode."""

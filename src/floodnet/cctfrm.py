@@ -140,10 +140,8 @@ def reverse_feature_harmonization(
     """Gated subtraction and adaptive scaling of the cascade output against
     batch-normalized adapted image features; result is flattened."""
     H_t, W_t, C_t = y_cascade.shape
-    adapted = g.conv2d(x_img, g.param(store, "cctfrm.adapter.kernel"))
     factor = x_img.shape[0] // H_t
-    if factor > 1:
-        adapted = g.nearest_subsample(adapted, factor)
+    adapted = g.conv2d(x_img, g.param(store, "cctfrm.adapter.kernel"), stride=factor)
     x_n = batch_norm(g, adapted, store, "cctfrm.harm.bn_img", train)
     y_n = batch_norm(g, y_cascade, store, "cctfrm.harm.bn_cascade", train)
     beta = g.param(store, "cctfrm.harm.beta")

@@ -68,12 +68,15 @@ def cmd_train(args) -> int:
         print("error: train requires --config", file=sys.stderr)
         return 1
     cfg = _load_config(args)
+    epochs = cfg.epochs if args.epochs is None else args.epochs
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     out = _out_dir(args)
     samples = _dataset(cfg, args.data)
     train_set, val_set = split_dataset(samples, cfg.val_fraction, cfg.seed)
     model = FloodNet(cfg)
     with open(os.path.join(out, "trace.ndjson"), "w") as trace:
-        history = train(model, train_set, val_set, epochs=args.epochs, trace_file=trace)
+        history = train(model, train_set, val_set, epochs=epochs, trace_file=trace)
     ckpt = os.path.join(out, "model.ckpt")
     save_checkpoint(ckpt, model.store)
     cfg.save(os.path.join(out, "config.json"))

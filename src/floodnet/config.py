@@ -127,6 +127,11 @@ class ModelConfig:
             raise ConfigError(f"difficulty must be in [0,1], got {self.difficulty}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0,1), got {self.val_fraction}")
+        if int(round(self.n_samples * self.val_fraction)) >= self.n_samples:
+            raise ConfigError(
+                f"val_fraction={self.val_fraction} leaves no training samples "
+                f"out of n_samples={self.n_samples}"
+            )
         try:
             self.optimizer.validate()
         except ValueError as exc:

@@ -85,6 +85,7 @@ def mcnemar_test(y_true: np.ndarray, pred_a: np.ndarray, pred_b: np.ndarray) -> 
     if n == 0:
         return 0, 1.0
     k = min(b, c)
-    # two-sided exact binomial(n, 0.5) tail, doubled and capped at 1
-    tail = sum(math.comb(n, i) for i in range(k + 1)) * 0.5**n
-    return k, min(1.0, 2.0 * tail)
+    # two-sided exact binomial(n, 0.5) tail, doubled and capped at 1; the
+    # ratio of two exact integers is rounded once, so no term can overflow
+    tail = sum(math.comb(n, i) for i in range(k + 1))
+    return k, min(1.0, tail / 2 ** (n - 1))

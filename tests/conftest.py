@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run and write no database
+settings.register_profile("floodnet", derandomize=True, max_examples=25, deadline=None, database=None)
+settings.load_profile("floodnet")
 
 from floodnet.config import ModelConfig
 

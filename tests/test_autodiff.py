@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from floodnet.autodiff import ContractError, Graph, ShapeError
+from floodnet.gradcheck import check_gradients
 from floodnet.layers import batch_norm, layer_norm, register_bn
 from floodnet.params import ParamStore
 
@@ -76,6 +79,78 @@ def test_conv2d_matches_nested_loop_oracle():
     g = Graph()
     out = g.conv2d(g.constant(x), g.constant(kernel), groups=2)
     assert rel_close(out.value, conv2d_loops(x, kernel, groups=2), 1e-12)
+
+
+@st.composite
+def conv_cases(draw):
+    """Legal conv2d operands: K in {1,3,5,7}, groups in {1, 2, C_in},
+    stride in {1,2,4}; extents at stride 1 may be odd."""
+    K = draw(st.sampled_from((1, 3, 5, 7)))
+    stride = draw(st.sampled_from((1, 2, 4)))
+    c_in = draw(st.integers(1, 4))
+    groups = draw(st.sampled_from(sorted({g for g in (1, 2, c_in) if c_in % g == 0})))
+    c_out = groups * draw(st.integers(1, 2))
+    if stride == 1:
+        H, W = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    else:
+        H, W = stride * draw(st.integers(1, 2)), stride * draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cig = c_in // groups
+    kernel = rng.standard_normal((K, K, cig, c_out)) / np.sqrt(K * K * cig)
+    return rng.standard_normal((H, W, c_in)), kernel, groups, stride
+
+
+@given(conv_cases())
+def test_conv2d_property_matches_loop_oracle(case):
+    x, kernel, groups, stride = case
+    g = Graph()
+    out = g.conv2d(g.constant(x), g.constant(kernel), groups=groups, stride=stride)
+    assert np.abs(out.value - conv2d_loops(x, kernel, groups)[::stride, ::stride]).max() <= 1e-10
+
+
+@given(conv_cases())
+def test_conv2d_property_gradcheck(case):
+    x, kernel, groups, stride = case
+    store = ParamStore(0)
+    for name, value in (("x", x), ("kernel", kernel)):
+        store.add(name, value.shape)
+        store.entries[name].value[...] = value
+
+    def build(g):
+        out = g.conv2d(g.param(store, "x"), g.param(store, "kernel"), groups=groups, stride=stride)
+        return g.reduce_sum(g.tanh(out))
+
+    for name in ("kernel", "x"):
+        check_gradients(build, store, names=[name], n_coords=6)
+
+
+@given(conv_cases())
+def test_conv2d_property_stride_equals_conv_then_slice(case):
+    x, kernel, groups, stride = case
+    H, W, _ = x.shape
+    kept = np.random.default_rng(0).standard_normal((H // stride, W // stride, kernel.shape[3]))
+    scattered = np.zeros((H, W, kernel.shape[3]))
+    scattered[::stride, ::stride] = kept
+
+    def run(s, weights):
+        g = Graph()
+        xn, kn = g.constant(x), g.constant(kernel)
+        out = g.conv2d(xn, kn, groups=groups, stride=s)
+        g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
+        return out.value, xn.grad, kn.grad
+
+    strided, full = run(stride, kept), run(1, scattered)
+    assert rel_close(strided[0], full[0][::stride, ::stride], 1e-12)
+    assert rel_close(strided[1], full[1], 1e-12)
+    assert rel_close(strided[2], full[2], 1e-12)
+
+
+def test_conv2d_stride_must_divide_extents():
+    g = Graph()
+    kernel = g.constant(np.ones((3, 3, 2, 2)))
+    for shape in ((6, 8, 2), (8, 6, 2)):
+        with pytest.raises(ShapeError):
+            g.conv2d(g.constant(np.ones(shape)), kernel, stride=4)
 
 
 # ---- fft magnitude ---------------------------------------------------

@@ -31,6 +31,24 @@ def test_train_without_config_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_train_zero_epochs_exits_one(tmp_path, capsys):
+    _, cfg_path = _write_tiny_config(tmp_path)
+    code = main(["train", "--config", cfg_path, "--out", str(tmp_path), "--epochs", "0"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "epochs" in err
+
+
+def test_train_split_without_training_samples_exits_one(tmp_path, capsys):
+    data = make_tiny_config().to_dict()
+    data.update(n_samples=2, val_fraction=0.9)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "val_fraction" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -162,6 +162,7 @@ def test_config_rejects_invalid_json(tmp_path):
         ("val_fraction", 0.0),
         ("hren_kernel", 4),
         ("image_size", (60, 64)),
+        ("val_fraction", 0.999),
     ],
 )
 def test_config_validation_names_field(field, value):

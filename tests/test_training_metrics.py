@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from floodnet.autodiff import Graph
@@ -232,3 +234,30 @@ def test_mcnemar_matches_binomial_sum_oracle():
     c = int(np.sum(~right_a & right_b))
     _, p = mcnemar_test(y, pred_a, pred_b)
     assert abs(p - binom_two_sided(b, c)) < 1e-12
+
+
+def _discordant(b, c):
+    """Labels and predictions with b a-right/b-wrong and c a-wrong/b-right pairs."""
+    pred_a = np.r_[np.zeros(b, dtype=int), np.ones(c, dtype=int)]
+    return np.zeros(b + c, dtype=int), pred_a, 1 - pred_a
+
+
+def test_mcnemar_small_n_hand_value():
+    # b=1, c=4: 2 * (C(5,0) + C(5,1)) / 2**5 = 12/32
+    assert mcnemar_test(*_discordant(1, 4)) == (1, 0.375)
+
+
+def test_mcnemar_large_balanced_discordant_counts():
+    assert mcnemar_test(*_discordant(550, 550)) == (550, 1.0)
+
+
+def test_mcnemar_large_unbalanced_matches_log_space_tail():
+    b, c = 400, 700
+    n = b + c
+    terms = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) - n * math.log(2)
+             for i in range(b + 1)]
+    top = max(terms)
+    expected = 2.0 * math.exp(top) * sum(math.exp(t - top) for t in terms)
+    stat, p = mcnemar_test(*_discordant(b, c))
+    assert stat == b
+    assert 0.0 < p and abs(p - expected) <= 1e-9 * expected
