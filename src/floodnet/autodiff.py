@@ -4,9 +4,15 @@ Every forward operation appends a node to the active Graph; nodes only
 reference earlier nodes, so the insertion order is already topological and
 the backward pass is a single reverse sweep.  Values are plain numpy
 float64 arrays of rank 1..4 and are never mutated by an operation.
+
+The image ops take (..., H, W, C) and matmul takes (..., n, k) @ (k, m) or
+(B, n, k) @ (B, k, m), so one graph can carry a whole batch on a leading
+axis; without one, an op does exactly the unbatched work.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,12 +46,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Node:
-    """One recorded operation: output value plus its backward rule."""
+    """One recorded operation: output value plus its backward rule.
 
-    __slots__ = ("graph", "idx", "value", "grad", "parents", "bwd", "tag")
+    A node knows its graph only by its position in the tape, so the tape is
+    acyclic and a dropped graph is freed at once, without waiting for the
+    cyclic garbage collector.
+    """
 
-    def __init__(self, graph, idx, value, parents, bwd, tag):
-        self.graph = graph
+    __slots__ = ("idx", "value", "grad", "parents", "bwd", "tag")
+
+    def __init__(self, idx, value, parents, bwd, tag):
         self.idx = idx
         self.value = value
         self.grad = None
@@ -57,18 +67,18 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    # convenience arithmetic; all routed through the owning graph
-    def __add__(self, other):
-        return self.graph.add(self, other)
 
-    def __sub__(self, other):
-        return self.graph.sub(self, other)
+class _LazyGrads(dict):
+    """Gradient accumulators by node index, zero-filled on first use."""
 
-    def __mul__(self, other):
-        return self.graph.mul(self, other)
+    def __init__(self, nodes):
+        super().__init__()
+        self.nodes = nodes
 
-    def __neg__(self):
-        return self.graph.scale(self, -1.0)
+    def __missing__(self, idx):
+        z = np.zeros_like(self.nodes[idx].value)
+        self[idx] = z
+        return z
 
 
 class Graph:
@@ -79,15 +89,16 @@ class Graph:
         self._param_sinks: list[tuple[Node, object, str]] = []
 
     def _record(self, value, parents, bwd, tag) -> Node:
-        node = Node(self, len(self.nodes), value, parents, bwd, tag)
+        node = Node(len(self.nodes), value, parents, bwd, tag)
         self.nodes.append(node)
         return node
 
     def _coerce(self, x) -> Node:
         if isinstance(x, Node):
-            if x.graph is not self:
-                raise ContractError("node belongs to a different graph")
-            return x
+            # a node belongs to this graph iff it sits at its index in the tape
+            if x.idx < len(self.nodes) and self.nodes[x.idx] is x:
+                return x
+            raise ContractError("node belongs to a different graph")
         return self.constant(x)
 
     # ---- leaves -------------------------------------------------------
@@ -219,27 +230,43 @@ class Graph:
     # ---- linear algebra ----------------------------------------------
 
     def matmul(self, a, b) -> Node:
+        """(..., n, k) @ (k, m), or (B, n, k) @ (B, k, m) batched per row of B."""
         a, b = self._coerce(a), self._coerce(b)
-        if a.value.ndim != 2 or b.value.ndim != 2:
-            raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
+        av, bv = a.value, b.value
+        stacked = av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0]
+        if av.ndim < 2 or not (bv.ndim == 2 or stacked):
+            raise ShapeError(f"matmul needs (...,n,k) @ (k,m) or (B,n,k) @ (B,k,m), "
+                             f"got {a.shape} and {b.shape}")
+        if av.shape[-1] != bv.shape[-2]:
             raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-        out = a.value @ b.value
+        k, m = bv.shape[-2:]
+        if av.ndim > 2 and not stacked:  # the leading axes fold into rows: one gemm
+            out = (av.reshape(-1, k) @ bv).reshape(av.shape[:-1] + (m,))
+        else:
+            out = av @ bv
 
         def bwd(g, grads):
-            grads[a.idx] += g @ b.value.T
-            grads[b.idx] += a.value.T @ g
+            if av.ndim == 2:
+                grads[a.idx] += g @ bv.T
+                grads[b.idx] += av.T @ g
+            elif stacked:
+                grads[a.idx] += g @ bv.transpose(0, 2, 1)
+                grads[b.idx] += av.transpose(0, 2, 1) @ g
+            else:
+                grads[a.idx] += (g.reshape(-1, m) @ bv.T).reshape(av.shape)
+                grads[b.idx] += av.reshape(-1, k).T @ g.reshape(-1, m)
 
         return self._record(out, (a, b), bwd, "matmul")
 
     def transpose(self, a) -> Node:
+        """Swaps the last two axes."""
         a = self._coerce(a)
-        if a.value.ndim != 2:
-            raise ShapeError(f"transpose needs a rank-2 operand, got {a.shape}")
-        out = a.value.T.copy()
+        if a.value.ndim < 2:
+            raise ShapeError(f"transpose needs rank >= 2, got {a.shape}")
+        out = np.swapaxes(a.value, -1, -2).copy()
 
         def bwd(g, grads):
-            grads[a.idx] += g.T
+            grads[a.idx] += np.swapaxes(g, -1, -2)
 
         return self._record(out, (a,), bwd, "transpose")
 
@@ -325,16 +352,19 @@ class Graph:
         """Grouped same-padded cross-correlation kept at rows and columns
         0, stride, 2*stride, ...
 
-        x: (H, W, C_in) with H and W multiples of stride,
-        kernel: (K, K, C_in // groups, C_out); output (H/stride, W/stride, C_out).
+        x: (..., H, W, C_in) with H and W multiples of stride,
+        kernel: (K, K, C_in // groups, C_out); output (..., H/stride, W/stride, C_out).
         Computed as one matmul batched over groups: an im2col matrix with
-        columns ordered (i, j, c) times the kernel viewed as
+        columns ordered (i, j, c), and one row per output pixel of every
+        leading index, times the kernel viewed as
         (groups, K*K*C_in/groups, C_out/groups).
         """
         x, kernel = self._coerce(x), self._coerce(kernel)
-        if x.value.ndim != 3 or kernel.value.ndim != 4:
-            raise ShapeError(f"conv2d expects (H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
-        H, W, c_in = x.shape
+        if x.value.ndim < 3 or kernel.value.ndim != 4:
+            raise ShapeError(f"conv2d expects (...,H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
+        *lead, H, W, c_in = x.shape
+        lead = tuple(lead)
+        n = len(lead)
         K, K2, cg, c_out = kernel.shape
         if K != K2 or K % 2 == 0:
             raise ShapeError(f"kernel must be square with odd extent, got {K}x{K2}")
@@ -346,96 +376,114 @@ class Graph:
             raise ShapeError(f"extents {H}x{W} not divisible by stride {stride}")
         P, s = K // 2, stride
         Ho, Wo, cog = H // s, W // s, c_out // groups
-        # bwd rebuilds the columns: keeping them on the tape, once per sample,
-        # would hold K*K copies of every conv input until the sweep ends
-        xp = np.pad(x.value, ((P, P), (P, P), (0, 0)))
+        rows = math.prod(lead) * Ho * Wo
+        # bwd rebuilds the columns: keeping them on the tape would hold
+        # K*K copies of every conv input until the sweep ends
+        xp = np.zeros(lead + (H + 2 * P, W + 2 * P, c_in))  # np.pad costs several times this
+        xp[..., P:P + H, P:P + W, :] = x.value
         kmat = kernel.value.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
+        # (lead, Ho, Wo, groups, cg, K, K) -> (groups, lead, Ho, Wo, K, K, cg),
+        # and the column grads back to (lead, Ho, Wo, K, K, groups, cg)
+        to_cols = (n + 2, *range(n + 2), n + 4, n + 5, n + 3)
+        from_cols = (*range(1, n + 5), 0, n + 5)
 
         def im2col():
-            win = sliding_window_view(xp, (K, K), axis=(0, 1))[::s, ::s]
-            win = win.reshape(Ho, Wo, groups, cg, K, K).transpose(2, 0, 1, 4, 5, 3)
-            return win.reshape(groups, Ho * Wo, K * K * cg)
+            win = sliding_window_view(xp, (K, K), axis=(n, n + 1))[..., ::s, ::s, :, :, :]
+            win = win.reshape(lead + (Ho, Wo, groups, cg, K, K)).transpose(to_cols)
+            return win.reshape(groups, rows, K * K * cg)
 
-        out = np.matmul(im2col(), kmat).transpose(1, 0, 2).reshape(Ho, Wo, c_out)
+        out = np.matmul(im2col(), kmat).transpose(1, 0, 2).reshape(lead + (Ho, Wo, c_out))
 
         def bwd(g, grads):
-            gm = g.reshape(Ho * Wo, groups, cog).transpose(1, 0, 2)
+            gm = g.reshape(rows, groups, cog).transpose(1, 0, 2)
             dk = np.matmul(im2col().transpose(0, 2, 1), gm)
             grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
-            dcols = np.matmul(gm, kmat.transpose(0, 2, 1)).reshape(groups, Ho, Wo, K, K, cg)
+            dcols = np.matmul(gm, kmat.transpose(0, 2, 1)).reshape((groups,) + lead + (Ho, Wo, K, K, cg))
+            dcols = dcols.transpose(from_cols)
             dxp = np.zeros_like(xp)
-            dxp_g = dxp.reshape(H + 2 * P, W + 2 * P, groups, cg)
+            dxp_g = dxp.reshape(lead + (H + 2 * P, W + 2 * P, groups, cg))
             for i in range(K):
                 for j in range(K):
-                    dxp_g[i:i + H:s, j:j + W:s] += dcols[:, :, :, i, j].transpose(1, 2, 0, 3)
-            grads[x.idx] += dxp[P:P + H, P:P + W]
+                    dxp_g[..., i:i + H:s, j:j + W:s, :, :] += dcols[..., i, j, :, :]
+            grads[x.idx] += dxp[..., P:P + H, P:P + W, :]
 
         return self._record(out, (x, kernel), bwd, "conv2d")
 
     def fft2d_magnitude(self, x) -> Node:
-        """Per-channel 2D DFT magnitude sqrt(Re^2 + Im^2).
+        """Per-channel 2D DFT magnitude sqrt(Re^2 + Im^2) over the H and W
+        axes of (..., H, W, C).
 
         Gradient at exact spectral zeros is defined as zero.
         """
         x = self._coerce(x)
-        if x.value.ndim != 3:
-            raise ShapeError(f"fft2d_magnitude expects (H,W,C), got {x.shape}")
-        H, W, _ = x.shape
-        X = np.fft.fft2(x.value, axes=(0, 1))
+        if x.value.ndim < 3:
+            raise ShapeError(f"fft2d_magnitude expects (...,H,W,C), got {x.shape}")
+        H, W, _ = x.shape[-3:]
+        X = np.fft.fft2(x.value, axes=(-3, -2))
         out = np.abs(X)
 
         def bwd(g, grads):
             safe = np.where(out == 0.0, 1.0, out)
             gc = np.where(out == 0.0, 0.0, g / safe) * X
-            grads[x.idx] += np.real(np.fft.ifft2(gc, axes=(0, 1))) * (H * W)
+            grads[x.idx] += np.real(np.fft.ifft2(gc, axes=(-3, -2))) * (H * W)
 
         return self._record(out, (x,), bwd, "fft2d_mag")
 
     def maxpool2(self, x) -> Node:
-        """2x2 max pooling; odd extents are edge-replicated first."""
+        """2x2 max pooling over (..., H, W, C); odd extents are edge-replicated first."""
         x = self._coerce(x)
-        if x.value.ndim != 3:
-            raise ShapeError(f"maxpool2 expects (H,W,C), got {x.shape}")
-        H, W, C = x.shape
+        if x.value.ndim < 3:
+            raise ShapeError(f"maxpool2 expects (...,H,W,C), got {x.shape}")
+        *lead, H, W, C = x.shape
+        lead = tuple(lead)
+        n = len(lead)
         ph, pw = H % 2, W % 2
-        xp = np.pad(x.value, ((0, ph), (0, pw), (0, 0)), mode="edge")
-        H2, W2 = xp.shape[0] // 2, xp.shape[1] // 2
-        r = xp.reshape(H2, 2, W2, 2, C).transpose(0, 2, 4, 1, 3).reshape(H2, W2, C, 4)
+        xp = x.value
+        if ph or pw:
+            xp = np.pad(xp, ((0, 0),) * n + ((0, ph), (0, pw), (0, 0)), mode="edge")
+        H2, W2 = (H + ph) // 2, (W + pw) // 2
+        keep = tuple(range(n))
+        r = xp.reshape(lead + (H2, 2, W2, 2, C)).transpose(keep + (n, n + 2, n + 4, n + 1, n + 3))
+        r = r.reshape(lead + (H2, W2, C, 4))
         arg = r.argmax(axis=-1)
         out = np.take_along_axis(r, arg[..., None], axis=-1)[..., 0]
 
         def bwd(g, grads):
-            dr = np.zeros((H2, W2, C, 4))
+            dr = np.zeros(lead + (H2, W2, C, 4))
             np.put_along_axis(dr, arg[..., None], g[..., None], axis=-1)
-            dxp = dr.reshape(H2, W2, C, 2, 2).transpose(0, 3, 1, 4, 2).reshape(H2 * 2, W2 * 2, C)
-            dx = dxp[:H, :W].copy()
+            dxp = dr.reshape(lead + (H2, W2, C, 2, 2)).transpose(keep + (n, n + 3, n + 1, n + 4, n + 2))
+            dxp = dxp.reshape(lead + (H2 * 2, W2 * 2, C))
+            dx = dxp[..., :H, :W, :].copy()
             if ph:
-                dx[H - 1] += dxp[H, :W]
+                dx[..., H - 1, :, :] += dxp[..., H, :W, :]
             if pw:
-                dx[:, W - 1] += dxp[:H, W]
+                dx[..., :, W - 1, :] += dxp[..., :H, W, :]
             if ph and pw:
-                dx[H - 1, W - 1] += dxp[H, W]
+                dx[..., H - 1, W - 1, :] += dxp[..., H, W, :]
             grads[x.idx] += dx
 
         return self._record(out, (x,), bwd, "maxpool2")
 
     def upsample2(self, x) -> Node:
-        """Nearest-neighbor x2 upsampling; gradient sums replicated cells."""
+        """Nearest-neighbor x2 upsampling of (..., H, W, C); gradient sums replicated cells."""
         x = self._coerce(x)
-        if x.value.ndim != 3:
-            raise ShapeError(f"upsample2 expects (H,W,C), got {x.shape}")
-        out = np.repeat(np.repeat(x.value, 2, axis=0), 2, axis=1)
-        H, W, C = x.shape
+        if x.value.ndim < 3:
+            raise ShapeError(f"upsample2 expects (...,H,W,C), got {x.shape}")
+        out = np.repeat(np.repeat(x.value, 2, axis=-3), 2, axis=-2)
+        *lead, H, W, C = x.shape
 
         def bwd(g, grads):
-            grads[x.idx] += g.reshape(H, 2, W, 2, C).sum(axis=(1, 3))
+            grads[x.idx] += g.reshape(tuple(lead) + (H, 2, W, 2, C)).sum(axis=(-4, -2))
 
         return self._record(out, (x,), bwd, "upsample2")
 
-    def dropout(self, x, rate: float, rng: np.random.Generator) -> Node:
-        """Inverted dropout; caller only invokes this in train mode."""
+    def dropout(self, x, rate: float, uniforms: np.ndarray) -> Node:
+        """Inverted dropout that keeps the entries whose uniform draw in
+        [0, 1) is >= rate; caller only invokes this in train mode."""
         x = self._coerce(x)
-        mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+        if uniforms.shape != x.shape:
+            raise ShapeError(f"dropout uniforms {uniforms.shape} do not match {x.shape}")
+        mask = (uniforms >= rate) / (1.0 - rate)
         out = x.value * mask
 
         def bwd(g, grads):
@@ -447,20 +495,11 @@ class Graph:
 
     def backward(self, loss: Node) -> None:
         """Reverse sweep from a scalar loss; fills ParamStore gradients."""
-        if loss.graph is not self:
+        if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different graph")
         if loss.value.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {}
-
-        class _Lazy(dict):
-            def __missing__(self, idx):
-                z = np.zeros_like(self_nodes[idx].value)
-                self[idx] = z
-                return z
-
-        self_nodes = self.nodes
-        grads = _Lazy()
+        grads = _LazyGrads(self.nodes)
         grads[loss.idx] = np.ones_like(loss.value)
         for node in reversed(self.nodes[:loss.idx + 1]):
             g = grads.get(node.idx)

@@ -3,9 +3,12 @@
 Gated-conv downsampling encoder, a small pre-LN transformer over flattened
 patches, a cascading decoder whose stage outputs are channel-concatenated,
 and a gated subtraction/scaling harmonizer against adapted image features.
+Maps are (H, W, C), or (B, H, W, C) for a batch.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,6 +48,33 @@ def register_params(store: ParamStore, cfg: ModelConfig) -> None:
         store.add(f"cctfrm.harm.{name}", (1,), init="ones")
 
 
+class SampleUniforms:
+    """The dropout uniforms of one forward pass, drawn as one (..., n) block
+    where n is what the gated blocks of one sample use.  Each block takes the
+    next slice through `random`, as it would draw from the generator itself,
+    so every sample of a batch gets the masks it gets when run alone."""
+
+    def __init__(self, rng: np.random.Generator, lead: tuple, n: int):
+        self.block = rng.random(lead + (n,))
+        self.used = 0
+
+    def random(self, shape: tuple) -> np.ndarray:
+        n = math.prod(shape[self.block.ndim - 1:])
+        out = self.block[..., self.used:self.used + n].reshape(shape)
+        self.used += n
+        return out
+
+
+def _gated_conv_sizes(cfg: ModelConfig, h: int, w: int) -> int:
+    """Per-sample entries of the gated blocks' conv outputs: the encoder
+    halves the extents, every decoder stage upsamples its input x2 first."""
+    n = 0
+    for c in cfg.encoder_plan:
+        n += h * w * c
+        h, w = (h + 1) // 2, (w + 1) // 2
+    return n + sum(4 * h * w * c for c in cfg.decoder_plan)
+
+
 def gated_downsample_block(
     g: Graph,
     store: ParamStore,
@@ -52,13 +82,15 @@ def gated_downsample_block(
     x: Node,
     cfg: ModelConfig,
     train: bool,
-    dropout_rng: np.random.Generator | None,
+    dropout_rng: np.random.Generator | SampleUniforms | None,
 ) -> Node:
-    """conv -> relu(G * sigmoid(G)) -> dropout -> batchnorm -> maxpool."""
+    """conv -> relu(G * sigmoid(G)) -> dropout -> batchnorm -> maxpool.
+
+    dropout_rng supplies the mask's uniforms through `random(shape)`."""
     conv = g.conv2d(x, g.param(store, f"{name}.kernel"))
     act = g.relu(g.mul(conv, g.sigmoid(conv)))
     if train and cfg.dropout > 0.0:
-        act = g.dropout(act, cfg.dropout, dropout_rng)
+        act = g.dropout(act, cfg.dropout, dropout_rng.random(act.shape))
     normed = batch_norm(g, act, store, f"{name}.bn", train)
     return g.maxpool2(normed)
 
@@ -69,7 +101,7 @@ def encoder(
     cfg: ModelConfig,
     x_img: Node,
     train: bool,
-    dropout_rng: np.random.Generator | None,
+    dropout_rng: np.random.Generator | SampleUniforms | None,
     taps: dict | None = None,
 ) -> Node:
     out = x_img
@@ -82,7 +114,7 @@ def encoder(
 
 def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: Node) -> Node:
     """Pre-LN transformer stack with fixed sinusoidal positions at entry."""
-    n_p, d = patches.shape
+    n_p, d = patches.shape[-2:]
     x = g.add(patches, g.constant(sinusoidal_positions(n_p, d)))
     heads = cfg.transformer_heads
     scale = 1.0 / np.sqrt(d / heads)
@@ -96,7 +128,7 @@ def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: 
             v = g.matmul(normed, g.param(store, f"{prefix}.head{head}.wv"))
             w = g.softmax_last(g.scale(g.matmul(q, g.transpose(k)), scale))
             outs.append(g.matmul(w, v))
-        x = g.add(x, g.matmul(g.concat(outs, axis=1), g.param(store, f"{prefix}.wo")))
+        x = g.add(x, g.matmul(g.concat(outs, axis=-1), g.param(store, f"{prefix}.wo")))
         normed = layer_norm(g, x)
         hidden = g.relu(g.add(g.matmul(normed, g.param(store, f"{prefix}.ff.w1")),
                               g.param(store, f"{prefix}.ff.b1")))
@@ -112,7 +144,7 @@ def feature_enhancement(
     x: Node,
     cfg: ModelConfig,
     train: bool,
-    dropout_rng: np.random.Generator | None,
+    dropout_rng: np.random.Generator | SampleUniforms | None,
 ) -> Node:
     """Upsample x2 then gated block; net spatial extent is preserved."""
     return gated_downsample_block(g, store, name, g.upsample2(x), cfg, train, dropout_rng)
@@ -124,14 +156,14 @@ def decoder_cascade(
     cfg: ModelConfig,
     x: Node,
     train: bool,
-    dropout_rng: np.random.Generator | None,
+    dropout_rng: np.random.Generator | SampleUniforms | None,
 ) -> Node:
     outs = []
     cur = x
     for i in range(len(cfg.decoder_plan)):
         cur = feature_enhancement(g, store, f"cctfrm.dec{i}", cur, cfg, train, dropout_rng)
         outs.append(cur)
-    return outs[0] if len(outs) == 1 else g.concat(outs, axis=2)
+    return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
 
 def reverse_feature_harmonization(
@@ -139,8 +171,8 @@ def reverse_feature_harmonization(
 ) -> Node:
     """Gated subtraction and adaptive scaling of the cascade output against
     batch-normalized adapted image features; result is flattened."""
-    H_t, W_t, C_t = y_cascade.shape
-    factor = x_img.shape[0] // H_t
+    *lead, H_t, W_t, C_t = y_cascade.shape
+    factor = x_img.shape[-3] // H_t
     adapted = g.conv2d(x_img, g.param(store, "cctfrm.adapter.kernel"), stride=factor)
     x_n = batch_norm(g, adapted, store, "cctfrm.harm.bn_img", train)
     y_n = batch_norm(g, y_cascade, store, "cctfrm.harm.bn_cascade", train)
@@ -150,7 +182,7 @@ def reverse_feature_harmonization(
                            g.mul(g.param(store, "cctfrm.harm.g_image"), x_n)))
     o_final = g.mul(gate, g.add(g.mul(g.param(store, "cctfrm.harm.alpha_cascade"), y_n),
                                 g.mul(g.param(store, "cctfrm.harm.alpha_sub"), y_sub)))
-    return g.reshape(o_final, (H_t * W_t * C_t,))
+    return g.reshape(o_final, tuple(lead) + (H_t * W_t * C_t,))
 
 
 def cctfrm_forward(
@@ -159,15 +191,22 @@ def cctfrm_forward(
     cfg: ModelConfig,
     raw_image: np.ndarray,
     train: bool,
-    dropout_rng: np.random.Generator | None,
+    dropout_rng: np.random.Generator | SampleUniforms | None,
     taps: dict | None = None,
 ) -> Node:
-    """Full module forward; returns the flattened harmonized vector."""
+    """Full module forward; returns the flattened harmonized vector.
+
+    raw_image is (H, W, 3) or (B, H, W, 3).  In train mode with dropout the
+    masks of all gated blocks come from one draw of uniforms per sample."""
     x_img = g.constant(raw_image)
+    *lead, H, W, _ = x_img.shape
+    lead = tuple(lead)
+    if train and cfg.dropout > 0.0:
+        dropout_rng = SampleUniforms(dropout_rng, lead, _gated_conv_sizes(cfg, H, W))
     enc = encoder(g, store, cfg, x_img, train, dropout_rng, taps)
-    hh, ww, d = enc.shape
-    tokens = g.reshape(enc, (hh * ww, d))
+    hh, ww, d = enc.shape[-3:]
+    tokens = g.reshape(enc, lead + (hh * ww, d))
     transformed = transformer_encoder(g, store, cfg, tokens)
-    grid = g.reshape(transformed, (hh, ww, d))
+    grid = g.reshape(transformed, lead + (hh, ww, d))
     cascade = decoder_cascade(g, store, cfg, grid, train, dropout_rng)
     return reverse_feature_harmonization(g, store, cfg, cascade, x_img, train)

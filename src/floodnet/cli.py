@@ -74,6 +74,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     samples = _dataset(cfg, args.data)
     train_set, val_set = split_dataset(samples, cfg.val_fraction, cfg.seed)
+    if not train_set:
+        raise ConfigError(
+            f"val_fraction={cfg.val_fraction} leaves no training samples out of {len(samples)}"
+        )
     model = FloodNet(cfg)
     with open(os.path.join(out, "trace.ndjson"), "w") as trace:
         history = train(model, train_set, val_set, epochs=epochs, trace_file=trace)

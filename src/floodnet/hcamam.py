@@ -7,6 +7,8 @@ both attention outputs with the global feature vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Graph, Node
@@ -63,35 +65,35 @@ def hren_forward(g: Graph, store: ParamStore, cfg: ModelConfig, x: Node, train: 
 
 
 def _channel_conv1d(g: Graph, store: ParamStore, gap: Node) -> Node:
-    """Same-padded length-3 convolution along the channel axis of a (C,) vector."""
-    C = gap.shape[0]
-    zero = g.constant(np.zeros(1))
-    z = g.concat([zero, gap, zero], axis=0)
+    """Same-padded length-3 convolution along the channel axis of a (..., C) vector."""
+    C = gap.shape[-1]
+    zero = g.constant(np.zeros(gap.shape[:-1] + (1,)))
+    z = g.concat([zero, gap, zero], axis=-1)
     w = g.param(store, "hcamam.feeca.conv1d.w")
-    out = g.mul(g.narrow(w, 0, 0, 1), g.narrow(z, 0, 0, C))
-    out = g.add(out, g.mul(g.narrow(w, 0, 1, 1), g.narrow(z, 0, 1, C)))
-    out = g.add(out, g.mul(g.narrow(w, 0, 2, 1), g.narrow(z, 0, 2, C)))
+    out = g.mul(g.narrow(w, 0, 0, 1), g.narrow(z, -1, 0, C))
+    out = g.add(out, g.mul(g.narrow(w, 0, 1, 1), g.narrow(z, -1, 1, C)))
+    out = g.add(out, g.mul(g.narrow(w, 0, 2, 1), g.narrow(z, -1, 2, C)))
     return g.add(out, g.param(store, "hcamam.feeca.conv1d.b"))
 
 
 def feeca_forward(g: Graph, store: ParamStore, x: Node) -> Node:
-    """Frequency-enhanced channel attention over an (H,W,C) map."""
-    H, W, C = x.shape
-    gap = g.reshape(g.reduce_mean(x, axes=(0, 1)), (C,))
+    """Frequency-enhanced channel attention over an (..., H, W, C) map."""
+    C = x.shape[-1]
+    gap = g.reduce_mean(x, axes=(-3, -2))
     attn = _channel_conv1d(g, store, gap)
     y_proj = dense(g, attn, g.param(store, "hcamam.feeca.proj.w"),
                    g.param(store, "hcamam.feeca.proj.b"))
     x_freq = g.fft2d_magnitude(x)
     sff = g.mul(g.param(store, "hcamam.feeca.scale"), x_freq)
-    weighted = g.mul(sff, g.reshape(y_proj, (1, 1, C)))
-    y_att = g.sigmoid(g.reduce_sum(weighted, axes=2, keepdims=True))
+    weighted = g.mul(sff, g.reshape(y_proj, x.shape[:-3] + (1, 1, C)))
+    y_att = g.sigmoid(g.reduce_sum(weighted, axes=-1, keepdims=True))
     # layer norm over flattened space for the gate, over channels for x
     return g.mul(layer_norm_flat(g, y_att), layer_norm(g, x))
 
 
 def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
-    """Frequency-modulated spatial attention over an (H,W,C) map."""
-    H, W, C = x.shape
+    """Frequency-modulated spatial attention over an (..., H, W, C) map."""
+    C = x.shape[-1]
     z_sum = None
     for k in (3, 5, 7):
         z = g.conv2d(x, g.param(store, f"hcamam.fmsa.k{k}"))
@@ -100,17 +102,15 @@ def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     f_freq = g.fft2d_magnitude(x)
     a_agg = g.mul(a_spatial, f_freq)
     # per-channel standardization of the spectrum
-    mu = g.reduce_mean(f_freq, axes=(0, 1), keepdims=True)
+    mu = g.reduce_mean(f_freq, axes=(-3, -2), keepdims=True)
     cen = g.sub(f_freq, mu)
-    var = g.reduce_mean(g.mul(cen, cen), axes=(0, 1), keepdims=True)
+    var = g.reduce_mean(g.mul(cen, cen), axes=(-3, -2), keepdims=True)
     f_norm = g.mul(cen, g.powc(g.shift(var, FNORM_EPS), -0.5))
-    combined = g.reshape(g.mul(a_agg, f_norm), (H * W, C))
-    a_proj = g.reshape(g.matmul(combined, g.param(store, "hcamam.fmsa.proj.w")), (H, W, C))
+    # the channel mixes below treat every pixel as a row
+    a_proj = g.matmul(g.mul(a_agg, f_norm), g.param(store, "hcamam.fmsa.proj.w"))
     local = g.conv2d(a_proj, g.param(store, "hcamam.fmsa.spatial"), groups=C)
-    reduced = g.relu(g.matmul(g.reshape(local, (H * W, C)), g.param(store, "hcamam.fmsa.reduce.w")))
-    a_refined = g.reshape(
-        g.sigmoid(g.matmul(reduced, g.param(store, "hcamam.fmsa.expand.w"))), (H, W, C)
-    )
+    reduced = g.relu(g.matmul(local, g.param(store, "hcamam.fmsa.reduce.w")))
+    a_refined = g.sigmoid(g.matmul(reduced, g.param(store, "hcamam.fmsa.expand.w")))
     gain = g.mul(g.mul(g.param(store, "hcamam.fmsa.w_att"), a_proj),
                  g.mul(g.param(store, "hcamam.fmsa.w_refined"), a_refined))
     return g.mul(x, gain)
@@ -121,9 +121,9 @@ def attention_fusion(
 ) -> Node:
     """Channel-concat the two attention maps, flatten, append globals,
     and project through the global contextual dense layer."""
-    y_concat = g.concat([y_mca, y_msa], axis=2)
-    flat = g.reshape(y_concat, (y_concat.value.size,))
-    y_final = g.concat([flat, g.constant(gl.concat)], axis=0)
+    y_concat = g.concat([y_mca, y_msa], axis=-1)
+    flat = g.reshape(y_concat, y_concat.shape[:-3] + (math.prod(y_concat.shape[-3:]),))
+    y_final = g.concat([flat, g.constant(gl.concat)], axis=-1)
     return g.relu(dense(g, y_final, g.param(store, "hcamam.fusion.w"),
                         g.param(store, "hcamam.fusion.b")))
 

@@ -1,6 +1,12 @@
-"""Composite layers built from autodiff primitives."""
+"""Composite layers built from autodiff primitives.
+
+Every layer reads its axes from the end, so it takes one sample or a batch
+stacked on a leading axis alike.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -12,7 +18,8 @@ BN_MOMENTUM = 0.9
 
 
 def dense(g: Graph, x: Node, w: Node, b: Node | None = None) -> Node:
-    """x @ w (+ b). Rank-1 x is treated as a single row."""
+    """x @ w (+ b). Rank-1 x is treated as a single row; higher ranks are rows
+    over the last axis."""
     squeeze = x.value.ndim == 1
     if squeeze:
         x = g.reshape(x, (1, x.shape[0]))
@@ -26,15 +33,15 @@ def dense(g: Graph, x: Node, w: Node, b: Node | None = None) -> Node:
 
 def layer_norm(g: Graph, x: Node, eps: float = LN_EPS) -> Node:
     """Zero-mean unit-variance normalization along the last axis, no affine."""
-    mu = g.reduce_mean(x, axes=x.value.ndim - 1, keepdims=True)
+    mu = g.reduce_mean(x, axes=-1, keepdims=True)
     centered = g.sub(x, mu)
-    var = g.reduce_mean(g.mul(centered, centered), axes=x.value.ndim - 1, keepdims=True)
+    var = g.reduce_mean(g.mul(centered, centered), axes=-1, keepdims=True)
     return g.mul(centered, g.powc(g.shift(var, eps), -0.5))
 
 
 def layer_norm_flat(g: Graph, x: Node, eps: float = LN_EPS) -> Node:
-    """Layer norm over all entries of x (flattened), shape preserved."""
-    flat = g.reshape(x, (x.value.size,))
+    """Layer norm over all entries of each (H, W, C) map in x, shape preserved."""
+    flat = g.reshape(x, x.shape[:-3] + (math.prod(x.shape[-3:]),))
     return g.reshape(layer_norm(g, flat, eps), x.shape)
 
 
@@ -54,10 +61,11 @@ def batch_norm(
     eps: float = BN_EPS,
     momentum: float = BN_MOMENTUM,
 ) -> Node:
-    """Per-channel batch norm over the spatial axes of an (H,W,C) map.
+    """Per-channel batch norm over the spatial axes of each (H,W,C) map.
 
-    Train mode normalizes by batch statistics and folds them into the
-    running buffers; eval mode uses the buffers (init 0 mean / 1 var).
+    Train mode normalizes each map by its own statistics and folds them
+    into the running buffers one map at a time, in batch order; eval mode
+    uses the buffers (init 0 mean / 1 var).
     """
     C = x.shape[-1]
     if name + ".gamma" not in store.entries:
@@ -65,15 +73,16 @@ def batch_norm(
     gamma = g.param(store, name + ".gamma")
     beta = g.param(store, name + ".beta")
     if train:
-        mu = g.reduce_mean(x, axes=(0, 1), keepdims=True)
+        mu = g.reduce_mean(x, axes=(-3, -2), keepdims=True)
         centered = g.sub(x, mu)
-        var = g.reduce_mean(g.mul(centered, centered), axes=(0, 1), keepdims=True)
-        store.buffers[name + ".running_mean"] = (
-            momentum * store.buffers[name + ".running_mean"] + (1 - momentum) * mu.value.reshape(C)
-        )
-        store.buffers[name + ".running_var"] = (
-            momentum * store.buffers[name + ".running_var"] + (1 - momentum) * var.value.reshape(C)
-        )
+        var = g.reduce_mean(g.mul(centered, centered), axes=(-3, -2), keepdims=True)
+        for m, v in zip(mu.value.reshape(-1, C), var.value.reshape(-1, C)):
+            store.buffers[name + ".running_mean"] = (
+                momentum * store.buffers[name + ".running_mean"] + (1 - momentum) * m
+            )
+            store.buffers[name + ".running_var"] = (
+                momentum * store.buffers[name + ".running_var"] + (1 - momentum) * v
+            )
         norm = g.mul(centered, g.powc(g.shift(var, eps), -0.5))
     else:
         rm = store.buffers[name + ".running_mean"]
@@ -83,8 +92,8 @@ def batch_norm(
 
 
 def global_avg_pool(g: Graph, x: Node) -> Node:
-    """(H,W,C) -> (1,1,C) spatial mean."""
-    return g.reduce_mean(x, axes=(0, 1), keepdims=True)
+    """(..., H, W, C) -> (..., 1, 1, C) spatial mean."""
+    return g.reduce_mean(x, axes=(-3, -2), keepdims=True)
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:

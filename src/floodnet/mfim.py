@@ -1,6 +1,9 @@
 """Multimodal feature interaction: stub encoders, feature projection,
 self-gating, coarse/medium/fine self-attention, contextual gating,
 bidirectional cross-modal attention and joint fusion.
+
+Features may carry leading batch axes; every step works on the trailing
+(tokens or regions, channels) axes.
 """
 
 from __future__ import annotations
@@ -24,22 +27,22 @@ TEXT_VOCAB = 64
 
 @dataclass
 class TextFeatures:
-    tokens: np.ndarray  # (n_t, d_t)
+    tokens: np.ndarray  # (..., n_t, d_t)
 
     @property
     def n_t(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
 
 @dataclass
 class ImageFeatures:
-    grid: np.ndarray  # (H, W, d_i)
-    raw_image: np.ndarray  # (H_img, W_img, 3)
+    grid: np.ndarray  # (..., H, W, d_i)
+    raw_image: np.ndarray  # (..., H_img, W_img, 3)
 
 
 @dataclass
 class GlobalFeatures:
-    concat: np.ndarray  # (d_t + d_i,)
+    concat: np.ndarray  # (..., d_t + d_i)
 
 
 @dataclass
@@ -69,26 +72,29 @@ def _token_table(d_t: int, seed: int) -> np.ndarray:
 
 
 def stub_text_encoder(token_ids, d_t: int, seed: int) -> TextFeatures:
-    """Token id k maps to row k of a seeded random embedding table."""
+    """Token id k maps to row k of a seeded random embedding table.
+    token_ids is (n_t,), or (..., n_t) for a batch."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size == 0:
         raise InputError("token list must be non-empty")
-    if ids.size > 512:
-        raise InputError(f"at most 512 tokens supported, got {ids.size}")
+    if ids.shape[-1] > 512:
+        raise InputError(f"at most 512 tokens supported, got {ids.shape[-1]}")
     table = _token_table(d_t, seed)
     return TextFeatures(tokens=table[ids % TEXT_VOCAB].copy())
 
 
 def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) -> ImageFeatures:
-    """Patch-average the image, then one fixed seeded linear map 3 -> d_i."""
+    """Patch-average the image, then one fixed seeded linear map 3 -> d_i.
+    raw_image is (H, W, 3), or (..., H, W, 3) for a batch."""
     img = np.asarray(raw_image, dtype=np.float64)
     H, W = grid
-    if img.ndim != 3 or img.shape[2] != 3:
+    if img.ndim < 3 or img.shape[-1] != 3:
         raise InputError(f"raw image must be (H,W,3), got {img.shape}")
-    if img.shape[0] % H or img.shape[1] % W:
-        raise InputError(f"image extents {img.shape[:2]} not divisible by grid {grid}")
-    ph, pw = img.shape[0] // H, img.shape[1] // W
-    patches = img.reshape(H, ph, W, pw, 3).mean(axis=(1, 3))
+    *lead, h_img, w_img, _ = img.shape
+    if h_img % H or w_img % W:
+        raise InputError(f"image extents {(h_img, w_img)} not divisible by grid {grid}")
+    ph, pw = h_img // H, w_img // W
+    patches = img.reshape(tuple(lead) + (H, ph, W, pw, 3)).mean(axis=(-4, -2))
     rng = np.random.default_rng([seed, 0x1147])
     proj = rng.standard_normal((3, d_i))
     return ImageFeatures(grid=patches @ proj, raw_image=img)
@@ -97,7 +103,7 @@ def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) ->
 def extract_global_features(t: TextFeatures, i: ImageFeatures) -> GlobalFeatures:
     """Token mean concatenated with spatial mean over grid regions."""
     return GlobalFeatures(
-        concat=np.concatenate([t.tokens.mean(axis=0), i.grid.mean(axis=(0, 1))])
+        concat=np.concatenate([t.tokens.mean(axis=-2), i.grid.mean(axis=(-3, -2))], axis=-1)
     )
 
 
@@ -183,18 +189,19 @@ def prepare_local_features(
     hid = d_se // 2
     ht = dense(g, g.constant(t.tokens), g.param(store, "mfim.text_proj.w"),
                g.param(store, "mfim.text_proj.b"))
-    rows = [g.narrow(ht, 0, k, 1) for k in range(t.n_t)]
+    rows = [g.narrow(ht, -2, k, 1) for k in range(t.n_t)]
     fwd = _lstm_direction(g, store, "mfim.bilstm.fwd", rows, hid)
     bwd = _lstm_direction(g, store, "mfim.bilstm.bwd", rows[::-1], hid)[::-1]
-    ht_basis = g.concat([g.concat([f, b], axis=1) for f, b in zip(fwd, bwd)], axis=0)
+    ht_basis = g.concat([g.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)], axis=-2)
 
-    H, W, d_i = i.grid.shape
-    flat = dense(g, g.constant(i.grid.reshape(H * W, d_i)),
+    *lead, H, W, d_i = i.grid.shape
+    lead = tuple(lead)
+    flat = dense(g, g.constant(i.grid.reshape(lead + (H * W, d_i))),
                  g.param(store, "mfim.img_proj.w"), g.param(store, "mfim.img_proj.b"))
-    grid = g.reshape(flat, (H, W, d_se))
+    grid = g.reshape(flat, lead + (H, W, d_se))
     scales = [g.conv2d(grid, g.param(store, f"mfim.ms.k{k}")) for k in (3, 5, 7)]
-    mixed = g.concat(scales, axis=2)
-    mixed = dense(g, g.reshape(mixed, (H * W, d_se)),
+    mixed = g.concat(scales, axis=-1)
+    mixed = dense(g, g.reshape(mixed, lead + (H * W, d_se)),
                   g.param(store, "mfim.ms.mix.w"), g.param(store, "mfim.ms.mix.b"))
     return ht_basis, mixed
 
@@ -221,7 +228,7 @@ def multi_granularity_attention(
         v = g.matmul(x, g.param(store, f"{hp}.wv"))
         weights = g.softmax_last(g.scale(g.matmul(q, g.transpose(k)), 1.0 / scale))
         heads.append(g.matmul(weights, v))
-    return g.matmul(g.concat(heads, axis=1), g.param(store, f"{prefix}.{level_cfg.level}.wo"))
+    return g.matmul(g.concat(heads, axis=-1), g.param(store, f"{prefix}.{level_cfg.level}.wo"))
 
 
 def attention_pipeline(
@@ -260,9 +267,9 @@ def cross_modal_attention(
 
 def joint_fusion(g: Graph, store: ParamStore, att_t2i: Node, att_i2t: Node) -> Node:
     """Concat rows, self-sigmoid refinement, mean-pool, 2-layer perceptron."""
-    a = g.concat([att_t2i, att_i2t], axis=0)
+    a = g.concat([att_t2i, att_i2t], axis=-2)
     refined = g.mul(a, g.sigmoid(a))
-    pooled = g.reduce_mean(refined, axes=0)
+    pooled = g.reduce_mean(refined, axes=-2)
     hidden = g.relu(g.add(dense(g, pooled, g.param(store, "mfim.mln.w1")),
                           g.param(store, "mfim.mln.b1")))
     return g.add(dense(g, hidden, g.param(store, "mfim.mln.w2")),

@@ -14,6 +14,7 @@ from .hcamam import hcamam_forward
 from .hcamam import register_params as register_hcamam
 from .layers import dense
 from .mfim import (
+    InputError,
     extract_global_features,
     mfim_forward,
     register_params as register_mfim,
@@ -55,31 +56,45 @@ class FloodNet:
         dropout_rng: np.random.Generator | None = None,
         taps: dict | None = None,
     ) -> tuple[Node, Node]:
-        """Returns (probability node, pre-sigmoid logit node), both shape (1,)."""
+        """Returns (probability node, pre-sigmoid logit node).
+
+        For one sample both have shape (1,).  A list of samples runs as one
+        batch stacked on a leading axis, and both have shape (B, 1).
+        """
         cfg, store = self.cfg, self.store
-        text = stub_text_encoder(sample.tokens, cfg.d_t, cfg.seed)
-        img = stub_image_encoder(sample.image, cfg.grid, cfg.d_i, cfg.seed)
+        tokens, image = _stack(sample) if isinstance(sample, list) else (sample.tokens, sample.image)
+        text = stub_text_encoder(tokens, cfg.d_t, cfg.seed)
+        img = stub_image_encoder(image, cfg.grid, cfg.d_i, cfg.seed)
         gl = extract_global_features(text, img)
+        lead = img.grid.shape[:-3]
         if cfg.use_mfim:
             mfim_vec = mfim_forward(g, store, cfg, text, img)
         else:
-            mfim_vec = g.constant(np.zeros(cfg.d_se))
+            mfim_vec = g.constant(np.zeros(lead + (cfg.d_se,)))
         if cfg.use_hcamam:
             y_final = hcamam_forward(g, store, cfg, img.grid, gl, train)
         else:
-            y_final = g.constant(np.zeros(cfg.d_fused))
+            y_final = g.constant(np.zeros(lead + (cfg.d_fused,)))
         if cfg.use_cctfrm:
             o_final = cctfrm_forward(g, store, cfg, img.raw_image, train, dropout_rng, taps)
         else:
-            o_final = g.constant(np.zeros(cfg.d_r))
+            o_final = g.constant(np.zeros(lead + (cfg.d_r,)))
         return self.head(g, y_final, mfim_vec, o_final)
 
     def head(self, g: Graph, y_final: Node, mfim_vec: Node, o_final: Node) -> tuple[Node, Node]:
         store = self.store
-        f_concat = g.concat([y_final, mfim_vec, o_final], axis=0)
+        f_concat = g.concat([y_final, mfim_vec, o_final], axis=-1)
         hidden = g.relu(dense(g, f_concat, g.param(store, "uffm.w1"), g.param(store, "uffm.b1")))
         logit = dense(g, hidden, g.param(store, "uffm.w2"), g.param(store, "uffm.b2"))
         return g.sigmoid(logit), logit
+
+
+def _stack(samples: list) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids (B, n_t) and images (B, H, W, 3) of a batch."""
+    lengths = sorted({len(s.tokens) for s in samples})
+    if len(lengths) > 1:
+        raise InputError(f"a batch needs one token count, got {lengths[0]} and {lengths[-1]}")
+    return np.stack([s.tokens for s in samples]), np.stack([s.image for s in samples])
 
 
 def predict(prob: float) -> int:

@@ -21,23 +21,27 @@ class TrainingError(RuntimeError):
     pass
 
 
-def bce_loss(g: Graph, prob: Node, label: int) -> Node:
-    """Binary cross entropy on a (1,) probability node, clipped away from 0/1."""
+def bce_loss(g: Graph, prob: Node, label) -> Node:
+    """Mean binary cross entropy of probabilities clipped away from 0/1:
+    a (1,) node with an int label, or a (B, 1) node with B labels."""
+    y = np.asarray(label, dtype=np.float64).reshape(prob.shape)
     p = g.clip(prob, BCE_CLIP, 1.0 - BCE_CLIP)
-    if label == 1:
-        return g.scale(g.log(p), -1.0)
-    return g.scale(g.log(g.sub(g.constant(np.ones(1)), p)), -1.0)
+    # p where the label is 1 and 1 - p where it is 0, both exact
+    likelihood = g.add(g.mul(p, g.constant(2.0 * y - 1.0)), g.constant(1.0 - y))
+    return g.scale(g.reduce_mean(g.log(likelihood)), -1.0)
 
 
 def evaluate(
     model: FloodNet, samples: list[SyntheticSample]
 ) -> tuple[np.ndarray, MetricsReport]:
-    """Eval-mode pass over samples; returns probabilities and metrics."""
+    """Eval-mode pass over samples, one graph per batch_size chunk; returns
+    probabilities and metrics."""
     probs = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        g = Graph()
-        p, _ = model.forward(g, s, train=False)
-        probs[i] = float(p.value[0])
+    step = model.cfg.batch_size
+    for start in range(0, len(samples), step):
+        chunk = samples[start:start + step]
+        p, _ = model.forward(Graph(), chunk if len(chunk) > 1 else chunk[0], train=False)
+        probs[start:start + len(chunk)] = p.value.reshape(-1)
     y_true = np.array([s.label for s in samples])
     y_pred = np.array([predict(p) for p in probs])
     return probs, compute_metrics(y_true, y_pred, probs)
@@ -56,7 +60,10 @@ def train(
     validation metrics. A non-finite batch loss aborts with TrainingError.
 
     stop_fn, when given, sees each epoch record and can end training early.
+    Each batch runs as one graph: one forward, one loss, one backward.
     """
+    if not train_set:
+        raise ValueError("train_set is empty")
     cfg = model.cfg
     if epochs is None:
         epochs = cfg.epochs
@@ -69,14 +76,11 @@ def train(
         n_right = 0
         for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
+            labels = [s.label for s in batch]
             g = Graph()
-            total = None
-            for s in batch:
-                p, _ = model.forward(g, s, train=True, dropout_rng=dropout_rng)
-                n_right += predict(float(p.value[0])) == s.label
-                term = bce_loss(g, p, s.label)
-                total = term if total is None else g.add(total, term)
-            loss = g.scale(total, 1.0 / len(batch))
+            p, _ = model.forward(g, batch, train=True, dropout_rng=dropout_rng)
+            n_right += sum(predict(pi) == y for pi, y in zip(p.value.reshape(-1), labels))
+            loss = bce_loss(g, p, labels)
             if not np.isfinite(loss.value[0]):
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {bi}")
             model.store.zero_grad()

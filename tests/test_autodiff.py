@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,6 +154,108 @@ def test_conv2d_stride_must_divide_extents():
     for shape in ((6, 8, 2), (8, 6, 2)):
         with pytest.raises(ShapeError):
             g.conv2d(g.constant(np.ones(shape)), kernel, stride=4)
+
+
+# ---- batched ops -------------------------------------------------------
+
+
+def _stack_per_sample(op, *operands):
+    """np.stack of op's value over each leading-axis slice of the operands;
+    an operand of rank 2 is shared by every slice."""
+    B = operands[0].shape[0]
+    outs = []
+    for i in range(B):
+        g = Graph()
+        outs.append(op(g, *(g.constant(v[i] if v.ndim > 2 else v) for v in operands)).value)
+    return np.stack(outs)
+
+
+def _check_batched(op, operands, exact):
+    """The batched value equals the per-sample values stacked, and
+    check_gradients passes on every operand, the batched one included."""
+    g = Graph()
+    batched = op(g, *(g.constant(v) for v in operands)).value
+    stacked = _stack_per_sample(op, *operands)
+    assert batched.shape == stacked.shape
+    if exact:
+        np.testing.assert_array_equal(batched, stacked)
+    else:
+        assert np.abs(batched - stacked).max(initial=0.0) <= 1e-12
+    weights = np.random.default_rng(1).standard_normal(batched.shape)
+    store = ParamStore(0)
+    names = [f"v{i}" for i in range(len(operands))]
+    for name, value in zip(names, operands):
+        store.add(name, value.shape)
+        store.entries[name].value[...] = value
+
+    def build(g):
+        out = op(g, *(g.param(store, n) for n in names))
+        return g.reduce_sum(g.mul(g.tanh(out), g.constant(weights)))
+
+    for name in names:
+        check_gradients(build, store, names=[name], n_coords=6)
+
+
+@st.composite
+def batches(draw, max_extent=7):
+    """A batch of 1-3 maps (B, H, W, C) with any small extents."""
+    B, H, W = draw(st.integers(1, 3)), draw(st.integers(1, max_extent)), draw(st.integers(1, max_extent))
+    C = draw(st.integers(1, 3))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((B, H, W, C))
+
+
+@given(conv_cases(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_conv2d_batched_matches_per_sample(case, B, seed):
+    x, kernel, groups, stride = case
+    xs = np.random.default_rng(seed).standard_normal((B,) + x.shape)
+    # the kernel has rank 4, so the per-sample runs share it as a constant
+    op = lambda g, xn: g.conv2d(xn, g.constant(kernel), groups=groups, stride=stride)
+    _check_batched(op, [xs], exact=False)
+    g = Graph()
+    kn = g.constant(kernel)
+    g.backward(g.reduce_sum(g.tanh(g.conv2d(g.constant(xs), kn, groups=groups, stride=stride))))
+    per_sample = 0.0
+    for xi in xs:
+        gi = Graph()
+        ki = gi.constant(kernel)
+        gi.backward(gi.reduce_sum(gi.tanh(gi.conv2d(gi.constant(xi), ki, groups=groups, stride=stride))))
+        per_sample = per_sample + ki.grad
+    assert rel_close(kn.grad, per_sample, 1e-12)
+
+
+@given(batches())
+def test_maxpool2_batched_matches_per_sample(xs):
+    _check_batched(lambda g, x: g.maxpool2(x), [xs], exact=True)
+
+
+@given(batches(max_extent=4))
+def test_upsample2_batched_matches_per_sample(xs):
+    _check_batched(lambda g, x: g.upsample2(x), [xs], exact=True)
+
+
+@given(batches(max_extent=6))
+def test_fft2d_magnitude_batched_matches_per_sample(xs):
+    _check_batched(lambda g, x: g.fft2d_magnitude(x), [xs], exact=False)
+
+
+@given(batches())
+def test_transpose_batched_matches_per_sample(xs):
+    _check_batched(lambda g, x: g.transpose(x), [xs[..., 0]], exact=False)
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_matmul_rank3_forms_match_per_sample(B, n, k, m, stacked, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((B, n, k))
+    b = rng.standard_normal((B, k, m) if stacked else (k, m))
+    _check_batched(lambda g, x, y: g.matmul(x, y), [a, b], exact=False)
+
+
+def test_matmul_rejects_mismatched_batches():
+    g = Graph()
+    with pytest.raises(ShapeError):
+        g.matmul(g.constant(np.ones((2, 3, 4))), g.constant(np.ones((3, 4, 2))))
 
 
 # ---- fft magnitude ---------------------------------------------------
@@ -352,6 +457,22 @@ def test_backward_rejects_non_scalar():
     g = Graph()
     with pytest.raises(ContractError):
         g.backward(g.constant(np.ones(3)))
+
+
+def test_dropped_tape_is_freed_without_the_cycle_collector():
+    store = ParamStore(0)
+    store.add("w", (3, 3))
+    gc.disable()
+    try:
+        g = Graph()
+        x = g.conv2d(g.constant(np.ones((2, 4, 4, 3))), g.constant(np.ones((3, 3, 3, 2))))
+        loss = g.reduce_sum(g.tanh(g.matmul(g.reshape(x, (2, 16, 2)), g.narrow(g.param(store, "w"), 0, 0, 2))))
+        g.backward(loss)
+        graph, value = weakref.ref(g), weakref.ref(x.value)
+        del g, x, loss
+        assert graph() is None and value() is None
+    finally:
+        gc.enable()
 
 
 def test_composite_forward_matches_finite_differences():

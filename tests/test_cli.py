@@ -49,6 +49,18 @@ def test_train_split_without_training_samples_exits_one(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "val_fraction" in err
 
 
+def test_train_data_file_without_training_samples_exits_one(tmp_path, capsys):
+    _, cfg_path = _write_tiny_config(tmp_path, val_fraction=0.6)
+    data = tmp_path / "one.npz"
+    np.savez(data, tokens=np.zeros((1, 4), dtype=np.int64), images=np.zeros((1, 16, 16, 3)),
+             labels=np.array([1]))
+    code = main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "val_fraction=0.6" in err and "out of 1" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from floodnet.autodiff import Graph
 from floodnet.data import generate_synthetic_dataset, split_dataset
 from floodnet.metrics import compute_metrics, log_loss, mcnemar_test
+from floodnet.mfim import InputError
 from floodnet.model import FloodNet, predict
 from floodnet.params import AdamWConfig, ParamStore
 from floodnet.training import bce_loss, evaluate, train
@@ -144,6 +146,65 @@ def test_evaluate_returns_probabilities_in_range():
     probs, report = evaluate(model, samples)
     assert np.all((probs > 0) & (probs < 1))
     assert report.tp + report.tn + report.fp + report.fn == 4
+
+
+def _train_step(model, batch, batched):
+    """One forward, loss and backward with a fresh dropout generator: either
+    as one batched graph or per sample on one graph, as training once ran."""
+    rng = np.random.default_rng(7)
+    model.store.zero_grad()
+    g = Graph()
+    if batched:
+        p, _ = model.forward(g, batch, train=True, dropout_rng=rng)
+        loss = bce_loss(g, p, [s.label for s in batch])
+    else:
+        total = None
+        for s in batch:
+            p, _ = model.forward(g, s, train=True, dropout_rng=rng)
+            term = bce_loss(g, p, s.label)
+            total = term if total is None else g.add(total, term)
+        loss = g.scale(total, 1.0 / len(batch))
+    g.backward(loss)
+    grads = {n: e.grad.copy() for n, e in model.store.entries.items()}
+    return float(loss.value[0]), grads, dict(model.store.buffers)
+
+
+def test_batched_step_matches_per_sample_step():
+    cfg = make_tiny_config(dropout=0.5)
+    batch = generate_synthetic_dataset(4, 3, 0.3, cfg.image_size, cfg.n_t)
+    assert sorted(s.label for s in batch) == [0, 0, 1, 1]
+    loss_ref, grads_ref, bufs_ref = _train_step(FloodNet(cfg), batch, batched=False)
+    loss, grads, bufs = _train_step(FloodNet(cfg), batch, batched=True)
+    assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+    top = max(np.abs(v).max() for v in grads_ref.values())
+    for name, ref in grads_ref.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-9 * top, name
+    assert sorted(bufs) == sorted(bufs_ref)
+    for name, ref in bufs_ref.items():
+        np.testing.assert_array_equal(bufs[name], ref)
+
+
+def test_evaluate_chunks_match_per_sample_forwards():
+    cfg = make_tiny_config()
+    model = FloodNet(cfg)
+    samples = generate_synthetic_dataset(5, 4, 0.3, cfg.image_size, cfg.n_t)
+    probs, _ = evaluate(model, samples)  # chunks of 4 and 1
+    ref = [model.forward(Graph(), s)[0].value[0] for s in samples]
+    assert np.abs(probs - ref).max() <= 1e-12
+
+
+def test_evaluate_rejects_mixed_token_counts():
+    cfg = make_tiny_config()
+    samples = generate_synthetic_dataset(2, 0, 0.0, cfg.image_size, cfg.n_t)
+    samples[1].tokens = np.append(samples[1].tokens, 3)
+    with pytest.raises(InputError, match=r"\b4\b.*\b5\b"):
+        evaluate(FloodNet(cfg), samples)
+
+
+def test_train_rejects_empty_training_set():
+    cfg = make_tiny_config()
+    with pytest.raises(ValueError, match="empty"):
+        train(FloodNet(cfg), [], [], epochs=1)
 
 
 # ---- metrics ---------------------------------------------------------
