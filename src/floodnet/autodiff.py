@@ -154,15 +154,6 @@ class Graph:
 
         return self._record(out, (a,), bwd, "scale")
 
-    def shift(self, a, c: float) -> Node:
-        a = self._coerce(a)
-        out = a.value + c
-
-        def bwd(g, grads):
-            grads[a.idx] += g
-
-        return self._record(out, (a,), bwd, "shift")
-
     def sigmoid(self, a) -> Node:
         a = self._coerce(a)
         with np.errstate(over="ignore"):
@@ -191,15 +182,6 @@ class Graph:
 
         return self._record(out, (a,), bwd, "relu")
 
-    def exp(self, a) -> Node:
-        a = self._coerce(a)
-        out = np.exp(a.value)
-
-        def bwd(g, grads):
-            grads[a.idx] += g * out
-
-        return self._record(out, (a,), bwd, "exp")
-
     def log(self, a) -> Node:
         a = self._coerce(a)
         out = np.log(a.value)
@@ -208,15 +190,6 @@ class Graph:
             grads[a.idx] += g / a.value
 
         return self._record(out, (a,), bwd, "log")
-
-    def powc(self, a, p: float) -> Node:
-        a = self._coerce(a)
-        out = a.value ** p
-
-        def bwd(g, grads):
-            grads[a.idx] += g * p * a.value ** (p - 1.0)
-
-        return self._record(out, (a,), bwd, "powc")
 
     def clip(self, a, lo: float, hi: float) -> Node:
         a = self._coerce(a)
@@ -345,6 +318,19 @@ class Graph:
             grads[a.idx] += out * (g - dot)
 
         return self._record(out, (a,), bwd, "softmax")
+
+    def standardize(self, a, axes, eps: float) -> Node:
+        """(a - mean) / sqrt(var + eps) over `axes`, with the biased variance."""
+        a = self._coerce(a)
+        centered = a.value - a.value.mean(axis=axes, keepdims=True)
+        rstd = 1.0 / np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + eps)
+        out = centered * rstd
+
+        def bwd(g, grads):
+            gy = (g * out).mean(axis=axes, keepdims=True)
+            grads[a.idx] += (g - g.mean(axis=axes, keepdims=True) - out * gy) * rstd
+
+        return self._record(out, (a,), bwd, "standardize")
 
     # ---- neural primitives -------------------------------------------
 

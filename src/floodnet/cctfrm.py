@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import batch_norm, layer_norm, register_bn, sinusoidal_positions
+from .layers import attention, batch_norm, layer_norm, register_bn, sinusoidal_positions
 from .params import ParamStore
 
 
@@ -116,19 +116,14 @@ def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: 
     """Pre-LN transformer stack with fixed sinusoidal positions at entry."""
     n_p, d = patches.shape[-2:]
     x = g.add(patches, g.constant(sinusoidal_positions(n_p, d)))
-    heads = cfg.transformer_heads
-    scale = 1.0 / np.sqrt(d / heads)
+    scale = 1.0 / np.sqrt(d / cfg.transformer_heads)
     for layer in range(cfg.transformer_depth):
         prefix = f"cctfrm.tr{layer}"
+        heads = [tuple(g.param(store, f"{prefix}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
+                 for head in range(cfg.transformer_heads)]
         normed = layer_norm(g, x)
-        outs = []
-        for head in range(heads):
-            q = g.matmul(normed, g.param(store, f"{prefix}.head{head}.wq"))
-            k = g.matmul(normed, g.param(store, f"{prefix}.head{head}.wk"))
-            v = g.matmul(normed, g.param(store, f"{prefix}.head{head}.wv"))
-            w = g.softmax_last(g.scale(g.matmul(q, g.transpose(k)), scale))
-            outs.append(g.matmul(w, v))
-        x = g.add(x, g.matmul(g.concat(outs, axis=-1), g.param(store, f"{prefix}.wo")))
+        attended = attention(g, normed, normed, heads, scale)
+        x = g.add(x, g.matmul(attended, g.param(store, f"{prefix}.wo")))
         normed = layer_norm(g, x)
         hidden = g.relu(g.add(g.matmul(normed, g.param(store, f"{prefix}.ff.w1")),
                               g.param(store, f"{prefix}.ff.b1")))

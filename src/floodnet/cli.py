@@ -26,7 +26,6 @@ def _load_config(args) -> ModelConfig:
     cfg = ModelConfig.load(args.config) if args.config else ModelConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
     return cfg
 
 
@@ -134,9 +133,12 @@ def cmd_explain(args) -> int:
 def cmd_metrics(args) -> int:
     with open(args.predictions) as f:
         data = json.load(f)
-    report = compute_metrics(
-        np.array(data["y_true"]), np.array(data["y_pred"]), data.get("probs")
-    )
+    probs = data.get("probs")
+    if not data["y_true"]:
+        raise InputError(f"{args.predictions} holds no labels")
+    if probs is not None and not np.isfinite(np.asarray(probs, dtype=np.float64)).all():
+        raise InputError(f"{args.predictions} holds a non-finite probability")
+    report = compute_metrics(np.array(data["y_true"]), np.array(data["y_pred"]), probs)
     out = report.to_dict()
     if args.compare:
         with open(args.compare) as f:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import batch_norm, dense, layer_norm, layer_norm_flat, register_bn
+from .layers import LN_EPS, batch_norm, dense, layer_norm, register_bn
 from .mfim import GlobalFeatures
 from .params import ParamStore
 
@@ -87,8 +87,8 @@ def feeca_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     sff = g.mul(g.param(store, "hcamam.feeca.scale"), x_freq)
     weighted = g.mul(sff, g.reshape(y_proj, x.shape[:-3] + (1, 1, C)))
     y_att = g.sigmoid(g.reduce_sum(weighted, axes=-1, keepdims=True))
-    # layer norm over flattened space for the gate, over channels for x
-    return g.mul(layer_norm_flat(g, y_att), layer_norm(g, x))
+    # the gate is standardized over each whole map, x over its channels
+    return g.mul(g.standardize(y_att, (-3, -2, -1), LN_EPS), layer_norm(g, x))
 
 
 def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
@@ -101,11 +101,7 @@ def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     a_spatial = g.sigmoid(z_sum)
     f_freq = g.fft2d_magnitude(x)
     a_agg = g.mul(a_spatial, f_freq)
-    # per-channel standardization of the spectrum
-    mu = g.reduce_mean(f_freq, axes=(-3, -2), keepdims=True)
-    cen = g.sub(f_freq, mu)
-    var = g.reduce_mean(g.mul(cen, cen), axes=(-3, -2), keepdims=True)
-    f_norm = g.mul(cen, g.powc(g.shift(var, FNORM_EPS), -0.5))
+    f_norm = g.standardize(f_freq, (-3, -2), FNORM_EPS)  # per channel
     # the channel mixes below treat every pixel as a row
     a_proj = g.matmul(g.mul(a_agg, f_norm), g.param(store, "hcamam.fmsa.proj.w"))
     local = g.conv2d(a_proj, g.param(store, "hcamam.fmsa.spatial"), groups=C)

@@ -6,8 +6,6 @@ stacked on a leading axis alike.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .autodiff import Graph, Node
@@ -33,16 +31,21 @@ def dense(g: Graph, x: Node, w: Node, b: Node | None = None) -> Node:
 
 def layer_norm(g: Graph, x: Node, eps: float = LN_EPS) -> Node:
     """Zero-mean unit-variance normalization along the last axis, no affine."""
-    mu = g.reduce_mean(x, axes=-1, keepdims=True)
-    centered = g.sub(x, mu)
-    var = g.reduce_mean(g.mul(centered, centered), axes=-1, keepdims=True)
-    return g.mul(centered, g.powc(g.shift(var, eps), -0.5))
+    return g.standardize(x, -1, eps)
 
 
-def layer_norm_flat(g: Graph, x: Node, eps: float = LN_EPS) -> Node:
-    """Layer norm over all entries of each (H, W, C) map in x, shape preserved."""
-    flat = g.reshape(x, x.shape[:-3] + (math.prod(x.shape[-3:]),))
-    return g.reshape(layer_norm(g, flat, eps), x.shape)
+def attention(g: Graph, q_in: Node, kv_in: Node, heads, scale: float) -> Node:
+    """Scaled dot-product attention of q_in's rows over kv_in's rows.
+
+    heads holds one (wq, wk, wv) triple per head; each head's scores
+    q k^T are multiplied by scale before the softmax, and the head outputs
+    are concatenated along the last axis."""
+    outs = []
+    for wq, wk, wv in heads:
+        q, k, v = g.matmul(q_in, wq), g.matmul(kv_in, wk), g.matmul(kv_in, wv)
+        weights = g.softmax_last(g.scale(g.matmul(q, g.transpose(k)), scale))
+        outs.append(g.matmul(weights, v))
+    return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
 
 def register_bn(store, name: str, channels: int) -> None:
@@ -67,23 +70,20 @@ def batch_norm(
     into the running buffers one map at a time, in batch order; eval mode
     uses the buffers (init 0 mean / 1 var).
     """
-    C = x.shape[-1]
-    if name + ".gamma" not in store.entries:
-        register_bn(store, name, C)
     gamma = g.param(store, name + ".gamma")
     beta = g.param(store, name + ".beta")
     if train:
-        mu = g.reduce_mean(x, axes=(-3, -2), keepdims=True)
-        centered = g.sub(x, mu)
-        var = g.reduce_mean(g.mul(centered, centered), axes=(-3, -2), keepdims=True)
-        for m, v in zip(mu.value.reshape(-1, C), var.value.reshape(-1, C)):
+        norm = g.standardize(x, (-3, -2), eps)
+        C = x.shape[-1]
+        means = x.value.mean(axis=(-3, -2)).reshape(-1, C)
+        variances = x.value.var(axis=(-3, -2)).reshape(-1, C)
+        for m, v in zip(means, variances):
             store.buffers[name + ".running_mean"] = (
                 momentum * store.buffers[name + ".running_mean"] + (1 - momentum) * m
             )
             store.buffers[name + ".running_var"] = (
                 momentum * store.buffers[name + ".running_var"] + (1 - momentum) * v
             )
-        norm = g.mul(centered, g.powc(g.shift(var, eps), -0.5))
     else:
         rm = store.buffers[name + ".running_mean"]
         rv = store.buffers[name + ".running_var"]

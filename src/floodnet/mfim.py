@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import dense, layer_norm
+from .layers import attention, dense, layer_norm
 from .params import ParamStore
 
 
@@ -159,16 +159,17 @@ def _channel_split(d_se: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------
 
 def _lstm_direction(g: Graph, store: ParamStore, prefix: str, rows: list[Node], hid: int) -> list[Node]:
-    p = {k: g.param(store, f"{prefix}.{k}") for k in
-         ("wi", "wf", "wg", "wo", "ui", "uf", "ug", "uo", "bi", "bf", "bg", "bo")}
+    # the named i/f/g/o weights side by side: one matmul pair per step
+    w, u, b = (g.concat([g.param(store, f"{prefix}.{kind}{gate}") for gate in "ifgo"], axis=-1)
+               for kind in "wub")
     h_prev = g.constant(np.zeros((1, hid)))
     c_prev = g.constant(np.zeros((1, hid)))
     outputs = []
     for x_t in rows:
-        i_t = g.sigmoid(g.add(g.add(g.matmul(x_t, p["wi"]), g.matmul(h_prev, p["ui"])), p["bi"]))
-        f_t = g.sigmoid(g.add(g.add(g.matmul(x_t, p["wf"]), g.matmul(h_prev, p["uf"])), p["bf"]))
-        g_t = g.tanh(g.add(g.add(g.matmul(x_t, p["wg"]), g.matmul(h_prev, p["ug"])), p["bg"]))
-        o_t = g.sigmoid(g.add(g.add(g.matmul(x_t, p["wo"]), g.matmul(h_prev, p["uo"])), p["bo"]))
+        z = g.add(g.add(g.matmul(x_t, w), g.matmul(h_prev, u)), b)
+        gates = g.sigmoid(z)
+        i_t, f_t, o_t = (g.narrow(gates, -1, k * hid, hid) for k in (0, 1, 3))
+        g_t = g.tanh(g.narrow(z, -1, 2 * hid, hid))
         c_prev = g.add(g.mul(f_t, c_prev), g.mul(i_t, g_t))
         h_prev = g.mul(o_t, g.tanh(c_prev))
         outputs.append(h_prev)
@@ -220,15 +221,10 @@ def multi_granularity_attention(
         "medium": np.sqrt(d_se / h),
         "fine": np.sqrt(d_se / (2.0 * h)),
     }[level_cfg.level]
-    heads = []
-    for head in range(level_cfg.heads):
-        hp = f"{prefix}.{level_cfg.level}.head{head}"
-        q = g.matmul(x, g.param(store, f"{hp}.wq"))
-        k = g.matmul(x, g.param(store, f"{hp}.wk"))
-        v = g.matmul(x, g.param(store, f"{hp}.wv"))
-        weights = g.softmax_last(g.scale(g.matmul(q, g.transpose(k)), 1.0 / scale))
-        heads.append(g.matmul(weights, v))
-    return g.matmul(g.concat(heads, axis=-1), g.param(store, f"{prefix}.{level_cfg.level}.wo"))
+    lp = f"{prefix}.{level_cfg.level}"
+    heads = [tuple(g.param(store, f"{lp}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
+             for head in range(level_cfg.heads)]
+    return g.matmul(attention(g, x, x, heads, 1.0 / scale), g.param(store, f"{lp}.wo"))
 
 
 def attention_pipeline(
@@ -254,14 +250,10 @@ def cross_modal_attention(
 ) -> tuple[Node, Node]:
     """Single-head bidirectional cross-attention, scale sqrt(d_se)."""
     scale = 1.0 / np.sqrt(d_se)
-    qt = g.matmul(gt, g.param(store, "mfim.cross.t.wq"))
-    kt = g.matmul(gt, g.param(store, "mfim.cross.t.wk"))
-    vt = g.matmul(gt, g.param(store, "mfim.cross.t.wv"))
-    qi = g.matmul(gi, g.param(store, "mfim.cross.i.wq"))
-    ki = g.matmul(gi, g.param(store, "mfim.cross.i.wk"))
-    vi = g.matmul(gi, g.param(store, "mfim.cross.i.wv"))
-    att_t2i = g.matmul(g.softmax_last(g.scale(g.matmul(qt, g.transpose(ki)), scale)), vi)
-    att_i2t = g.matmul(g.softmax_last(g.scale(g.matmul(qi, g.transpose(kt)), scale)), vt)
+    t, i = ({proj: g.param(store, f"mfim.cross.{m}.{proj}") for proj in ("wq", "wk", "wv")}
+            for m in "ti")
+    att_t2i = attention(g, gt, gi, [(t["wq"], i["wk"], i["wv"])], scale)
+    att_i2t = attention(g, gi, gt, [(i["wq"], t["wk"], t["wv"])], scale)
     return att_t2i, att_i2t
 
 

@@ -12,7 +12,7 @@ from floodnet.cctfrm import (
     transformer_encoder,
 )
 from floodnet.config import ModelConfig
-from floodnet.layers import sinusoidal_positions
+from floodnet.layers import register_bn, sinusoidal_positions
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
@@ -67,6 +67,7 @@ def test_gated_block_matches_scripted_oracle():
     store2 = ParamStore(2)
     store2.add("blk.kernel", (3, 3, 2, 4), init="zeros")
     store2.entries["blk.kernel"].value[:] = kernel
+    register_bn(store2, "blk.bn", 4)
     x = np.random.default_rng(3).standard_normal((4, 4, 2))
     g = Graph()
     out = gated_downsample_block(g, store2, "blk", g.constant(x), cfg, True, None)

@@ -123,3 +123,16 @@ def test_metrics_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["accuracy"] == 0.75
     assert out["mcnemar_p"] == 1.0
+
+
+@pytest.mark.parametrize("data", [
+    {"y_true": [], "y_pred": [], "probs": []},
+    {"y_true": [1, 0], "y_pred": [1, 0], "probs": [float("nan"), 0.2]},
+])
+def test_metrics_rejects_empty_or_non_finite_input(tmp_path, capsys, data):
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps(data))
+    assert main(["metrics", str(preds)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
