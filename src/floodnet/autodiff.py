@@ -86,7 +86,6 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._param_sinks: list[tuple[Node, object, str]] = []
 
     def _record(self, value, parents, bwd, tag) -> Node:
         node = Node(len(self.nodes), value, parents, bwd, tag)
@@ -109,9 +108,11 @@ class Graph:
     def param(self, store, name: str) -> Node:
         """Leaf backed by a ParamStore entry; backward accumulates there."""
         entry = store.entries[name]
-        node = self._record(entry.value, (), None, f"param:{name}")
-        self._param_sinks.append((node, store, name))
-        return node
+
+        def bwd(g, grads):
+            entry.grad += g  # read at call time: adamw_step replaces the array
+
+        return self._record(entry.value, (), bwd, f"param:{name}")
 
     # ---- elementwise --------------------------------------------------
 
@@ -213,21 +214,19 @@ class Graph:
         if av.shape[-1] != bv.shape[-2]:
             raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
         k, m = bv.shape[-2:]
-        if av.ndim > 2 and not stacked:  # the leading axes fold into rows: one gemm
+        folded = av.ndim > 2 and not stacked  # rows fold into one gemm; rank 2 skips the reshapes
+        if folded:
             out = (av.reshape(-1, k) @ bv).reshape(av.shape[:-1] + (m,))
         else:
             out = av @ bv
 
         def bwd(g, grads):
-            if av.ndim == 2:
-                grads[a.idx] += g @ bv.T
-                grads[b.idx] += av.T @ g
-            elif stacked:
-                grads[a.idx] += g @ bv.transpose(0, 2, 1)
-                grads[b.idx] += av.transpose(0, 2, 1) @ g
-            else:
+            if folded:
                 grads[a.idx] += (g.reshape(-1, m) @ bv.T).reshape(av.shape)
                 grads[b.idx] += av.reshape(-1, k).T @ g.reshape(-1, m)
+            else:
+                grads[a.idx] += g @ bv.swapaxes(-1, -2)
+                grads[b.idx] += av.swapaxes(-1, -2) @ g
 
         return self._record(out, (a, b), bwd, "matmul")
 
@@ -479,21 +478,19 @@ class Graph:
 
     # ---- backward -----------------------------------------------------
 
-    def backward(self, loss: Node) -> None:
-        """Reverse sweep from a scalar loss; fills ParamStore gradients."""
+    def backward(self, loss: Node, keep=()) -> None:
+        """Reverse sweep from a scalar loss; fills ParamStore gradients. Each gradient
+        is freed once its rule has run: only constants and `keep` nodes hold `.grad`."""
         if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different graph")
         if loss.value.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+        kept = {self._coerce(n).idx for n in keep}
         grads = _LazyGrads(self.nodes)
         grads[loss.idx] = np.ones_like(loss.value)
         for node in reversed(self.nodes[:loss.idx + 1]):
-            g = grads.get(node.idx)
-            if g is None or node.bwd is None:
-                continue
-            node.bwd(g, grads)
-        for node in self.nodes:
-            node.grad = grads.get(node.idx)
-        for node, store, name in self._param_sinks:
-            if node.grad is not None:
-                store.entries[name].grad += node.grad
+            # a kept node always gets a grad, zeros where the loss does not reach it
+            g = grads[node.idx] if node.idx in kept else grads.pop(node.idx, None)
+            node.grad = g if node.bwd is None or node.idx in kept else None
+            if g is not None and node.bwd is not None:
+                node.bwd(g, grads)

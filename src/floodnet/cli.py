@@ -38,10 +38,11 @@ def _out_dir(args) -> str:
 def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     if path:
         with np.load(path) as z:
-            return [
-                SyntheticSample(z["tokens"][i], z["images"][i], int(z["labels"][i]))
-                for i in range(len(z["labels"]))
-            ]
+            tokens, images, labels = z["tokens"], z["images"], z["labels"]
+        for name, arr in (("tokens", tokens), ("images", images), ("labels", labels)):
+            if not np.isfinite(arr).all():
+                raise InputError(f"{path}: {name} holds a non-finite value")
+        return [SyntheticSample(tokens[i], images[i], int(labels[i])) for i in range(len(labels))]
     return generate_synthetic_dataset(
         cfg.n_samples, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t
     )
@@ -91,6 +92,10 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     samples = _dataset(cfg, args.data)
     _, val_set = split_dataset(samples, cfg.val_fraction, cfg.seed)
+    if not val_set:
+        raise ConfigError(
+            f"val_fraction={cfg.val_fraction} leaves no validation samples out of {len(samples)}"
+        )
     store = load_checkpoint(args.checkpoint)
     model = FloodNet(cfg, store=store)
     _, report = evaluate(model, val_set)

@@ -26,10 +26,9 @@ def grad_cam(model: FloodNet, sample, target_layer: str = "enc0") -> np.ndarray:
     _, logit = model.forward(g, sample, train=False, taps=taps)
     if target_layer not in taps:
         raise KeyError(f"unknown target layer {target_layer!r}; have {sorted(taps)}")
-    g.backward(logit)
     node = taps[target_layer]
-    grad = node.grad if node.grad is not None else np.zeros_like(node.value)
-    return heatmap_from_activation(node.value, grad)
+    g.backward(logit, keep=(node,))
+    return heatmap_from_activation(node.value, node.grad)
 
 
 def write_pgm(path: str, heatmap: np.ndarray) -> None:

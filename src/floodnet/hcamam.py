@@ -65,15 +65,13 @@ def hren_forward(g: Graph, store: ParamStore, cfg: ModelConfig, x: Node, train: 
 
 
 def _channel_conv1d(g: Graph, store: ParamStore, gap: Node) -> Node:
-    """Same-padded length-3 convolution along the channel axis of a (..., C) vector."""
-    C = gap.shape[-1]
-    zero = g.constant(np.zeros(gap.shape[:-1] + (1,)))
-    z = g.concat([zero, gap, zero], axis=-1)
-    w = g.param(store, "hcamam.feeca.conv1d.w")
-    out = g.mul(g.narrow(w, 0, 0, 1), g.narrow(z, -1, 0, C))
-    out = g.add(out, g.mul(g.narrow(w, 0, 1, 1), g.narrow(z, -1, 1, C)))
-    out = g.add(out, g.mul(g.narrow(w, 0, 2, 1), g.narrow(z, -1, 2, C)))
-    return g.add(out, g.param(store, "hcamam.feeca.conv1d.b"))
+    """Same-padded length-3 convolution along the channel axis of a (..., C) vector,
+    run as a 3x3 conv over a 1 x C map whose zero kernel rows meet only padding."""
+    zeros = g.constant(np.zeros(3))
+    kernel = g.concat([zeros, g.param(store, "hcamam.feeca.conv1d.w"), zeros], axis=0)
+    row = g.reshape(gap, gap.shape[:-1] + (1, gap.shape[-1], 1))
+    out = g.conv2d(row, g.reshape(kernel, (3, 3, 1, 1)))
+    return g.add(g.reshape(out, gap.shape), g.param(store, "hcamam.feeca.conv1d.b"))
 
 
 def feeca_forward(g: Graph, store: ParamStore, x: Node) -> Node:

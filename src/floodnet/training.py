@@ -40,11 +40,26 @@ def evaluate(
     step = model.cfg.batch_size
     for start in range(0, len(samples), step):
         chunk = samples[start:start + step]
-        p, _ = model.forward(Graph(), chunk if len(chunk) > 1 else chunk[0], train=False)
-        probs[start:start + len(chunk)] = p.value.reshape(-1)
+        # no name holds the chunk's tape, so it dies before the next forward
+        probs[start:start + len(chunk)] = model.forward(
+            Graph(), chunk if len(chunk) > 1 else chunk[0], train=False)[0].value.reshape(-1)
     y_true = np.array([s.label for s in samples])
     y_pred = np.array([predict(p) for p in probs])
     return probs, compute_metrics(y_true, y_pred, probs)
+
+
+def _train_step(model: FloodNet, batch: list, dropout_rng, where: str) -> tuple[float, int]:
+    """Forward, loss, backward and AdamW update on one batch's graph, which dies on return."""
+    g = Graph()
+    p, _ = model.forward(g, batch, train=True, dropout_rng=dropout_rng)
+    n_right = sum(predict(pi) == s.label for pi, s in zip(p.value.reshape(-1), batch))
+    loss = bce_loss(g, p, [s.label for s in batch])
+    if not np.isfinite(loss.value[0]):
+        raise TrainingError(f"non-finite loss at {where}")
+    model.store.zero_grad()
+    g.backward(loss)
+    adamw_step(model.store, model.cfg.optimizer)
+    return float(loss.value[0]), n_right
 
 
 def train(
@@ -60,7 +75,6 @@ def train(
     validation metrics. A non-finite batch loss aborts with TrainingError.
 
     stop_fn, when given, sees each epoch record and can end training early.
-    Each batch runs as one graph: one forward, one loss, one backward.
     """
     if not train_set:
         raise ValueError("train_set is empty")
@@ -76,17 +90,9 @@ def train(
         n_right = 0
         for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
-            labels = [s.label for s in batch]
-            g = Graph()
-            p, _ = model.forward(g, batch, train=True, dropout_rng=dropout_rng)
-            n_right += sum(predict(pi) == y for pi, y in zip(p.value.reshape(-1), labels))
-            loss = bce_loss(g, p, labels)
-            if not np.isfinite(loss.value[0]):
-                raise TrainingError(f"non-finite loss at epoch {epoch} batch {bi}")
-            model.store.zero_grad()
-            g.backward(loss)
-            adamw_step(model.store, cfg.optimizer)
-            epoch_loss += float(loss.value[0]) * len(batch)
+            loss, right = _train_step(model, batch, dropout_rng, f"epoch {epoch} batch {bi}")
+            n_right += right
+            epoch_loss += loss * len(batch)
         _, val_report = evaluate(model, val_set) if val_set else (None, None)
         record = {
             "epoch": epoch,

@@ -511,6 +511,29 @@ def test_backward_rejects_non_scalar():
         g.backward(g.constant(np.ones(3)))
 
 
+def test_backward_keeps_only_constant_and_requested_grads():
+    store = ParamStore(0)
+    store.add("w", (3, 2))
+    x = np.random.default_rng(0).standard_normal((4, 3))
+    g = Graph()
+    xn = g.constant(x)
+    h = g.tanh(g.matmul(xn, g.param(store, "w")))
+    unreached = g.relu(xn)
+    mid = g.sigmoid(h)
+    g.backward(g.reduce_sum(g.mul(mid, mid)), keep=(h, unreached))
+    assert all(n.grad is None for n in g.nodes if n.bwd is not None and n not in (h, unreached))
+    assert xn.grad.shape == x.shape and store.entries["w"].grad.any()
+    np.testing.assert_array_equal(unreached.grad, np.zeros_like(x))
+    # the kept grad equals that of h's value fed as a constant to the downstream ops
+    ref = Graph()
+    hc = ref.constant(h.value)
+    mid = ref.sigmoid(hc)
+    ref.backward(ref.reduce_sum(ref.mul(mid, mid)))
+    np.testing.assert_array_equal(h.grad, hc.grad)
+    with pytest.raises(ContractError):
+        g.backward(g.reduce_sum(h), keep=(hc,))
+
+
 def test_dropped_tape_is_freed_without_the_cycle_collector():
     store = ParamStore(0)
     store.add("w", (3, 3))

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from floodnet.checkpoint import save_checkpoint
 from floodnet.cli import main
 from floodnet.config import ModelConfig
+from floodnet.model import FloodNet
 
 from conftest import make_tiny_config
 
@@ -104,6 +106,39 @@ def test_train_eval_explain_round_trip(tmp_path, capsys):
     assert (out_dir / "heatmap_0_enc1.pgm").exists()
     assert (out_dir / "heatmap_0_enc1.pgm.json").exists()
     assert paths["pgm"].endswith(".pgm")
+
+
+def _assert_one_line_error(capsys, *needles):
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert captured.out == "" and len(err.splitlines()) == 1
+    assert all(n in err for n in needles), err
+
+
+def test_eval_split_without_validation_samples_exits_one(tmp_path, capsys):
+    _, cfg_path = _write_tiny_config(tmp_path, n_samples=2, val_fraction=0.2)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path), "--epochs", "1"]) == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    _assert_one_line_error(capsys, "val_fraction=0.2", "out of 2")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
+    cfg, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    path = json.loads(capsys.readouterr().out)["path"]
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["images"][:, 0, 0, 0] = np.nan
+    np.savez(path, **arrays)
+    ckpt = str(tmp_path / "fresh.ckpt")
+    save_checkpoint(ckpt, FloodNet(cfg).store)
+    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    if command != "train":
+        args += ["--checkpoint", ckpt]
+    assert main(args) == 1
+    _assert_one_line_error(capsys, "images", "non-finite")
 
 
 def test_eval_missing_checkpoint_exits_nonzero(tmp_path, capsys):

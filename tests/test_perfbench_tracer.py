@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from floodnet import gradcam
 from floodnet.autodiff import Graph
 from floodnet.data import generate_synthetic_dataset
 from floodnet.model import FloodNet
@@ -45,3 +46,31 @@ def test_tracer_patches_and_restores_every_wrapped_name():
     for owner, attr, fn in originals:
         assert _lookup(owner, attr) is fn, f"{attr} left wrapped"
     assert dict(vars(Graph)) == graph_ops
+
+
+def test_traced_grad_cam_and_parameter_grads_match_untraced():
+    """Grad-CAM's tap reaches Graph.backward as `keep` through the span
+    wrapper, and the tracer's timed backward rules, the parameters' own
+    included, still sink every gradient."""
+    tracer = _load_tracer()
+    cfg = make_tiny_config()
+    model = FloodNet(cfg)
+    sample = generate_synthetic_dataset(2, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t)[0]
+
+    def run():
+        model.store.zero_grad()
+        g = Graph()
+        p, _ = model.forward(g, sample, train=False)
+        g.backward(bce_loss(g, p, sample.label))
+        grads = {n: e.grad.copy() for n, e in model.store.entries.items()}
+        return gradcam.grad_cam(model, sample, "enc1"), grads
+
+    cam, grads = run()
+    t = tracer.Tracer()
+    with t.patched():
+        traced_cam, traced_grads = run()
+    assert {"gradcam", "gradcam.backward"} <= {span[0] for span in t.spans}
+    assert cam.max() == 1.0
+    np.testing.assert_array_equal(traced_cam, cam)
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(traced_grads[name], grad, err_msg=name)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +193,30 @@ def test_evaluate_chunks_match_per_sample_forwards():
     probs, _ = evaluate(model, samples)  # chunks of 4 and 1
     ref = [model.forward(Graph(), s)[0].value[0] for s in samples]
     assert np.abs(probs - ref).max() <= 1e-12
+
+
+def test_each_batch_tape_dies_before_the_next_forward(monkeypatch):
+    """With the cycle collector off, every value a forward returned is dead
+    when the next forward starts, in train and in evaluate alike."""
+    cfg = make_tiny_config()
+    model = FloodNet(cfg)
+    samples = generate_synthetic_dataset(8, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t)
+    forward, previous, alive = FloodNet.forward, [], []
+
+    def watched(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in previous))
+        prob, logit = forward(self, *args, **kwargs)
+        previous[:] = [weakref.ref(prob.value), weakref.ref(logit.value)]
+        return prob, logit
+
+    monkeypatch.setattr(FloodNet, "forward", watched)
+    gc.disable()
+    try:
+        train(model, samples, [], epochs=1)  # two batches of 4
+        evaluate(model, samples[:7])  # chunks of 4 and 3
+    finally:
+        gc.enable()
+    assert alive == [0, 0, 0, 0]
 
 
 def test_evaluate_rejects_mixed_token_counts():
