@@ -183,23 +183,16 @@ class Graph:
 
         return self._record(out, (a,), bwd, "relu")
 
-    def log(self, a) -> Node:
+    def softplus(self, a) -> Node:
+        """log(1 + exp(a)) without overflow or cancellation."""
         a = self._coerce(a)
-        out = np.log(a.value)
+        out = np.logaddexp(0.0, a.value)
 
         def bwd(g, grads):
-            grads[a.idx] += g / a.value
+            with np.errstate(over="ignore"):
+                grads[a.idx] += g * (1.0 / (1.0 + np.exp(-a.value)))
 
-        return self._record(out, (a,), bwd, "log")
-
-    def clip(self, a, lo: float, hi: float) -> Node:
-        a = self._coerce(a)
-        out = np.clip(a.value, lo, hi)
-
-        def bwd(g, grads):
-            grads[a.idx] += g * ((a.value >= lo) & (a.value <= hi))
-
-        return self._record(out, (a,), bwd, "clip")
+        return self._record(out, (a,), bwd, "softplus")
 
     # ---- linear algebra ----------------------------------------------
 
@@ -285,26 +278,19 @@ class Graph:
         out = a.value.sum(axis=axes, keepdims=keepdims)
         if out.ndim == 0:
             out = out.reshape(1)
+        nd = a.value.ndim
+        reduced = range(nd) if axes is None else {ax % nd for ax in np.atleast_1d(axes)}
+        kept = tuple(1 if i in reduced else n for i, n in enumerate(a.shape))
 
         def bwd(g, grads):
-            if axes is None:
-                grads[a.idx] += g.reshape((1,) * a.value.ndim)
-            elif keepdims:
-                grads[a.idx] += g
-            else:
-                ax = (axes,) if isinstance(axes, int) else axes
-                grads[a.idx] += np.expand_dims(g, ax)
+            grads[a.idx] += g.reshape(kept)
 
         return self._record(out, (a,), bwd, "sum")
 
     def reduce_mean(self, a, axes=None, keepdims=False) -> Node:
         a = self._coerce(a)
-        if axes is None:
-            count = a.value.size
-        else:
-            ax = (axes,) if isinstance(axes, int) else axes
-            count = int(np.prod([a.shape[i] for i in ax]))
-        return self.scale(self.reduce_sum(a, axes, keepdims), 1.0 / count)
+        total = self.reduce_sum(a, axes, keepdims)
+        return self.scale(total, total.value.size / a.value.size)
 
     def softmax_last(self, a) -> Node:
         a = self._coerce(a)

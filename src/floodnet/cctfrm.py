@@ -116,13 +116,12 @@ def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: 
     """Pre-LN transformer stack with fixed sinusoidal positions at entry."""
     n_p, d = patches.shape[-2:]
     x = g.add(patches, g.constant(sinusoidal_positions(n_p, d)))
-    scale = 1.0 / np.sqrt(d / cfg.transformer_heads)
     for layer in range(cfg.transformer_depth):
         prefix = f"cctfrm.tr{layer}"
         heads = [tuple(g.param(store, f"{prefix}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
                  for head in range(cfg.transformer_heads)]
         normed = layer_norm(g, x)
-        attended = attention(g, normed, normed, heads, scale)
+        attended = attention(g, normed, normed, heads)
         x = g.add(x, g.matmul(attended, g.param(store, f"{prefix}.wo")))
         normed = layer_norm(g, x)
         hidden = g.relu(g.add(g.matmul(normed, g.param(store, f"{prefix}.ff.w1")),

@@ -109,8 +109,8 @@ def cmd_gradcheck(args) -> int:
     sample = _dataset(cfg, None)[0]
 
     def build(g):
-        p, _ = model.forward(g, sample, train=False)
-        return bce_loss(g, p, sample.label)
+        _, logit = model.forward(g, sample, train=False)
+        return bce_loss(g, logit, sample.label)
 
     results, max_err = check_gradients(
         build, model.store, n_coords=args.coords, seed=cfg.seed

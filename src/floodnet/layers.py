@@ -34,16 +34,17 @@ def layer_norm(g: Graph, x: Node, eps: float = LN_EPS) -> Node:
     return g.standardize(x, -1, eps)
 
 
-def attention(g: Graph, q_in: Node, kv_in: Node, heads, scale: float) -> Node:
+def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
     """Scaled dot-product attention of q_in's rows over kv_in's rows.
 
     heads holds one (wq, wk, wv) triple per head; each head's scores
-    q k^T are multiplied by scale before the softmax, and the head outputs
-    are concatenated along the last axis."""
+    q k^T are scaled by 1/sqrt(head width) before the softmax, and the head
+    outputs are concatenated along the last axis."""
     outs = []
     for wq, wk, wv in heads:
         q, k, v = g.matmul(q_in, wq), g.matmul(kv_in, wk), g.matmul(kv_in, wv)
-        weights = g.softmax_last(g.scale(g.matmul(q, g.transpose(k)), scale))
+        scores = g.scale(g.matmul(q, g.transpose(k)), 1.0 / np.sqrt(wq.shape[-1]))
+        weights = g.softmax_last(scores)
         outs.append(g.matmul(weights, v))
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 

@@ -213,18 +213,13 @@ def self_gate(g: Graph, x: Node, w: Node, b: Node) -> Node:
 
 
 def multi_granularity_attention(
-    g: Graph, store: ParamStore, prefix: str, x: Node, level_cfg: AttentionLevelConfig, d_se: int, h: int
+    g: Graph, store: ParamStore, prefix: str, x: Node, level_cfg: AttentionLevelConfig
 ) -> Node:
     """One attention level: per-head scaled dot-product, concat, W^O."""
-    scale = {
-        "coarse": np.sqrt(2.0 * d_se / h),
-        "medium": np.sqrt(d_se / h),
-        "fine": np.sqrt(d_se / (2.0 * h)),
-    }[level_cfg.level]
     lp = f"{prefix}.{level_cfg.level}"
     heads = [tuple(g.param(store, f"{lp}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
              for head in range(level_cfg.heads)]
-    return g.matmul(attention(g, x, x, heads, 1.0 / scale), g.param(store, f"{lp}.wo"))
+    return g.matmul(attention(g, x, x, heads), g.param(store, f"{lp}.wo"))
 
 
 def attention_pipeline(
@@ -234,9 +229,7 @@ def attention_pipeline(
     out = x
     for level in LEVELS:
         lc = AttentionLevelConfig.for_level(level, cfg.d_se, cfg.h)
-        out = multi_granularity_attention(
-            g, store, f"mfim.att.{modality}", out, lc, cfg.d_se, cfg.h
-        )
+        out = multi_granularity_attention(g, store, f"mfim.att.{modality}", out, lc)
     return out
 
 
@@ -245,15 +238,12 @@ def contextual_gating(g: Graph, att: Node, h_raw: Node, w: Node, b: Node) -> Nod
     return g.mul(g.sigmoid(layer_norm(g, g.add(g.matmul(h_raw, w), b))), att)
 
 
-def cross_modal_attention(
-    g: Graph, store: ParamStore, gt: Node, gi: Node, d_se: int
-) -> tuple[Node, Node]:
-    """Single-head bidirectional cross-attention, scale sqrt(d_se)."""
-    scale = 1.0 / np.sqrt(d_se)
+def cross_modal_attention(g: Graph, store: ParamStore, gt: Node, gi: Node) -> tuple[Node, Node]:
+    """Single-head bidirectional cross-attention, scale 1/sqrt(d_se)."""
     t, i = ({proj: g.param(store, f"mfim.cross.{m}.{proj}") for proj in ("wq", "wk", "wv")}
             for m in "ti")
-    att_t2i = attention(g, gt, gi, [(t["wq"], i["wk"], i["wv"])], scale)
-    att_i2t = attention(g, gi, gt, [(i["wq"], t["wk"], t["wv"])], scale)
+    att_t2i = attention(g, gt, gi, [(t["wq"], i["wk"], i["wv"])])
+    att_i2t = attention(g, gi, gt, [(i["wq"], t["wk"], t["wv"])])
     return att_t2i, att_i2t
 
 
@@ -284,5 +274,5 @@ def mfim_forward(
                                g.param(store, "mfim.ctx.i.b"))
     else:
         gt, gi = ht, hi
-    att_t2i, att_i2t = cross_modal_attention(g, store, gt, gi, cfg.d_se)
+    att_t2i, att_i2t = cross_modal_attention(g, store, gt, gi)
     return joint_fusion(g, store, att_t2i, att_i2t)

@@ -9,7 +9,7 @@ import numpy as np
 from .autodiff import Graph, Node
 from .cctfrm import cctfrm_forward
 from .cctfrm import register_params as register_cctfrm
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .hcamam import hcamam_forward
 from .hcamam import register_params as register_hcamam
 from .layers import dense
@@ -28,14 +28,30 @@ class FloodNet:
     """Binary flood classifier over (token ids, raw image) samples."""
 
     def __init__(self, cfg: ModelConfig, store: ParamStore | None = None):
+        """A filled store, such as a loaded checkpoint, must hold exactly the
+        parameters and buffers that `cfg` registers, at the same shapes."""
         cfg.validate()
         self.cfg = cfg
         self.store = store if store is not None else ParamStore(cfg.seed)
         if not self.store.entries:
-            self._register()
+            self._register(self.store)
+            return
+        want = _Layout()
+        self._register(want)
+        have = _Layout.of(self.store)
+        for kind, name in sorted(have.keys() | want.keys()):
+            if (kind, name) not in have:
+                raise ConfigError(f"the config needs {kind} {name!r}, which the store lacks")
+            if (kind, name) not in want:
+                raise ConfigError(f"the store holds {kind} {name!r}, which the config does not use")
+            if have[kind, name] != want[kind, name]:
+                raise ConfigError(f"{kind} {name!r} has shape {have[kind, name]} in the store, "
+                                  f"the config needs {want[kind, name]}")
 
-    def _register(self) -> None:
-        cfg, store = self.cfg, self.store
+    def _register(self, store) -> None:
+        """Adds every parameter and buffer of the config to store, a
+        ParamStore or a _Layout."""
+        cfg = self.cfg
         if cfg.use_mfim:
             register_mfim(store, cfg)
         if cfg.use_hcamam:
@@ -87,6 +103,26 @@ class FloodNet:
         hidden = g.relu(dense(g, f_concat, g.param(store, "uffm.w1"), g.param(store, "uffm.b1")))
         logit = dense(g, hidden, g.param(store, "uffm.w2"), g.param(store, "uffm.b2"))
         return g.sigmoid(logit), logit
+
+
+class _Layout(dict):
+    """(kind, name) -> shape of the parameters and buffers a registration
+    adds, recorded without allocating or drawing their values."""
+
+    def add(self, name: str, shape, **init) -> None:
+        self["parameter", name] = tuple(shape)
+
+    def add_buffer(self, name: str, value) -> None:
+        self["buffer", name] = np.shape(value)
+
+    @classmethod
+    def of(cls, store: ParamStore) -> "_Layout":
+        layout = cls()
+        for name, entry in store.entries.items():
+            layout.add(name, entry.value.shape)
+        for name, value in store.buffers.items():
+            layout.add_buffer(name, value)
+        return layout
 
 
 def _stack(samples: list) -> tuple[np.ndarray, np.ndarray]:

@@ -14,21 +14,17 @@ from .metrics import MetricsReport, compute_metrics
 from .model import FloodNet, predict
 from .params import adamw_step
 
-BCE_CLIP = 1e-7
-
 
 class TrainingError(RuntimeError):
     pass
 
 
-def bce_loss(g: Graph, prob: Node, label) -> Node:
-    """Mean binary cross entropy of probabilities clipped away from 0/1:
-    a (1,) node with an int label, or a (B, 1) node with B labels."""
-    y = np.asarray(label, dtype=np.float64).reshape(prob.shape)
-    p = g.clip(prob, BCE_CLIP, 1.0 - BCE_CLIP)
-    # p where the label is 1 and 1 - p where it is 0, both exact
-    likelihood = g.add(g.mul(p, g.constant(2.0 * y - 1.0)), g.constant(1.0 - y))
-    return g.scale(g.reduce_mean(g.log(likelihood)), -1.0)
+def bce_loss(g: Graph, logit: Node, label) -> Node:
+    """Mean binary cross entropy of sigmoid(logit): a (1,) node with an int
+    label, or a (B, 1) node with B labels.  softplus(-z) for label 1 and
+    softplus(z) for label 0, so nothing overflows or cancels at any logit."""
+    y = np.asarray(label, dtype=np.float64).reshape(logit.shape)
+    return g.reduce_mean(g.softplus(g.mul(logit, g.constant(1.0 - 2.0 * y))))
 
 
 def evaluate(
@@ -51,9 +47,9 @@ def evaluate(
 def _train_step(model: FloodNet, batch: list, dropout_rng, where: str) -> tuple[float, int]:
     """Forward, loss, backward and AdamW update on one batch's graph, which dies on return."""
     g = Graph()
-    p, _ = model.forward(g, batch, train=True, dropout_rng=dropout_rng)
+    p, logit = model.forward(g, batch, train=True, dropout_rng=dropout_rng)
     n_right = sum(predict(pi) == s.label for pi, s in zip(p.value.reshape(-1), batch))
-    loss = bce_loss(g, p, [s.label for s in batch])
+    loss = bce_loss(g, logit, [s.label for s in batch])
     if not np.isfinite(loss.value[0]):
         raise TrainingError(f"non-finite loss at {where}")
     model.store.zero_grad()

@@ -87,8 +87,8 @@ def test_criterion_1_gradient_suite():
     model = FloodNet(cfg, store=ParamStore(104))
 
     def build_full(g):
-        p, _ = model.forward(g, sample, train=False)
-        return bce_loss(g, p, sample.label)
+        _, logit = model.forward(g, sample, train=False)
+        return bce_loss(g, logit, sample.label)
 
     check_gradients(build_full, model.store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=4)
     assert time.time() - start < 300.0
@@ -141,9 +141,7 @@ def test_criterion_2_oracle_suite():
         lc = AttentionLevelConfig.for_level(level, cfg.d_se, cfg.h)
         x = rng.standard_normal((3, cfg.d_se))
         g = Graph()
-        got = multi_granularity_attention(
-            g, store, "mfim.att.t", g.constant(x), lc, cfg.d_se, cfg.h
-        ).value
+        got = multi_granularity_attention(g, store, "mfim.att.t", g.constant(x), lc).value
         heads = []
         for head in range(lc.heads):
             hp = f"mfim.att.t.{level}.head{head}"
@@ -193,7 +191,7 @@ def test_criterion_2_oracle_suite():
     # BCE, AdamW, metrics
     p, y = 0.73, 1
     g = Graph()
-    assert abs(bce_loss(g, g.constant([p]), y).value[0] + np.log(p)) < 1e-12
+    assert abs(bce_loss(g, g.constant([np.log(p / (1 - p))]), y).value[0] + np.log(p)) < 1e-12
 
     opt = AdamWConfig(learning_rate=0.01, weight_decay=0.02)
     store = ParamStore(0)

@@ -181,7 +181,14 @@ def _check_batched(op, operands, exact):
         np.testing.assert_array_equal(batched, stacked)
     else:
         assert np.abs(batched - stacked).max(initial=0.0) <= 1e-12
-    weights = np.random.default_rng(1).standard_normal(batched.shape)
+    _gradcheck_every_operand(op, operands)
+
+
+def _gradcheck_every_operand(op, operands):
+    """check_gradients on each operand of op, through tanh and fixed random
+    weights on its output."""
+    g = Graph()
+    weights = np.random.default_rng(1).standard_normal(op(g, *(g.constant(v) for v in operands)).shape)
     store = ParamStore(0)
     names = [f"v{i}" for i in range(len(operands))]
     for name, value in zip(names, operands):
@@ -560,7 +567,7 @@ def test_composite_forward_matches_finite_differences():
     def build(g):
         h = g.tanh(g.matmul(g.param(store, "a"), g.param(store, "b")))
         s = g.sigmoid(g.reduce_sum(g.mul(h, h)))
-        return g.log(g.add(s, 0.5))
+        return g.softplus(g.add(s, 0.5))
 
     _, max_err = check_gradients(build, store, n_coords=25, seed=1)
     assert max_err <= 1e-4
@@ -582,3 +589,137 @@ def test_gradcheck_negative_control():
 
     with pytest.raises(AssertionError):
         check_gradients(build, store, n_coords=20, seed=2)
+
+
+# ---- gradcheck properties of the remaining ops -------------------------
+
+
+def _draw_array(draw, shape, scale=1.0):
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape) * scale
+
+
+@st.composite
+def shapes(draw):
+    return tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 4))))
+
+
+@st.composite
+def broadcast_pairs(draw):
+    """(a, b) where b's shape is a trailing part of a's with some extents
+    set to 1, in either order."""
+    full = draw(shapes())
+    tail = full[len(full) - draw(st.integers(1, len(full))):]
+    part = tuple(1 if draw(st.booleans()) else n for n in tail)
+    a, b = _draw_array(draw, full), _draw_array(draw, part)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(st.sampled_from(["add", "sub", "mul"]), broadcast_pairs())
+def test_binary_elementwise_property_gradcheck(name, pair):
+    _gradcheck_every_operand(lambda g, a, b: getattr(g, name)(a, b), pair)
+
+
+@given(shapes(), st.floats(-3.0, 3.0), st.data())
+def test_scale_property_gradcheck(shape, c, data):
+    _gradcheck_every_operand(lambda g, a: g.scale(a, c), [_draw_array(data.draw, shape)])
+
+
+@given(st.sampled_from(["sigmoid", "tanh", "relu", "softplus"]), shapes(),
+       st.sampled_from([0.5, 3.0]), st.data())
+def test_unary_elementwise_property_gradcheck(name, shape, scale, data):
+    x = _draw_array(data.draw, shape, scale)
+    if name == "relu":
+        x = np.where(x < 0.0, x - 0.1, x + 0.1)  # keep the finite differences off the kink
+    _gradcheck_every_operand(lambda g, a: getattr(g, name)(a), [x])
+
+
+@st.composite
+def reduce_cases(draw):
+    """(x, axes, keepdims): axes None, one axis or several distinct axes,
+    each given as a positive or a negative index."""
+    shape = draw(shapes())
+    rank = len(shape)
+    picked = draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=rank, unique=True))
+    picked = [a - rank if draw(st.booleans()) else a for a in picked]
+    axes = draw(st.sampled_from([None, picked[0], tuple(picked)]))
+    return _draw_array(draw, shape), axes, draw(st.booleans())
+
+
+@given(st.sampled_from(["reduce_sum", "reduce_mean"]), reduce_cases())
+def test_reduce_property_gradcheck(name, case):
+    x, axes, keepdims = case
+    _gradcheck_every_operand(lambda g, a: getattr(g, name)(a, axes, keepdims), [x])
+
+
+@given(shapes(), st.sampled_from([1.0, 10.0]), st.data())
+def test_softmax_last_property_gradcheck(shape, scale, data):
+    _gradcheck_every_operand(lambda g, a: g.softmax_last(a), [_draw_array(data.draw, shape, scale)])
+
+
+@given(shapes(), st.integers(1, 3), st.data())
+def test_concat_property_gradcheck(shape, n_parts, data):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    parts = []
+    for _ in range(n_parts):
+        extent = list(shape)
+        extent[axis] = data.draw(st.integers(1, 3))
+        parts.append(_draw_array(data.draw, tuple(extent)))
+    _gradcheck_every_operand(lambda g, *ps: g.concat(ps, axis), parts)
+
+
+@given(shapes(), st.data())
+def test_narrow_property_gradcheck(shape, data):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    start = data.draw(st.integers(0, shape[axis] - 1))
+    length = data.draw(st.integers(1, shape[axis] - start))
+    _gradcheck_every_operand(lambda g, a: g.narrow(a, axis, start, length), [_draw_array(data.draw, shape)])
+
+
+@given(shapes(), st.data())
+def test_reshape_property_gradcheck(shape, data):
+    target = data.draw(st.permutations(shape + (1,) * (4 - len(shape))))
+    if data.draw(st.booleans()):
+        target = (-1,) + tuple(target[1:])
+    _gradcheck_every_operand(lambda g, a: g.reshape(a, target), [_draw_array(data.draw, shape)])
+
+
+@given(shapes(), st.sampled_from([0.0, 0.25, 0.5]), st.data())
+def test_dropout_property_gradcheck(shape, rate, data):
+    uniforms = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(size=shape)
+    _gradcheck_every_operand(lambda g, a: g.dropout(a, rate, uniforms), [_draw_array(data.draw, shape)])
+
+
+# every public Graph method that records a node with a backward rule, and the
+# property test that runs check_gradients through it
+GRADCHECK_PROPERTIES = {
+    "add": test_binary_elementwise_property_gradcheck,
+    "sub": test_binary_elementwise_property_gradcheck,
+    "mul": test_binary_elementwise_property_gradcheck,
+    "scale": test_scale_property_gradcheck,
+    "sigmoid": test_unary_elementwise_property_gradcheck,
+    "tanh": test_unary_elementwise_property_gradcheck,
+    "relu": test_unary_elementwise_property_gradcheck,
+    "softplus": test_unary_elementwise_property_gradcheck,
+    "matmul": test_matmul_rank3_forms_match_per_sample,
+    "transpose": test_transpose_batched_matches_per_sample,
+    "reshape": test_reshape_property_gradcheck,
+    "concat": test_concat_property_gradcheck,
+    "narrow": test_narrow_property_gradcheck,
+    "reduce_sum": test_reduce_property_gradcheck,
+    "reduce_mean": test_reduce_property_gradcheck,
+    "softmax_last": test_softmax_last_property_gradcheck,
+    "standardize": test_standardize_property_gradcheck,
+    "conv2d": test_conv2d_property_gradcheck,
+    "fft2d_magnitude": test_fft2d_magnitude_batched_matches_per_sample,
+    "maxpool2": test_maxpool2_batched_matches_per_sample,
+    "upsample2": test_upsample2_batched_matches_per_sample,
+    "dropout": test_dropout_property_gradcheck,
+}
+
+
+def test_every_recording_op_has_a_gradcheck_property():
+    ops = {name for name, fn in vars(Graph).items() if callable(fn) and not name.startswith("_")}
+    # backward records nothing; constant and param are the leaves: a constant
+    # has no rule, and every check_gradients call reads the param sinks
+    ops -= {"backward", "constant", "param"}
+    assert ops == set(GRADCHECK_PROPERTIES)

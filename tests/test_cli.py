@@ -141,6 +141,22 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
     _assert_one_line_error(capsys, "images", "non-finite")
 
 
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("overrides,needles", [
+    ({"d_fused": 10}, ("'hcamam.fusion.b' has shape (10,)", "needs (8,)")),
+    ({"use_hcamam": False}, ("needs buffer 'hcamam.", "the store lacks")),
+])
+def test_checkpoint_of_another_config_exits_one(tmp_path, capsys, command, overrides, needles):
+    other = tmp_path / "other"
+    other.mkdir()
+    _, other_cfg = _write_tiny_config(other, **overrides)
+    assert main(["train", "--config", other_cfg, "--out", str(other), "--epochs", "1"]) == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    _, cfg_path = _write_tiny_config(tmp_path)
+    assert main([command, "--config", cfg_path, "--checkpoint", ckpt, "--out", str(tmp_path)]) == 1
+    _assert_one_line_error(capsys, *needles)
+
+
 def test_eval_missing_checkpoint_exits_nonzero(tmp_path, capsys):
     _, cfg_path = _write_tiny_config(tmp_path)
     code = main(["eval", "--config", cfg_path, "--checkpoint", str(tmp_path / "none.ckpt")])

@@ -212,7 +212,7 @@ def test_attention_singleton_sequence():
     x = rng.standard_normal((1, 4))
     lc = AttentionLevelConfig.for_level("coarse", 4, cfg.h)
     g = Graph()
-    out = multi_granularity_attention(g, store, "mfim.att.t", g.constant(x), lc, 4, cfg.h)
+    out = multi_granularity_attention(g, store, "mfim.att.t", g.constant(x), lc)
     v = x @ store.entries["mfim.att.t.coarse.head0.wv"].value
     expected = v @ store.entries["mfim.att.t.coarse.wo"].value
     assert np.abs(out.value - expected).max() < 1e-12
@@ -227,7 +227,7 @@ def test_attention_matches_loop_oracle(level, scale):
     x = rng.standard_normal((3, 4))
     lc = AttentionLevelConfig.for_level(level, 4, cfg.h)
     g = Graph()
-    out = multi_granularity_attention(g, store, "mfim.att.i", g.constant(x), lc, 4, cfg.h)
+    out = multi_granularity_attention(g, store, "mfim.att.i", g.constant(x), lc)
     heads = []
     for head in range(lc.heads):
         hp = f"mfim.att.i.{level}.head{head}"
@@ -252,7 +252,7 @@ def test_cross_modal_singletons_return_other_value_row():
     gt = rng.standard_normal((1, cfg.d_se))
     gi = rng.standard_normal((1, cfg.d_se))
     g = Graph()
-    t2i, i2t = cross_modal_attention(g, store, g.constant(gt), g.constant(gi), cfg.d_se)
+    t2i, i2t = cross_modal_attention(g, store, g.constant(gt), g.constant(gi))
     np.testing.assert_allclose(
         t2i.value, gi @ store.entries["mfim.cross.i.wv"].value, atol=1e-12
     )
@@ -269,7 +269,7 @@ def test_cross_modal_identical_queries_give_identical_rows():
     gt = np.tile(row, (3, 1))
     gi = rng.standard_normal((4, cfg.d_se))
     g = Graph()
-    t2i, _ = cross_modal_attention(g, store, g.constant(gt), g.constant(gi), cfg.d_se)
+    t2i, _ = cross_modal_attention(g, store, g.constant(gt), g.constant(gi))
     assert np.abs(t2i.value - t2i.value[0]).max() < 1e-12
 
 
@@ -280,7 +280,7 @@ def test_cross_modal_matches_loop_oracle():
     gt = rng.standard_normal((2, cfg.d_se))
     gi = rng.standard_normal((3, cfg.d_se))
     g = Graph()
-    t2i, _ = cross_modal_attention(g, store, g.constant(gt), g.constant(gi), cfg.d_se)
+    t2i, _ = cross_modal_attention(g, store, g.constant(gt), g.constant(gi))
     scale = 1.0 / np.sqrt(cfg.d_se)
     q = gt @ store.entries["mfim.cross.t.wq"].value
     k = gi @ store.entries["mfim.cross.i.wk"].value

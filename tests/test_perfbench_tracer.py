@@ -38,8 +38,8 @@ def test_tracer_patches_and_restores_every_wrapped_name():
     t = tracer.Tracer()
     with t.patched():
         g = Graph()
-        p, _ = model.forward(g, sample, train=True, dropout_rng=np.random.default_rng(0))
-        g.backward(bce_loss(g, p, sample.label))
+        _, logit = model.forward(g, sample, train=True, dropout_rng=np.random.default_rng(0))
+        g.backward(bce_loss(g, logit, sample.label))
     names = {span[0] for span in t.spans}
     assert {"training.forward", "training.backward", "mfim", "mfim.attention", "hcamam.feeca",
             "cctfrm.transformer", "layers.batch_norm", "layers.layer_norm"} <= names
@@ -60,8 +60,8 @@ def test_traced_grad_cam_and_parameter_grads_match_untraced():
     def run():
         model.store.zero_grad()
         g = Graph()
-        p, _ = model.forward(g, sample, train=False)
-        g.backward(bce_loss(g, p, sample.label))
+        _, logit = model.forward(g, sample, train=False)
+        g.backward(bce_loss(g, logit, sample.label))
         grads = {n: e.grad.copy() for n, e in model.store.entries.items()}
         return gradcam.grad_cam(model, sample, "enc1"), grads
 

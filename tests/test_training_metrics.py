@@ -80,14 +80,14 @@ def test_predict_threshold_and_tie_break():
 
 def test_bce_perfect_prediction_is_near_zero():
     g = Graph()
-    loss = bce_loss(g, g.constant([1.0]), 1)
+    loss = bce_loss(g, g.constant([40.0]), 1)
     assert 0.0 <= loss.value[0] < 1.1e-7
 
 
 def test_bce_maximal_uncertainty():
     g = Graph()
     for label in (0, 1):
-        loss = bce_loss(g, g.constant([0.5]), label)
+        loss = bce_loss(g, g.constant([0.0]), label)
         assert abs(loss.value[0] - np.log(2.0)) < 1e-12
 
 
@@ -98,11 +98,37 @@ def test_bce_batch_matches_summation_oracle():
     g = Graph()
     total = None
     for p, y in zip(probs, labels):
-        term = bce_loss(g, g.constant([p]), int(y))
+        term = bce_loss(g, g.constant([np.log(p / (1 - p))]), int(y))
         total = term if total is None else g.add(total, term)
     mean = g.scale(total, 1.0 / 8)
     expected = -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1 - probs))
     assert abs(mean.value[0] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("z,label", [(40.0, 0), (-40.0, 1)])
+def test_bce_wrong_label_saturated_logit_keeps_unit_gradient(z, label):
+    # sigmoid(z) rounds to exactly 0 or 1 here, so a loss built from the
+    # probability would stall; from the logit it is |z| with slope sigmoid(z) - y
+    g = Graph()
+    logit = g.constant([z])
+    loss = bce_loss(g, logit, label)
+    g.backward(loss)
+    assert loss.value[0] == 40.0
+    assert logit.grad[0] == np.sign(z)
+
+
+def test_bce_matches_stable_reference_over_logit_grid():
+    for z in np.linspace(-40.0, 40.0, 4001):
+        for y in (0, 1):
+            g = Graph()
+            logit = g.constant([z])
+            loss = bce_loss(g, logit, y)
+            g.backward(loss)
+            expected = max(z, 0.0) - y * z + np.log1p(np.exp(-abs(z)))
+            assert abs(loss.value[0] - expected) <= 1e-15 * expected, (z, y)
+            # sigmoid(z) - y, each form free of cancellation
+            slope = 1.0 / (1.0 + np.exp(-z)) if y == 0 else -1.0 / (1.0 + np.exp(z))
+            assert abs(logit.grad[0] - slope) <= 1e-15 * abs(slope), (z, y)
 
 
 # ---- training loop ---------------------------------------------------
@@ -157,13 +183,13 @@ def _train_step(model, batch, batched):
     model.store.zero_grad()
     g = Graph()
     if batched:
-        p, _ = model.forward(g, batch, train=True, dropout_rng=rng)
-        loss = bce_loss(g, p, [s.label for s in batch])
+        _, logit = model.forward(g, batch, train=True, dropout_rng=rng)
+        loss = bce_loss(g, logit, [s.label for s in batch])
     else:
         total = None
         for s in batch:
-            p, _ = model.forward(g, s, train=True, dropout_rng=rng)
-            term = bce_loss(g, p, s.label)
+            _, logit = model.forward(g, s, train=True, dropout_rng=rng)
+            term = bce_loss(g, logit, s.label)
             total = term if total is None else g.add(total, term)
         loss = g.scale(total, 1.0 / len(batch))
     g.backward(loss)
