@@ -161,7 +161,7 @@ def decoder_cascade(
 
 
 def reverse_feature_harmonization(
-    g: Graph, store: ParamStore, cfg: ModelConfig, y_cascade: Node, x_img: Node, train: bool
+    g: Graph, store: ParamStore, y_cascade: Node, x_img: Node, train: bool
 ) -> Node:
     """Gated subtraction and adaptive scaling of the cascade output against
     batch-normalized adapted image features; result is flattened."""
@@ -203,4 +203,4 @@ def cctfrm_forward(
     transformed = transformer_encoder(g, store, cfg, tokens)
     grid = g.reshape(transformed, lead + (hh, ww, d))
     cascade = decoder_cascade(g, store, cfg, grid, train, dropout_rng)
-    return reverse_feature_harmonization(g, store, cfg, cascade, x_img, train)
+    return reverse_feature_harmonization(g, store, cascade, x_img, train)

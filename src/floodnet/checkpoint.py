@@ -10,6 +10,7 @@ under a "buffer." prefix. Optimizer moments are not persisted.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -50,40 +51,32 @@ def load_checkpoint(path: str) -> ParamStore:
     """Parses a checkpoint into a fresh store (zeroed grads and moments)."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 9:
-        raise CheckpointError(0, "file shorter than header")
-    if blob[:4] != MAGIC:
-        raise CheckpointError(0, f"bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<BI", blob, 4)
+    off = 0
+
+    def take(n: int, what: str) -> bytes:
+        """The next n bytes, or CheckpointError(off, what) past the end."""
+        nonlocal off
+        if off + n > len(blob):
+            raise CheckpointError(off, what)
+        off += n
+        return blob[off - n : off]
+
+    header = take(9, "file shorter than header")
+    if header[:4] != MAGIC:
+        raise CheckpointError(0, f"bad magic {header[:4]!r}")
+    version, count = struct.unpack_from("<BI", header, 4)
     if version != VERSION:
         raise CheckpointError(4, f"unsupported version {version}")
     store = ParamStore(seed=0)
-    off = 9
     for _ in range(count):
-        if off + 2 > len(blob):
-            raise CheckpointError(off, "truncated name length")
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        if off + name_len > len(blob):
-            raise CheckpointError(off, "truncated name")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        if off + 1 > len(blob):
-            raise CheckpointError(off, "truncated rank")
-        rank = blob[off]
-        off += 1
+        (name_len,) = struct.unpack("<H", take(2, "truncated name length"))
+        name = take(name_len, "truncated name").decode("utf-8")
+        rank = take(1, "truncated rank")[0]
         if rank > 4:
             raise CheckpointError(off - 1, f"rank {rank} exceeds 4")
-        if off + 8 * rank > len(blob):
-            raise CheckpointError(off, "truncated extents")
-        shape = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        numel = int(np.prod(shape)) if rank else 1
-        nbytes = 8 * numel
-        if off + nbytes > len(blob):
-            raise CheckpointError(off, "truncated data")
-        arr = np.frombuffer(blob[off : off + nbytes], dtype="<f8").reshape(shape).copy()
-        off += nbytes
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "truncated extents"))
+        arr = np.frombuffer(take(8 * math.prod(shape), "truncated data"), dtype="<f8")
+        arr = arr.reshape(shape).copy()
         if name.startswith(BUFFER_PREFIX):
             store.add_buffer(name[len(BUFFER_PREFIX) :], arr)
         else:

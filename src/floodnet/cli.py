@@ -39,10 +39,21 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     if path:
         with np.load(path) as z:
             tokens, images, labels = z["tokens"], z["images"], z["labels"]
+        if labels.ndim != 1:
+            raise InputError(f"{path}: labels has shape {labels.shape}, expected (N,)")
+        n = len(labels)
+        if tokens.ndim != 2 or len(tokens) != n:
+            raise InputError(f"{path}: tokens has shape {tokens.shape}, expected ({n}, n_tokens)")
+        if images.shape != (n, *cfg.image_size, 3):
+            raise InputError(f"{path}: images has shape {images.shape}, "
+                             f"expected {(n, *cfg.image_size, 3)}")
         for name, arr in (("tokens", tokens), ("images", images), ("labels", labels)):
             if not np.isfinite(arr).all():
                 raise InputError(f"{path}: {name} holds a non-finite value")
-        return [SyntheticSample(tokens[i], images[i], int(labels[i])) for i in range(len(labels))]
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise InputError(f"{path}: labels[{bad[0]}] is {labels[bad[0]]}, not 0 or 1")
+        return [SyntheticSample(tokens[i], images[i], int(labels[i])) for i in range(n)]
     return generate_synthetic_dataset(
         cfg.n_samples, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t
     )

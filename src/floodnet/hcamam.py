@@ -14,7 +14,6 @@ import numpy as np
 from .autodiff import Graph, Node
 from .config import ModelConfig
 from .layers import LN_EPS, batch_norm, dense, layer_norm, register_bn
-from .mfim import GlobalFeatures
 from .params import ParamStore
 
 FNORM_EPS = 1e-5
@@ -110,24 +109,25 @@ def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     return g.mul(x, gain)
 
 
-def attention_fusion(
-    g: Graph, store: ParamStore, cfg: ModelConfig, y_mca: Node, y_msa: Node, gl: GlobalFeatures
-) -> Node:
-    """Channel-concat the two attention maps, flatten, append globals,
-    and project through the global contextual dense layer."""
+def attention_fusion(g: Graph, store: ParamStore, y_mca: Node, y_msa: Node, gl: np.ndarray) -> Node:
+    """Channel-concat the two attention maps, flatten, append the
+    (..., d_t + d_i) global features, and project through the global
+    contextual dense layer."""
     y_concat = g.concat([y_mca, y_msa], axis=-1)
     flat = g.reshape(y_concat, y_concat.shape[:-3] + (math.prod(y_concat.shape[-3:]),))
-    y_final = g.concat([flat, g.constant(gl.concat)], axis=-1)
+    y_final = g.concat([flat, g.constant(gl)], axis=-1)
     return g.relu(dense(g, y_final, g.param(store, "hcamam.fusion.w"),
                         g.param(store, "hcamam.fusion.b")))
 
 
 def hcamam_forward(
-    g: Graph, store: ParamStore, cfg: ModelConfig, grid: np.ndarray, gl: GlobalFeatures, train: bool
+    g: Graph, store: ParamStore, cfg: ModelConfig, grid: np.ndarray, gl: np.ndarray, train: bool
 ) -> Node:
-    """Full module: residual extraction, both attentions, fusion vector."""
+    """Full module over the (..., H, W, d_i) region grid and the
+    (..., d_t + d_i) global features: residual extraction, both
+    attentions, fusion vector."""
     x = g.constant(grid)
     x_f = hren_forward(g, store, cfg, x, train)
     y_mca = feeca_forward(g, store, x_f) if cfg.use_feeca else x_f
     y_msa = fmsa_forward(g, store, x_f) if cfg.use_fmsa else x_f
-    return attention_fusion(g, store, cfg, y_mca, y_msa, gl)
+    return attention_fusion(g, store, y_mca, y_msa, gl)

@@ -34,11 +34,16 @@ def compute_metrics(
     """Confusion-matrix metrics with the 0-denominator conventions:
     precision/recall/f1 are 0 when undefined, mcc is 0 when any marginal
     is 0, and kappa is 1 for perfect agreement even when chance agreement
-    is also perfect."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    is also perfect.  Labels must be 0 or 1."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("label arrays must have matching shapes")
+    for name, y in (("y_true", y_true), ("y_pred", y_pred)):
+        bad = np.flatnonzero((y != 0) & (y != 1))
+        if bad.size:
+            raise ValueError(f"{name}[{bad[0]}] is {y.flat[bad[0]]}, not 0 or 1")
+    if probs is not None and np.shape(probs) != y_true.shape:
+        raise ValueError(f"{np.size(probs)} probs for {y_true.size} labels")
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))

@@ -26,26 +26,6 @@ TEXT_VOCAB = 64
 
 
 @dataclass
-class TextFeatures:
-    tokens: np.ndarray  # (..., n_t, d_t)
-
-    @property
-    def n_t(self) -> int:
-        return self.tokens.shape[-2]
-
-
-@dataclass
-class ImageFeatures:
-    grid: np.ndarray  # (..., H, W, d_i)
-    raw_image: np.ndarray  # (..., H_img, W_img, 3)
-
-
-@dataclass
-class GlobalFeatures:
-    concat: np.ndarray  # (..., d_t + d_i)
-
-
-@dataclass
 class AttentionLevelConfig:
     level: str  # coarse | medium | fine
     heads: int
@@ -71,21 +51,22 @@ def _token_table(d_t: int, seed: int) -> np.ndarray:
     return rng.standard_normal((TEXT_VOCAB, d_t))
 
 
-def stub_text_encoder(token_ids, d_t: int, seed: int) -> TextFeatures:
+def stub_text_encoder(token_ids, d_t: int, seed: int) -> np.ndarray:
     """Token id k maps to row k of a seeded random embedding table.
-    token_ids is (n_t,), or (..., n_t) for a batch."""
+    token_ids is (n_t,), or (..., n_t) for a batch; returns (..., n_t, d_t)."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size == 0:
         raise InputError("token list must be non-empty")
     if ids.shape[-1] > 512:
         raise InputError(f"at most 512 tokens supported, got {ids.shape[-1]}")
     table = _token_table(d_t, seed)
-    return TextFeatures(tokens=table[ids % TEXT_VOCAB].copy())
+    return table[ids % TEXT_VOCAB]
 
 
-def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) -> ImageFeatures:
+def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) -> np.ndarray:
     """Patch-average the image, then one fixed seeded linear map 3 -> d_i.
-    raw_image is (H, W, 3), or (..., H, W, 3) for a batch."""
+    raw_image is (H_img, W_img, 3), or (..., H_img, W_img, 3) for a batch;
+    returns the (..., H, W, d_i) region grid."""
     img = np.asarray(raw_image, dtype=np.float64)
     H, W = grid
     if img.ndim < 3 or img.shape[-1] != 3:
@@ -97,14 +78,13 @@ def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) ->
     patches = img.reshape(tuple(lead) + (H, ph, W, pw, 3)).mean(axis=(-4, -2))
     rng = np.random.default_rng([seed, 0x1147])
     proj = rng.standard_normal((3, d_i))
-    return ImageFeatures(grid=patches @ proj, raw_image=img)
+    return patches @ proj
 
 
-def extract_global_features(t: TextFeatures, i: ImageFeatures) -> GlobalFeatures:
-    """Token mean concatenated with spatial mean over grid regions."""
-    return GlobalFeatures(
-        concat=np.concatenate([t.tokens.mean(axis=-2), i.grid.mean(axis=(-3, -2))], axis=-1)
-    )
+def extract_global_features(tokens: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Token mean concatenated with spatial mean over grid regions:
+    (..., n_t, d_t) and (..., H, W, d_i) give (..., d_t + d_i)."""
+    return np.concatenate([tokens.mean(axis=-2), grid.mean(axis=(-3, -2))], axis=-1)
 
 
 # ---------------------------------------------------------------------
@@ -177,30 +157,31 @@ def _lstm_direction(g: Graph, store: ParamStore, prefix: str, rows: list[Node], 
 
 
 def prepare_local_features(
-    g: Graph, store: ParamStore, cfg: ModelConfig, t: TextFeatures, i: ImageFeatures
+    g: Graph, store: ParamStore, cfg: ModelConfig, tokens: np.ndarray, grid: np.ndarray
 ) -> tuple[Node, Node]:
     """Project both modalities into the shared space and enrich them.
 
-    Text: linear d_t -> d_se, then a single-layer BiLSTM (hidden d_se/2 per
-    direction, concatenated).  Image: linear d_i -> d_se per region, convs
-    of size 3/5/7 concatenated channelwise, mixed back to d_se, flattened
-    to (n_i, d_se).
+    tokens is (..., n_t, d_t) and grid (..., H, W, d_i), as the stub
+    encoders return them.  Text: linear d_t -> d_se, then a single-layer
+    BiLSTM (hidden d_se/2 per direction, concatenated).  Image: linear
+    d_i -> d_se per region, convs of size 3/5/7 concatenated channelwise,
+    mixed back to d_se, flattened to (n_i, d_se).
     """
     d_se = cfg.d_se
     hid = d_se // 2
-    ht = dense(g, g.constant(t.tokens), g.param(store, "mfim.text_proj.w"),
+    ht = dense(g, g.constant(tokens), g.param(store, "mfim.text_proj.w"),
                g.param(store, "mfim.text_proj.b"))
-    rows = [g.narrow(ht, -2, k, 1) for k in range(t.n_t)]
+    rows = [g.narrow(ht, -2, k, 1) for k in range(ht.shape[-2])]
     fwd = _lstm_direction(g, store, "mfim.bilstm.fwd", rows, hid)
     bwd = _lstm_direction(g, store, "mfim.bilstm.bwd", rows[::-1], hid)[::-1]
-    ht_basis = g.concat([g.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)], axis=-2)
+    ht_basis = g.concat([g.concat(fwd, axis=-2), g.concat(bwd, axis=-2)], axis=-1)
 
-    *lead, H, W, d_i = i.grid.shape
+    *lead, H, W, d_i = grid.shape
     lead = tuple(lead)
-    flat = dense(g, g.constant(i.grid.reshape(lead + (H * W, d_i))),
+    flat = dense(g, g.constant(grid.reshape(lead + (H * W, d_i))),
                  g.param(store, "mfim.img_proj.w"), g.param(store, "mfim.img_proj.b"))
-    grid = g.reshape(flat, lead + (H, W, d_se))
-    scales = [g.conv2d(grid, g.param(store, f"mfim.ms.k{k}")) for k in (3, 5, 7)]
+    regions = g.reshape(flat, lead + (H, W, d_se))
+    scales = [g.conv2d(regions, g.param(store, f"mfim.ms.k{k}")) for k in (3, 5, 7)]
     mixed = g.concat(scales, axis=-1)
     mixed = dense(g, g.reshape(mixed, lead + (H * W, d_se)),
                   g.param(store, "mfim.ms.mix.w"), g.param(store, "mfim.ms.mix.b"))
@@ -259,10 +240,11 @@ def joint_fusion(g: Graph, store: ParamStore, att_t2i: Node, att_i2t: Node) -> N
 
 
 def mfim_forward(
-    g: Graph, store: ParamStore, cfg: ModelConfig, t: TextFeatures, i: ImageFeatures
+    g: Graph, store: ParamStore, cfg: ModelConfig, tokens: np.ndarray, grid: np.ndarray
 ) -> Node:
-    """Full module forward; returns the fused d_se feature vector."""
-    ht, hi = prepare_local_features(g, store, cfg, t, i)
+    """Full module forward over the encoded (..., n_t, d_t) tokens and
+    (..., H, W, d_i) region grid; returns the fused d_se feature vector."""
+    ht, hi = prepare_local_features(g, store, cfg, tokens, grid)
     if cfg.use_hcgam:
         ht_g = self_gate(g, ht, g.param(store, "mfim.gate.t.w"), g.param(store, "mfim.gate.t.b"))
         hi_g = self_gate(g, hi, g.param(store, "mfim.gate.i.w"), g.param(store, "mfim.gate.i.b"))

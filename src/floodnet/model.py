@@ -80,19 +80,19 @@ class FloodNet:
         cfg, store = self.cfg, self.store
         tokens, image = _stack(sample) if isinstance(sample, list) else (sample.tokens, sample.image)
         text = stub_text_encoder(tokens, cfg.d_t, cfg.seed)
-        img = stub_image_encoder(image, cfg.grid, cfg.d_i, cfg.seed)
-        gl = extract_global_features(text, img)
-        lead = img.grid.shape[:-3]
+        grid = stub_image_encoder(image, cfg.grid, cfg.d_i, cfg.seed)
+        gl = extract_global_features(text, grid)
+        lead = grid.shape[:-3]
         if cfg.use_mfim:
-            mfim_vec = mfim_forward(g, store, cfg, text, img)
+            mfim_vec = mfim_forward(g, store, cfg, text, grid)
         else:
             mfim_vec = g.constant(np.zeros(lead + (cfg.d_se,)))
         if cfg.use_hcamam:
-            y_final = hcamam_forward(g, store, cfg, img.grid, gl, train)
+            y_final = hcamam_forward(g, store, cfg, grid, gl, train)
         else:
             y_final = g.constant(np.zeros(lead + (cfg.d_fused,)))
         if cfg.use_cctfrm:
-            o_final = cctfrm_forward(g, store, cfg, img.raw_image, train, dropout_rng, taps)
+            o_final = cctfrm_forward(g, store, cfg, image, train, dropout_rng, taps)
         else:
             o_final = g.constant(np.zeros(lead + (cfg.d_r,)))
         return self.head(g, y_final, mfim_vec, o_final)

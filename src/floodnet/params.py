@@ -87,9 +87,6 @@ class ParamStore:
         for e in self.entries.values():
             e.grad.fill(0.0)
 
-    def n_params(self) -> int:
-        return sum(e.value.size for e in self.entries.values())
-
 
 def adamw_step(store: ParamStore, config: AdamWConfig) -> None:
     """One decoupled-weight-decay Adam update; zeroes gradients afterwards."""

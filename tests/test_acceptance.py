@@ -71,7 +71,7 @@ def test_criterion_1_gradient_suite():
     store = ParamStore(102)
     register_hcamam(store, cfg)
     check_gradients(
-        lambda g: g.reduce_sum(g.tanh(hcamam_forward(g, store, cfg, img.grid, gl, False))),
+        lambda g: g.reduce_sum(g.tanh(hcamam_forward(g, store, cfg, img, gl, False))),
         store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=2,
     )
 
@@ -176,7 +176,7 @@ def test_criterion_2_oracle_suite():
     img = rng.random((cfg.image_size[0], cfg.image_size[1], 3))
     g = Graph()
     got = reverse_feature_harmonization(
-        g, store_c, cfg, g.constant(y), g.constant(img), train=True
+        g, store_c, g.constant(y), g.constant(img), train=True
     ).value
     factor = cfg.image_size[0] // hh
     adapted = conv2d_loops(img, store_c.entries["cctfrm.adapter.kernel"].value)[

@@ -225,7 +225,7 @@ def test_harmonizer_zero_input_algebra():
     hh, ww = cfg.encoder_out_spatial()
     g = Graph()
     out = reverse_feature_harmonization(
-        g, store, cfg, g.constant(np.zeros((hh, ww, c_t))),
+        g, store, g.constant(np.zeros((hh, ww, c_t))),
         g.constant(np.zeros((16, 16, 3))), train=True,
     )
     # Y_sub = -sigmoid(0) = -0.5, gate = 0.5, alphas are 1 -> all -0.25
@@ -242,7 +242,7 @@ def test_harmonizer_switch_off_case():
     y = rng.standard_normal((hh, ww, c_t))
     img = rng.random((16, 16, 3))
     g = Graph()
-    out = reverse_feature_harmonization(g, store, cfg, g.constant(y), g.constant(img), train=True)
+    out = reverse_feature_harmonization(g, store, g.constant(y), g.constant(img), train=True)
     # recompute gate and normalized cascade directly
     adapted = conv2d_loops(img, store.entries["cctfrm.adapter.kernel"].value)[::4, ::4]
     x_n = (adapted - adapted.mean(axis=(0, 1))) / np.sqrt(adapted.var(axis=(0, 1)) + 1e-5)
@@ -263,7 +263,7 @@ def test_harmonizer_matches_scripted_oracle():
     y = rng.standard_normal((hh, ww, c_t))
     img = rng.random((16, 16, 3))
     g = Graph()
-    out = reverse_feature_harmonization(g, store, cfg, g.constant(y), g.constant(img), train=True)
+    out = reverse_feature_harmonization(g, store, g.constant(y), g.constant(img), train=True)
     adapted = conv2d_loops(img, store.entries["cctfrm.adapter.kernel"].value)[::4, ::4]
     x_n = (adapted - adapted.mean(axis=(0, 1))) / np.sqrt(adapted.var(axis=(0, 1)) + 1e-5)
     y_n = (y - y.mean(axis=(0, 1))) / np.sqrt(y.var(axis=(0, 1)) + 1e-5)

@@ -141,6 +141,32 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
     _assert_one_line_error(capsys, "images", "non-finite")
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+@pytest.mark.parametrize("name,edit,needles", [
+    pytest.param("labels", lambda a: a * 2, ("labels[0] is 2", "not 0 or 1"), id="labels_x2"),
+    pytest.param("labels", lambda a: a[:, None], ("labels has shape (8, 1)", "expected (N,)"),
+                 id="labels_2d"),
+    pytest.param("tokens", lambda a: a[:3], ("tokens has shape (3, 4)", "expected (8, n_tokens)"),
+                 id="tokens_3_rows"),
+    pytest.param("images", lambda a: a[:, :8, :8],
+                 ("images has shape (8, 8, 8, 3)", "expected (8, 16, 16, 3)"), id="images_8x8"),
+])
+def test_malformed_data_file_exits_one(tmp_path, capsys, command, name, edit, needles):
+    cfg, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    path = json.loads(capsys.readouterr().out)["path"]
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays[name] = edit(arrays[name])
+    np.savez(path, **arrays)
+    ckpt = str(tmp_path / "fresh.ckpt")
+    save_checkpoint(ckpt, FloodNet(cfg).store)
+    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
+    assert main(args) == 1
+    _assert_one_line_error(capsys, *needles)
+
+
 @pytest.mark.parametrize("command", ["eval", "explain"])
 @pytest.mark.parametrize("overrides,needles", [
     ({"d_fused": 10}, ("'hcamam.fusion.b' has shape (10,)", "needs (8,)")),
@@ -187,3 +213,15 @@ def test_metrics_rejects_empty_or_non_finite_input(tmp_path, capsys, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("data,needle", [
+    ({"y_true": [2, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9, 0.1, 0.8]}, "y_true[0] is 2"),
+    ({"y_true": [1, 0, 1], "y_pred": [1, 0, -1]}, "y_pred[2] is -1"),
+    ({"y_true": [1, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9]}, "1 probs for 3 labels"),
+])
+def test_metrics_rejects_bad_labels_or_probs(tmp_path, capsys, data, needle):
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps(data))
+    assert main(["metrics", str(preds)]) == 1
+    _assert_one_line_error(capsys, needle)

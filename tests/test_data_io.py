@@ -111,6 +111,37 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_every_truncation_names_its_field(tmp_path):
+    store = _populated_store()
+    path = str(tmp_path / "model.ckpt")
+    size = save_checkpoint(path, store)
+    blob = open(path, "rb").read()
+    # (offset, size, message) of every field after the header, from the
+    # layout in the module docstring
+    fields = []
+    off = 9
+    names = sorted(store.entries) + [BUFFER_PREFIX + n for n in sorted(store.buffers)]
+    arrays = [store.entries[n].value for n in sorted(store.entries)] + [
+        store.buffers[n] for n in sorted(store.buffers)
+    ]
+    for name, arr in zip(names, arrays):
+        for n, what in ((2, "truncated name length"), (len(name.encode()), "truncated name"),
+                        (1, "truncated rank"), (8 * arr.ndim, "truncated extents"),
+                        (8 * arr.size, "truncated data")):
+            fields.append((off, n, what))
+            off += n
+    assert off == size
+    for cut in range(size):
+        open(path, "wb").write(blob[:cut])
+        if cut < 9:
+            want = (0, "file shorter than header")
+        else:
+            want = next((o, what) for o, n, what in fields if cut < o + n)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert (err.value.offset, str(err.value)) == (want[0], f"byte {want[0]}: {want[1]}"), cut
+
+
 def test_checkpoint_size_accounting(tmp_path):
     store = _populated_store()
     path = str(tmp_path / "model.ckpt")

@@ -9,7 +9,6 @@ from floodnet.hcamam import (
     hren_forward,
     register_params,
 )
-from floodnet.mfim import GlobalFeatures
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
@@ -173,7 +172,6 @@ def test_fmsa_matches_scripted_oracle():
 
 
 def test_fusion_concatenation_order():
-    cfg = make_tiny_config()
     store = ParamStore(0)
     store.add("hcamam.fusion.w", (4, 4), init="zeros")
     store.entries["hcamam.fusion.w"].value[:] = np.eye(4)
@@ -181,9 +179,9 @@ def test_fusion_concatenation_order():
     a, b, c, d = 0.3, 0.7, 0.2, 0.9
     g = Graph()
     out = attention_fusion(
-        g, store, cfg,
+        g, store,
         g.constant(np.full((1, 1, 1), a)), g.constant(np.full((1, 1, 1), b)),
-        GlobalFeatures(concat=np.array([c, d])),
+        np.array([c, d]),
     )
     np.testing.assert_allclose(out.value, [a, b, c, d], atol=1e-15)
 
@@ -193,8 +191,8 @@ def test_fusion_zero_inputs_zero_bias():
     store = _store(cfg, seed=9)
     g = Graph()
     z = g.constant(np.zeros((2, 2, 4)))
-    gl = GlobalFeatures(concat=np.zeros(cfg.d_t + cfg.d_i))
-    out = attention_fusion(g, store, cfg, z, z, gl)
+    gl = np.zeros(cfg.d_t + cfg.d_i)
+    out = attention_fusion(g, store, z, z, gl)
     np.testing.assert_array_equal(out.value, np.zeros(cfg.d_fused))
 
 
@@ -204,10 +202,10 @@ def test_fusion_matches_concat_matmul_oracle():
     rng = np.random.default_rng(10)
     y_mca = rng.standard_normal((2, 2, 4))
     y_msa = rng.standard_normal((2, 2, 4))
-    gl = GlobalFeatures(concat=rng.standard_normal(cfg.d_t + cfg.d_i))
+    gl = rng.standard_normal(cfg.d_t + cfg.d_i)
     g = Graph()
-    out = attention_fusion(g, store, cfg, g.constant(y_mca), g.constant(y_msa), gl)
-    flat = np.concatenate([np.concatenate([y_mca, y_msa], axis=2).reshape(-1), gl.concat])
+    out = attention_fusion(g, store, g.constant(y_mca), g.constant(y_msa), gl)
+    flat = np.concatenate([np.concatenate([y_mca, y_msa], axis=2).reshape(-1), gl])
     expected = np.maximum(
         flat @ store.entries["hcamam.fusion.w"].value + store.entries["hcamam.fusion.b"].value, 0.0
     )
@@ -218,7 +216,7 @@ def test_hcamam_forward_shape(tiny_config):
     store = _store(tiny_config, seed=11)
     rng = np.random.default_rng(11)
     grid = rng.standard_normal((2, 2, tiny_config.d_i))
-    gl = GlobalFeatures(concat=rng.standard_normal(tiny_config.d_t + tiny_config.d_i))
+    gl = rng.standard_normal(tiny_config.d_t + tiny_config.d_i)
     g = Graph()
     out = hcamam_forward(g, store, tiny_config, grid, gl, train=False)
     assert out.shape == (tiny_config.d_fused,)

@@ -4,9 +4,7 @@ import pytest
 from floodnet.autodiff import Graph
 from floodnet.mfim import (
     AttentionLevelConfig,
-    ImageFeatures,
     InputError,
-    TextFeatures,
     _lstm_direction,
     _token_table,
     contextual_gating,
@@ -32,19 +30,19 @@ from oracles import attention_loops, layer_norm_ref, lstm_unrolled
 def test_text_encoder_deterministic():
     a = stub_text_encoder([3, 1, 4], d_t=6, seed=9)
     b = stub_text_encoder([3, 1, 4], d_t=6, seed=9)
-    np.testing.assert_array_equal(a.tokens, b.tokens)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_text_encoder_distinct_ids_differ():
     a = stub_text_encoder([0], d_t=6, seed=9)
     b = stub_text_encoder([1], d_t=6, seed=9)
-    assert np.abs(a.tokens - b.tokens).max() > 0
+    assert np.abs(a - b).max() > 0
 
 
 def test_text_encoder_matches_table_row():
     k = 17
     out = stub_text_encoder([k], d_t=6, seed=5)
-    np.testing.assert_array_equal(out.tokens[0], _token_table(6, 5)[k])
+    np.testing.assert_array_equal(out[0], _token_table(6, 5)[k])
 
 
 def test_text_encoder_rejects_empty_and_oversized():
@@ -57,7 +55,7 @@ def test_text_encoder_rejects_empty_and_oversized():
 def test_image_encoder_constant_image_uniform_grid():
     img = np.full((8, 8, 3), 0.4)
     out = stub_image_encoder(img, grid=(2, 2), d_i=4, seed=0)
-    rows = out.grid.reshape(4, 4)
+    rows = out.reshape(4, 4)
     assert np.abs(rows - rows[0]).max() < 1e-12
 
 
@@ -71,21 +69,21 @@ def test_image_encoder_matches_loop_oracle():
         for gj in range(3):
             patch = img[gi * 4 : (gi + 1) * 4, gj * 4 : (gj + 1) * 4]
             expected[gi, gj] = patch.mean(axis=(0, 1)) @ proj
-    assert np.abs(out.grid - expected).max() < 1e-12
+    assert np.abs(out - expected).max() < 1e-12
 
 
 def test_global_features_singleton_verbatim():
-    t = TextFeatures(tokens=np.array([[1.0, 2.0]]))
-    i = ImageFeatures(grid=np.array([[[3.0, 4.0]]]), raw_image=np.zeros((4, 4, 3)))
-    np.testing.assert_array_equal(extract_global_features(t, i).concat, [1.0, 2.0, 3.0, 4.0])
+    t = np.array([[1.0, 2.0]])
+    i = np.array([[[3.0, 4.0]]])
+    np.testing.assert_array_equal(extract_global_features(t, i), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_global_features_matches_mean_oracle():
     rng = np.random.default_rng(1)
-    t = TextFeatures(tokens=rng.standard_normal((5, 3)))
-    i = ImageFeatures(grid=rng.standard_normal((2, 2, 4)), raw_image=np.zeros((4, 4, 3)))
-    out = extract_global_features(t, i).concat
-    expected = np.concatenate([t.tokens.mean(axis=0), i.grid.mean(axis=(0, 1))])
+    t = rng.standard_normal((5, 3))
+    i = rng.standard_normal((2, 2, 4))
+    out = extract_global_features(t, i)
+    expected = np.concatenate([t.mean(axis=0), i.mean(axis=(0, 1))])
     assert np.abs(out - expected).max() < 1e-12
 
 
