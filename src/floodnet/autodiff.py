@@ -5,6 +5,14 @@ reference earlier nodes, so the insertion order is already topological and
 the backward pass is a single reverse sweep.  Values are plain numpy
 float64 arrays of rank 1..4 and are never mutated by an operation.
 
+Activity is decided when a node is recorded: a node is active iff it is a
+source or one of its parents is active.  The sources are the parameter
+leaves of a graph built with `param_grads=True` (the default) and the nodes
+a caller passes to `Graph.watch`.  Only an active node keeps a backward
+rule, and a rule writes no gradient for an inactive parent, so a sweep
+covers just the sources' descendants.  A graph with no sources, such as
+`Graph(param_grads=False)` for inference, records no rules at all.
+
 The image ops take (..., H, W, C) and matmul takes (..., n, k) @ (k, m) or
 (B, n, k) @ (B, k, m), so one graph can carry a whole batch on a leading
 axis; without one, an op does exactly the unbatched work.
@@ -50,18 +58,20 @@ class Node:
 
     A node knows its graph only by its position in the tape, so the tape is
     acyclic and a dropped graph is freed at once, without waiting for the
-    cyclic garbage collector.
+    cyclic garbage collector.  `bwd` is None on an inactive node; every
+    node keeps its parents, which `Graph.watch` and the traced benchmark read.
     """
 
-    __slots__ = ("idx", "value", "grad", "parents", "bwd", "tag")
+    __slots__ = ("idx", "value", "grad", "parents", "bwd", "tag", "active")
 
-    def __init__(self, idx, value, parents, bwd, tag):
+    def __init__(self, idx, value, parents, bwd, tag, active):
         self.idx = idx
         self.value = value
         self.grad = None
         self.parents = parents
         self.bwd = bwd
         self.tag = tag
+        self.active = active
 
     @property
     def shape(self):
@@ -82,13 +92,18 @@ class _LazyGrads(dict):
 
 
 class Graph:
-    """Ordered tape of Nodes; single-writer during one forward/backward."""
+    """Ordered tape of Nodes; single-writer during one forward/backward.
 
-    def __init__(self):
+    With param_grads=False the parameter leaves are not sources, so
+    backward leaves every ParamStore grad untouched."""
+
+    def __init__(self, param_grads: bool = True):
         self.nodes: list[Node] = []
+        self.param_grads = param_grads
 
-    def _record(self, value, parents, bwd, tag) -> Node:
-        node = Node(len(self.nodes), value, parents, bwd, tag)
+    def _record(self, value, parents, bwd, tag, source=False) -> Node:
+        active = source or any(p.active for p in parents)
+        node = Node(len(self.nodes), value, parents, bwd if active else None, tag, active)
         self.nodes.append(node)
         return node
 
@@ -112,7 +127,16 @@ class Graph:
         def bwd(g, grads):
             entry.grad += g  # read at call time: adamw_step replaces the array
 
-        return self._record(entry.value, (), bwd, f"param:{name}")
+        return self._record(entry.value, (), bwd, f"param:{name}", source=self.param_grads)
+
+    def watch(self, node: Node) -> Node:
+        """Makes node a source: backward gives it a gradient, and every node
+        recorded after it that reads it is active.  No op may have read it yet."""
+        node = self._coerce(node)
+        if any(node in later.parents for later in self.nodes[node.idx + 1:]):
+            raise ContractError("watch a node before any op reads it")
+        node.active = True
+        return node
 
     # ---- elementwise --------------------------------------------------
 
@@ -121,8 +145,10 @@ class Graph:
         out = a.value + b.value
 
         def bwd(g, grads):
-            grads[a.idx] += _unbroadcast(g, a.shape)
-            grads[b.idx] += _unbroadcast(g, b.shape)
+            if a.active:
+                grads[a.idx] += _unbroadcast(g, a.shape)
+            if b.active:
+                grads[b.idx] += _unbroadcast(g, b.shape)
 
         return self._record(out, (a, b), bwd, "add")
 
@@ -131,8 +157,10 @@ class Graph:
         out = a.value - b.value
 
         def bwd(g, grads):
-            grads[a.idx] += _unbroadcast(g, a.shape)
-            grads[b.idx] -= _unbroadcast(g, b.shape)
+            if a.active:
+                grads[a.idx] += _unbroadcast(g, a.shape)
+            if b.active:
+                grads[b.idx] -= _unbroadcast(g, b.shape)
 
         return self._record(out, (a, b), bwd, "sub")
 
@@ -141,8 +169,10 @@ class Graph:
         out = a.value * b.value
 
         def bwd(g, grads):
-            grads[a.idx] += _unbroadcast(g * b.value, a.shape)
-            grads[b.idx] += _unbroadcast(g * a.value, b.shape)
+            if a.active:
+                grads[a.idx] += _unbroadcast(g * b.value, a.shape)
+            if b.active:
+                grads[b.idx] += _unbroadcast(g * a.value, b.shape)
 
         return self._record(out, (a, b), bwd, "mul")
 
@@ -214,12 +244,11 @@ class Graph:
             out = av @ bv
 
         def bwd(g, grads):
-            if folded:
-                grads[a.idx] += (g.reshape(-1, m) @ bv.T).reshape(av.shape)
-                grads[b.idx] += av.reshape(-1, k).T @ g.reshape(-1, m)
-            else:
-                grads[a.idx] += g @ bv.swapaxes(-1, -2)
-                grads[b.idx] += av.swapaxes(-1, -2) @ g
+            if a.active:
+                da = (g.reshape(-1, m) @ bv.T).reshape(av.shape) if folded else g @ bv.swapaxes(-1, -2)
+                grads[a.idx] += da
+            if b.active:
+                grads[b.idx] += av.reshape(-1, k).T @ g.reshape(-1, m) if folded else av.swapaxes(-1, -2) @ g
 
         return self._record(out, (a, b), bwd, "matmul")
 
@@ -253,6 +282,8 @@ class Graph:
 
         def bwd(g, grads):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+                if not p.active:
+                    continue
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 grads[p.idx] += g[tuple(sl)]
@@ -367,16 +398,18 @@ class Graph:
 
         def bwd(g, grads):
             gm = g.reshape(rows, groups, cog).transpose(1, 0, 2)
-            dk = np.matmul(im2col().transpose(0, 2, 1), gm)
-            grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
-            dcols = np.matmul(gm, kmat.transpose(0, 2, 1)).reshape((groups,) + lead + (Ho, Wo, K, K, cg))
-            dcols = dcols.transpose(from_cols)
-            dxp = np.zeros_like(xp)
-            dxp_g = dxp.reshape(lead + (H + 2 * P, W + 2 * P, groups, cg))
-            for i in range(K):
-                for j in range(K):
-                    dxp_g[..., i:i + H:s, j:j + W:s, :, :] += dcols[..., i, j, :, :]
-            grads[x.idx] += dxp[..., P:P + H, P:P + W, :]
+            if kernel.active:
+                dk = np.matmul(im2col().transpose(0, 2, 1), gm)
+                grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
+            if x.active:  # not so for the raw image batch
+                dcols = np.matmul(gm, kmat.transpose(0, 2, 1)).reshape((groups,) + lead + (Ho, Wo, K, K, cg))
+                dcols = dcols.transpose(from_cols)
+                dxp = np.zeros_like(xp)
+                dxp_g = dxp.reshape(lead + (H + 2 * P, W + 2 * P, groups, cg))
+                for i in range(K):
+                    for j in range(K):
+                        dxp_g[..., i:i + H:s, j:j + W:s, :, :] += dcols[..., i, j, :, :]
+                grads[x.idx] += dxp[..., P:P + H, P:P + W, :]
 
         return self._record(out, (x, kernel), bwd, "conv2d")
 
@@ -465,8 +498,14 @@ class Graph:
     # ---- backward -----------------------------------------------------
 
     def backward(self, loss: Node, keep=()) -> None:
-        """Reverse sweep from a scalar loss; fills ParamStore gradients. Each gradient
-        is freed once its rule has run: only constants and `keep` nodes hold `.grad`."""
+        """Reverse sweep from a scalar loss over the active nodes.
+
+        Parameter leaves that are sources add their gradient into their
+        ParamStore entry.  Each gradient is freed once its rule has run, so
+        afterwards only the `keep` nodes and the nodes without a rule that
+        the loss reaches hold `.grad`: watched leaves, and the loss itself
+        when it is inactive.  A kept node always gets a gradient, zeros
+        where the loss does not reach it."""
         if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different graph")
         if loss.value.size != 1:
@@ -475,7 +514,6 @@ class Graph:
         grads = _LazyGrads(self.nodes)
         grads[loss.idx] = np.ones_like(loss.value)
         for node in reversed(self.nodes[:loss.idx + 1]):
-            # a kept node always gets a grad, zeros where the loss does not reach it
             g = grads[node.idx] if node.idx in kept else grads.pop(node.idx, None)
             node.grad = g if node.bwd is None or node.idx in kept else None
             if g is not None and node.bwd is not None:

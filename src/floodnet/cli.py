@@ -16,7 +16,7 @@ from .config import ConfigError, ModelConfig
 from .data import SyntheticSample, generate_synthetic_dataset, split_dataset
 from .gradcam import grad_cam, write_pgm, write_sidecar
 from .gradcheck import check_gradients
-from .metrics import compute_metrics, mcnemar_test
+from .metrics import check_labels, compute_metrics, mcnemar_test
 from .mfim import InputError
 from .model import FloodNet
 from .training import TrainingError, bce_loss, evaluate, train
@@ -53,6 +53,10 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise InputError(f"{path}: labels[{bad[0]}] is {labels[bad[0]]}, not 0 or 1")
+        bad = np.argwhere((tokens < 0) | (tokens != np.floor(tokens)))
+        if bad.size:
+            i, j = bad[0]
+            raise InputError(f"{path}: tokens[{i}, {j}] is {tokens[i, j]}, not a whole number >= 0")
         return [SyntheticSample(tokens[i], images[i], int(labels[i])) for i in range(n)]
     return generate_synthetic_dataset(
         cfg.n_samples, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t
@@ -159,9 +163,9 @@ def cmd_metrics(args) -> int:
     if args.compare:
         with open(args.compare) as f:
             other = json.load(f)
-        stat, p = mcnemar_test(
-            np.array(data["y_true"]), np.array(data["y_pred"]), np.array(other["y_pred"])
-        )
+        y_true, other_pred = np.array(data["y_true"]), np.array(other["y_pred"])
+        check_labels(f"{args.compare}: y_pred", other_pred, y_true.shape)
+        stat, p = mcnemar_test(y_true, np.array(data["y_pred"]), other_pred)
         out["mcnemar_statistic"] = stat
         out["mcnemar_p"] = p
     print(json.dumps(out))

@@ -19,10 +19,28 @@ def heatmap_from_activation(activation: np.ndarray, gradient: np.ndarray) -> np.
     return cam / peak if peak > 0 else cam
 
 
+class _WatchedTaps(dict):
+    """Taps of one forward that watch the target layer's node as it is
+    stored, before any op reads it."""
+
+    def __init__(self, g: Graph, target_layer: str):
+        super().__init__()
+        self.g = g
+        self.target_layer = target_layer
+
+    def __setitem__(self, name, node):
+        super().__setitem__(name, node)
+        if name == self.target_layer:
+            self.g.watch(node)
+
+
 def grad_cam(model: FloodNet, sample, target_layer: str = "enc0") -> np.ndarray:
-    """Heatmap of the pre-sigmoid logit's sensitivity at an encoder block."""
-    taps: dict = {}
-    g = Graph()
+    """Heatmap of the pre-sigmoid logit's sensitivity at an encoder block.
+
+    The parameters are not sources and the tap is watched, so the sweep
+    covers only the tap's descendants and no ParamStore grad changes."""
+    g = Graph(param_grads=False)
+    taps = _WatchedTaps(g, target_layer)
     _, logit = model.forward(g, sample, train=False, taps=taps)
     if target_layer not in taps:
         raise KeyError(f"unknown target layer {target_layer!r}; have {sorted(taps)}")

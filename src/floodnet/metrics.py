@@ -28,6 +28,15 @@ class MetricsReport:
         return asdict(self)
 
 
+def check_labels(name: str, y: np.ndarray, shape: tuple) -> None:
+    """Raises ValueError unless y has `shape` and every entry is 0 or 1."""
+    if y.shape != shape:
+        raise ValueError(f"{name} has shape {y.shape}, the labels {shape}")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] is {y.flat[bad[0]]}, not 0 or 1")
+
+
 def compute_metrics(
     y_true: np.ndarray, y_pred: np.ndarray, probs: np.ndarray | None = None
 ) -> MetricsReport:
@@ -36,12 +45,8 @@ def compute_metrics(
     is 0, and kappa is 1 for perfect agreement even when chance agreement
     is also perfect.  Labels must be 0 or 1."""
     y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("label arrays must have matching shapes")
-    for name, y in (("y_true", y_true), ("y_pred", y_pred)):
-        bad = np.flatnonzero((y != 0) & (y != 1))
-        if bad.size:
-            raise ValueError(f"{name}[{bad[0]}] is {y.flat[bad[0]]}, not 0 or 1")
+    check_labels("y_true", y_true, y_true.shape)
+    check_labels("y_pred", y_pred, y_true.shape)
     if probs is not None and np.shape(probs) != y_true.shape:
         raise ValueError(f"{np.size(probs)} probs for {y_true.size} labels")
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
@@ -77,11 +82,11 @@ def mcnemar_test(y_true: np.ndarray, pred_a: np.ndarray, pred_b: np.ndarray) -> 
 
     Returns (statistic, p_value) where the statistic is min(b, c) for
     b = a-right/b-wrong and c = a-wrong/b-right counts. With no discordant
-    pairs the p-value is 1.
+    pairs the p-value is 1.  Every array must hold as many 0/1 labels as y_true.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
-    pred_a = np.asarray(pred_a, dtype=np.int64)
-    pred_b = np.asarray(pred_b, dtype=np.int64)
+    y_true, pred_a, pred_b = np.asarray(y_true), np.asarray(pred_a), np.asarray(pred_b)
+    for name, y in (("y_true", y_true), ("pred_a", pred_a), ("pred_b", pred_b)):
+        check_labels(name, y, y_true.shape)
     right_a = pred_a == y_true
     right_b = pred_b == y_true
     b = int(np.sum(right_a & ~right_b))

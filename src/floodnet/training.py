@@ -31,14 +31,16 @@ def evaluate(
     model: FloodNet, samples: list[SyntheticSample]
 ) -> tuple[np.ndarray, MetricsReport]:
     """Eval-mode pass over samples, one graph per batch_size chunk; returns
-    probabilities and metrics."""
+    probabilities and metrics.  The graphs have no sources, so they record
+    no backward rules."""
     probs = np.empty(len(samples))
     step = model.cfg.batch_size
     for start in range(0, len(samples), step):
         chunk = samples[start:start + step]
         # no name holds the chunk's tape, so it dies before the next forward
         probs[start:start + len(chunk)] = model.forward(
-            Graph(), chunk if len(chunk) > 1 else chunk[0], train=False)[0].value.reshape(-1)
+            Graph(param_grads=False), chunk if len(chunk) > 1 else chunk[0], train=False
+        )[0].value.reshape(-1)
     y_true = np.array([s.label for s in samples])
     y_pred = np.array([predict(p) for p in probs])
     return probs, compute_metrics(y_true, y_pred, probs)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from floodnet.autodiff import ContractError, Graph, ShapeError
+from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
 from floodnet.gradcheck import check_gradients
 from floodnet.layers import batch_norm, layer_norm, register_bn
 from floodnet.params import ParamStore
@@ -138,6 +139,8 @@ def test_conv2d_property_stride_equals_conv_then_slice(case):
     def run(s, weights):
         g = Graph()
         xn, kn = g.constant(x), g.constant(kernel)
+        g.watch(xn)
+        g.watch(kn)
         out = g.conv2d(xn, kn, groups=groups, stride=s)
         g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
         return out.value, xn.grad, kn.grad
@@ -220,11 +223,13 @@ def test_conv2d_batched_matches_per_sample(case, B, seed):
     _check_batched(op, [xs], exact=False)
     g = Graph()
     kn = g.constant(kernel)
+    g.watch(kn)
     g.backward(g.reduce_sum(g.tanh(g.conv2d(g.constant(xs), kn, groups=groups, stride=stride))))
     per_sample = 0.0
     for xi in xs:
         gi = Graph()
         ki = gi.constant(kernel)
+        gi.watch(ki)
         gi.backward(gi.reduce_sum(gi.tanh(gi.conv2d(gi.constant(xi), ki, groups=groups, stride=stride))))
         per_sample = per_sample + ki.grad
     assert rel_close(kn.grad, per_sample, 1e-12)
@@ -378,6 +383,7 @@ def test_standardize_property_constant_input_is_zero(case, c):
     x, axes = case
     g = Graph()
     xn = g.constant(np.full(x.shape, c))
+    g.watch(xn)
     out = g.standardize(xn, axes, 1e-5)
     g.backward(g.reduce_sum(g.mul(out, g.constant(x))))
     assert np.abs(out.value).max() <= 1e-9
@@ -476,6 +482,7 @@ def test_upsample_replicates_single_value():
 def test_upsample_gradient_counts_replicas():
     g = Graph()
     x = g.constant(np.zeros((2, 2, 1)))
+    g.watch(x)
     loss = g.reduce_sum(g.upsample2(x))
     g.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full((2, 2, 1), 4.0))
@@ -524,6 +531,7 @@ def test_backward_keeps_only_constant_and_requested_grads():
     x = np.random.default_rng(0).standard_normal((4, 3))
     g = Graph()
     xn = g.constant(x)
+    g.watch(xn)
     h = g.tanh(g.matmul(xn, g.param(store, "w")))
     unreached = g.relu(xn)
     mid = g.sigmoid(h)
@@ -534,6 +542,7 @@ def test_backward_keeps_only_constant_and_requested_grads():
     # the kept grad equals that of h's value fed as a constant to the downstream ops
     ref = Graph()
     hc = ref.constant(h.value)
+    ref.watch(hc)
     mid = ref.sigmoid(hc)
     ref.backward(ref.reduce_sum(ref.mul(mid, mid)))
     np.testing.assert_array_equal(h.grad, hc.grad)
@@ -689,8 +698,110 @@ def test_dropout_property_gradcheck(shape, rate, data):
     _gradcheck_every_operand(lambda g, a: g.dropout(a, rate, uniforms), [_draw_array(data.draw, shape)])
 
 
-# every public Graph method that records a node with a backward rule, and the
-# property test that runs check_gradients through it
+@given(conv_cases())
+def test_watch_property_gradcheck(case):
+    """A watched constant gets the gradient that check_gradients verifies
+    for the same value held as a parameter, through a conv whose kernel is
+    inactive."""
+    x, kernel, groups, stride = case
+    store = ParamStore(0)
+    store.add("x", x.shape)
+    store.entries["x"].value[...] = x
+    weights = np.random.default_rng(1).standard_normal(
+        Graph().conv2d(x, kernel, groups=groups, stride=stride).shape)
+
+    def build(g, leaf):
+        out = g.conv2d(leaf, g.constant(kernel), groups=groups, stride=stride)
+        return g.reduce_sum(g.mul(g.tanh(out), g.constant(weights)))
+
+    check_gradients(lambda g: build(g, g.param(store, "x")), store, n_coords=6)
+    g = Graph()
+    xn = g.watch(g.constant(x))
+    g.backward(build(g, xn))
+    np.testing.assert_array_equal(xn.grad, store.entries["x"].grad)
+
+
+@st.composite
+def rule_cases(draw, name):
+    """(op, operands): the op `name` and its operand values."""
+    if name in ("add", "sub", "mul"):
+        operands = list(draw(broadcast_pairs()))
+        op = lambda g, a, b: getattr(g, name)(a, b)
+    elif name == "matmul":
+        B, n, k, m = (draw(st.integers(1, 3)) for _ in range(4))
+        lead = draw(st.sampled_from([(), (B,)]))
+        right = lead if lead and draw(st.booleans()) else ()
+        operands = [_draw_array(draw, lead + (n, k)), _draw_array(draw, right + (k, m))]
+        op = lambda g, a, b: g.matmul(a, b)
+    elif name == "concat":
+        operands = [_draw_array(draw, (2, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 3)))]
+        op = lambda g, *ps: g.concat(ps, -1)
+    elif name == "conv2d":
+        x, kernel, groups, stride = draw(conv_cases())
+        operands = [x, kernel]
+        op = lambda g, a, b: g.conv2d(a, b, groups=groups, stride=stride)
+    else:
+        operands = [_draw_array(draw, (3, 4, 2))]
+        op = lambda g, a: getattr(g, name)(a)
+    return op, operands
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "concat", "conv2d", "tanh", "maxpool2"])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
+    op, operands = data.draw(rule_cases(name))
+
+    def run(watched):
+        g = Graph()
+        leaves = [g.constant(v) for v in operands]
+        for leaf, w in zip(leaves, watched):
+            if w:
+                g.watch(leaf)
+        out = op(g, *leaves)
+        written = _LazyGrads(g.nodes)
+        if out.bwd is not None:
+            out.bwd(np.random.default_rng(seed).standard_normal(out.shape), written)
+        return out, [leaf.idx for leaf, w in zip(leaves, watched) if w], written
+
+    # the grads a rule writes are those it writes when every parent is active
+    _, _, full = run([True] * len(operands))
+    for watched in itertools.product((False, True), repeat=len(operands)):
+        out, active, written = run(watched)
+        assert out.active == any(watched) and (out.bwd is None) == (not any(watched))
+        assert sorted(written) == active
+        for idx in active:
+            np.testing.assert_array_equal(written[idx], full[idx])
+
+
+def test_param_leaves_are_sources_only_in_a_graph_that_takes_param_grads():
+    store = ParamStore(0)
+    store.add("w", (3, 2))
+    x = np.random.default_rng(0).standard_normal((4, 3))
+    for param_grads in (True, False):
+        store.entries["w"].grad[...] = 7.0
+        g = Graph(param_grads=param_grads)
+        xn = g.watch(g.constant(x))
+        w = g.param(store, "w")
+        g.backward(g.reduce_sum(g.tanh(g.matmul(xn, w))))
+        assert w.active == param_grads and (w.bwd is not None) == param_grads
+        assert (store.entries["w"].grad != 7.0).all() == param_grads
+        assert xn.grad.shape == x.shape
+
+
+def test_watch_rejects_a_node_an_op_already_read():
+    g = Graph()
+    x = g.constant(np.ones(3))
+    y = g.tanh(x)
+    with pytest.raises(ContractError):
+        g.watch(x)
+    assert not x.active and y.bwd is None
+    g.watch(y)
+    assert y.active and y.bwd is None
+
+
+# every public Graph method that records a node with a backward rule, plus
+# watch, which makes a node a source, and the property test that runs
+# check_gradients through it
 GRADCHECK_PROPERTIES = {
     "add": test_binary_elementwise_property_gradcheck,
     "sub": test_binary_elementwise_property_gradcheck,
@@ -714,6 +825,7 @@ GRADCHECK_PROPERTIES = {
     "maxpool2": test_maxpool2_batched_matches_per_sample,
     "upsample2": test_upsample2_batched_matches_per_sample,
     "dropout": test_dropout_property_gradcheck,
+    "watch": test_watch_property_gradcheck,
 }
 
 

@@ -225,3 +225,38 @@ def test_metrics_rejects_bad_labels_or_probs(tmp_path, capsys, data, needle):
     preds.write_text(json.dumps(data))
     assert main(["metrics", str(preds)]) == 1
     _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("other_pred,needle", [
+    ([1], "y_pred has shape (1,), the labels (4,)"),
+    ([7, 7, 7, 7], "y_pred[0] is 7, not 0 or 1"),
+])
+def test_metrics_compare_rejects_bad_second_predictions(tmp_path, capsys, other_pred, needle):
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps({"y_true": [1, 1, 0, 0], "y_pred": [1, 0, 0, 0]}))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"y_true": [1, 1, 0, 0], "y_pred": other_pred}))
+    assert main(["metrics", str(preds), "--compare", str(other)]) == 1
+    _assert_one_line_error(capsys, "other.json", needle)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+@pytest.mark.parametrize("value,needle", [
+    (3.7, "tokens[2, 1] is 3.7, not a whole number >= 0"),
+    (-1, "tokens[2, 1] is -1, not a whole number >= 0"),
+])
+def test_token_ids_that_are_not_whole_numbers_exit_one(tmp_path, capsys, command, value, needle):
+    cfg, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    path = json.loads(capsys.readouterr().out)["path"]
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["tokens"] = arrays["tokens"].astype(type(value))
+    arrays["tokens"][2, 1] = value
+    np.savez(path, **arrays)
+    ckpt = str(tmp_path / "fresh.ckpt")
+    save_checkpoint(ckpt, FloodNet(cfg).store)
+    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
+    assert main(args) == 1
+    _assert_one_line_error(capsys, needle)

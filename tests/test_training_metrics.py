@@ -111,6 +111,7 @@ def test_bce_wrong_label_saturated_logit_keeps_unit_gradient(z, label):
     # probability would stall; from the logit it is |z| with slope sigmoid(z) - y
     g = Graph()
     logit = g.constant([z])
+    g.watch(logit)
     loss = bce_loss(g, logit, label)
     g.backward(loss)
     assert loss.value[0] == 40.0
@@ -122,6 +123,7 @@ def test_bce_matches_stable_reference_over_logit_grid():
         for y in (0, 1):
             g = Graph()
             logit = g.constant([z])
+            g.watch(logit)
             loss = bce_loss(g, logit, y)
             g.backward(loss)
             expected = max(z, 0.0) - y * z + np.log1p(np.exp(-abs(z)))
@@ -219,6 +221,28 @@ def test_evaluate_chunks_match_per_sample_forwards():
     probs, _ = evaluate(model, samples)  # chunks of 4 and 1
     ref = [model.forward(Graph(), s)[0].value[0] for s in samples]
     assert np.abs(probs - ref).max() <= 1e-12
+
+
+def test_evaluate_records_no_backward_rules(monkeypatch):
+    """evaluate's graphs have no sources: every node is inactive and
+    carries no rule, and the parameters' grads stay as they were."""
+    cfg = make_tiny_config()
+    model = FloodNet(cfg)
+    samples = generate_synthetic_dataset(5, 4, 0.3, cfg.image_size, cfg.n_t)
+    forward, graphs = FloodNet.forward, []
+
+    def spy(self, g, *args, **kwargs):
+        graphs.append(g)
+        return forward(self, g, *args, **kwargs)
+
+    monkeypatch.setattr(FloodNet, "forward", spy)
+    for e in model.store.entries.values():
+        e.grad[...] = 3.0
+    evaluate(model, samples)  # chunks of 4 and 1
+    assert len(graphs) == 2
+    for g in graphs:
+        assert g.nodes and all(not n.active and n.bwd is None for n in g.nodes)
+    assert all((e.grad == 3.0).all() for e in model.store.entries.values())
 
 
 def test_each_batch_tape_dies_before_the_next_forward(monkeypatch):
