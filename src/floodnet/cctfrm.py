@@ -14,7 +14,16 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import attention, batch_norm, layer_norm, register_bn, sinusoidal_positions
+from .layers import (
+    batch_norm,
+    layer_norm,
+    mlp,
+    register_bn,
+    register_mlp,
+    register_self_attention,
+    self_attention,
+    sinusoidal_positions,
+)
 from .params import ParamStore
 
 
@@ -25,16 +34,9 @@ def register_params(store: ParamStore, cfg: ModelConfig) -> None:
         register_bn(store, f"cctfrm.enc{i}.bn", c_out)
         c_in = c_out
     d = cfg.d_model
-    dh = d // cfg.transformer_heads
     for layer in range(cfg.transformer_depth):
-        for head in range(cfg.transformer_heads):
-            for proj in ("wq", "wk", "wv"):
-                store.add(f"cctfrm.tr{layer}.head{head}.{proj}", (d, dh))
-        store.add(f"cctfrm.tr{layer}.wo", (d, d))
-        store.add(f"cctfrm.tr{layer}.ff.w1", (d, 2 * d))
-        store.add(f"cctfrm.tr{layer}.ff.b1", (2 * d,), init="zeros")
-        store.add(f"cctfrm.tr{layer}.ff.w2", (2 * d, d))
-        store.add(f"cctfrm.tr{layer}.ff.b2", (d,), init="zeros")
+        register_self_attention(store, f"cctfrm.tr{layer}", d, cfg.transformer_heads)
+        register_mlp(store, f"cctfrm.tr{layer}.ff", d, 2 * d, d)
     c_in = cfg.d_model
     for i, c_out in enumerate(cfg.decoder_plan):
         store.add(f"cctfrm.dec{i}.kernel", (3, 3, c_in, c_out))
@@ -118,16 +120,8 @@ def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: 
     x = g.add(patches, g.constant(sinusoidal_positions(n_p, d)))
     for layer in range(cfg.transformer_depth):
         prefix = f"cctfrm.tr{layer}"
-        heads = [tuple(g.param(store, f"{prefix}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
-                 for head in range(cfg.transformer_heads)]
-        normed = layer_norm(g, x)
-        attended = attention(g, normed, normed, heads)
-        x = g.add(x, g.matmul(attended, g.param(store, f"{prefix}.wo")))
-        normed = layer_norm(g, x)
-        hidden = g.relu(g.add(g.matmul(normed, g.param(store, f"{prefix}.ff.w1")),
-                              g.param(store, f"{prefix}.ff.b1")))
-        x = g.add(x, g.add(g.matmul(hidden, g.param(store, f"{prefix}.ff.w2")),
-                           g.param(store, f"{prefix}.ff.b2")))
+        x = g.add(x, self_attention(g, store, prefix, layer_norm(g, x), cfg.transformer_heads))
+        x = g.add(x, mlp(g, store, f"{prefix}.ff", layer_norm(g, x)))
     return x
 
 

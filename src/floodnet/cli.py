@@ -17,7 +17,7 @@ from .data import SyntheticSample, generate_synthetic_dataset, split_dataset
 from .gradcam import grad_cam, write_pgm, write_sidecar
 from .gradcheck import check_gradients
 from .metrics import check_labels, compute_metrics, mcnemar_test
-from .mfim import InputError
+from .mfim import TEXT_VOCAB, InputError
 from .model import FloodNet
 from .training import TrainingError, bce_loss, evaluate, train
 
@@ -53,10 +53,11 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise InputError(f"{path}: labels[{bad[0]}] is {labels[bad[0]]}, not 0 or 1")
-        bad = np.argwhere((tokens < 0) | (tokens != np.floor(tokens)))
+        bad = np.argwhere((tokens < 0) | (tokens >= TEXT_VOCAB) | (tokens != np.floor(tokens)))
         if bad.size:
             i, j = bad[0]
-            raise InputError(f"{path}: tokens[{i}, {j}] is {tokens[i, j]}, not a whole number >= 0")
+            raise InputError(f"{path}: tokens[{i}, {j}] is {tokens[i, j]}, "
+                             f"not a whole number >= 0 and < {TEXT_VOCAB}")
         return [SyntheticSample(tokens[i], images[i], int(labels[i])) for i in range(n)]
     return generate_synthetic_dataset(
         cfg.n_samples, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t
@@ -141,12 +142,15 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"sample index {args.index} out of range")
     store = load_checkpoint(args.checkpoint) if args.checkpoint else None
     model = FloodNet(cfg, store=store)
-    heatmap = grad_cam(model, samples[args.index], args.layer)
+    try:
+        heatmap = grad_cam(model, samples[args.index], args.layer)
+    except KeyError as e:  # the layer is not one of the model's taps
+        raise ConfigError(e.args[0]) from None
     out = _out_dir(args)
     pgm = os.path.join(out, f"heatmap_{args.index}_{args.layer}.pgm")
     write_pgm(pgm, heatmap)
     write_sidecar(pgm + ".json", heatmap, args.layer)
-    print(json.dumps({"pgm": pgm, "sidecar": pgm + ".json"}))
+    print(json.dumps({"pgm": pgm, "sidecar": pgm + ".json", "all_zero": not heatmap.any()}))
     return 0
 
 

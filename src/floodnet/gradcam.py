@@ -43,7 +43,8 @@ def grad_cam(model: FloodNet, sample, target_layer: str = "enc0") -> np.ndarray:
     taps = _WatchedTaps(g, target_layer)
     _, logit = model.forward(g, sample, train=False, taps=taps)
     if target_layer not in taps:
-        raise KeyError(f"unknown target layer {target_layer!r}; have {sorted(taps)}")
+        have = ", ".join(taps) if taps else "none, as use_cctfrm is false"
+        raise KeyError(f"unknown target layer {target_layer!r}; the taps are {have}")
     node = taps[target_layer]
     g.backward(logit, keep=(node,))
     return heatmap_from_activation(node.value, node.grad)

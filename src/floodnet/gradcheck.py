@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import Graph, Node
 from .params import ParamStore
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 DEFAULT_TOL = 1e-4
 
 
@@ -32,12 +32,12 @@ def check_gradients(
     store: ParamStore,
     names: list[str] | None = None,
     n_coords: int = 20,
-    step: float = DEFAULT_STEP,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> tuple[list[CoordResult], float]:
     """Compares reverse-sweep gradients of the scalar `build` output with
-    central finite differences at n_coords sampled parameter coordinates.
+    central finite differences, step STEP, at n_coords sampled parameter
+    coordinates.
 
     Returns per-coordinate results and the max relative error; raises
     AssertionError if any coordinate exceeds tol.
@@ -60,13 +60,13 @@ def check_gradients(
         flat = int(rng.integers(entry.value.size))
         idx = np.unravel_index(flat, entry.value.shape)
         orig = entry.value[idx]
-        entry.value[idx] = orig + step
+        entry.value[idx] = orig + STEP
         # the perturbed forwards need no gradient, so their graphs have no sources
         up = float(build(Graph(param_grads=False)).value.reshape(()))
-        entry.value[idx] = orig - step
+        entry.value[idx] = orig - STEP
         down = float(build(Graph(param_grads=False)).value.reshape(()))
         entry.value[idx] = orig
-        numeric = (up - down) / (2 * step)
+        numeric = (up - down) / (2 * STEP)
         a = float(analytic[name][idx])
         results.append(CoordResult(name, idx, a, numeric, _rel_err(a, numeric)))
     max_err = max(r.rel_err for r in results)

@@ -29,9 +29,9 @@ def dense(g: Graph, x: Node, w: Node, b: Node | None = None) -> Node:
     return out
 
 
-def layer_norm(g: Graph, x: Node, eps: float = LN_EPS) -> Node:
+def layer_norm(g: Graph, x: Node) -> Node:
     """Zero-mean unit-variance normalization along the last axis, no affine."""
-    return g.standardize(x, -1, eps)
+    return g.standardize(x, -1, LN_EPS)
 
 
 def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
@@ -49,6 +49,36 @@ def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
 
+def register_self_attention(store, prefix: str, d: int, heads: int) -> None:
+    """Query/key/value maps of width d // heads per head, and the (d, d)
+    output map W^O."""
+    for head in range(heads):
+        for proj in ("wq", "wk", "wv"):
+            store.add(f"{prefix}.head{head}.{proj}", (d, d // heads))
+    store.add(f"{prefix}.wo", (d, d))
+
+
+def self_attention(g: Graph, store, prefix: str, x: Node, heads: int) -> Node:
+    """Multi-head attention of x's rows over themselves, heads concatenated,
+    then W^O."""
+    triples = [tuple(g.param(store, f"{prefix}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
+               for head in range(heads)]
+    return g.matmul(attention(g, x, x, triples), g.param(store, f"{prefix}.wo"))
+
+
+def register_mlp(store, prefix: str, d_in: int, d_hidden: int, d_out: int) -> None:
+    store.add(f"{prefix}.w1", (d_in, d_hidden))
+    store.add(f"{prefix}.b1", (d_hidden,), init="zeros")
+    store.add(f"{prefix}.w2", (d_hidden, d_out))
+    store.add(f"{prefix}.b2", (d_out,), init="zeros")
+
+
+def mlp(g: Graph, store, prefix: str, x: Node) -> Node:
+    """Two-layer perceptron relu(x @ w1 + b1) @ w2 + b2."""
+    w1, b1, w2, b2 = (g.param(store, f"{prefix}.{name}") for name in ("w1", "b1", "w2", "b2"))
+    return dense(g, g.relu(dense(g, x, w1, b1)), w2, b2)
+
+
 def register_bn(store, name: str, channels: int) -> None:
     store.add(name + ".gamma", (channels,), init="ones")
     store.add(name + ".beta", (channels,), init="zeros")
@@ -62,8 +92,6 @@ def batch_norm(
     store,
     name: str,
     train: bool,
-    eps: float = BN_EPS,
-    momentum: float = BN_MOMENTUM,
 ) -> Node:
     """Per-channel batch norm over the spatial axes of each (H,W,C) map.
 
@@ -74,27 +102,22 @@ def batch_norm(
     gamma = g.param(store, name + ".gamma")
     beta = g.param(store, name + ".beta")
     if train:
-        norm = g.standardize(x, (-3, -2), eps)
+        norm = g.standardize(x, (-3, -2), BN_EPS)
         C = x.shape[-1]
         means = x.value.mean(axis=(-3, -2)).reshape(-1, C)
         variances = x.value.var(axis=(-3, -2)).reshape(-1, C)
         for m, v in zip(means, variances):
             store.buffers[name + ".running_mean"] = (
-                momentum * store.buffers[name + ".running_mean"] + (1 - momentum) * m
+                BN_MOMENTUM * store.buffers[name + ".running_mean"] + (1 - BN_MOMENTUM) * m
             )
             store.buffers[name + ".running_var"] = (
-                momentum * store.buffers[name + ".running_var"] + (1 - momentum) * v
+                BN_MOMENTUM * store.buffers[name + ".running_var"] + (1 - BN_MOMENTUM) * v
             )
     else:
         rm = store.buffers[name + ".running_mean"]
         rv = store.buffers[name + ".running_var"]
-        norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + eps)))
+        norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + BN_EPS)))
     return g.add(g.mul(norm, gamma), beta)
-
-
-def global_avg_pool(g: Graph, x: Node) -> Node:
-    """(..., H, W, C) -> (..., 1, 1, C) spatial mean."""
-    return g.reduce_mean(x, axes=(-3, -2), keepdims=True)
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:

@@ -8,13 +8,19 @@ Features may carry leading batch axes; every step works on the trailing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import attention, dense, layer_norm
+from .layers import (
+    attention,
+    dense,
+    layer_norm,
+    mlp,
+    register_mlp,
+    register_self_attention,
+    self_attention,
+)
 from .params import ParamStore
 
 
@@ -25,21 +31,9 @@ class InputError(ValueError):
 TEXT_VOCAB = 64
 
 
-@dataclass
-class AttentionLevelConfig:
-    level: str  # coarse | medium | fine
-    heads: int
-    head_dim: int
-
-    @classmethod
-    def for_level(cls, level: str, d_se: int, h: int) -> "AttentionLevelConfig":
-        heads = {"coarse": h // 2, "medium": h, "fine": 2 * h}[level]
-        if d_se % heads:
-            raise InputError(f"{level} level: {heads} heads do not divide d_se={d_se}")
-        return cls(level=level, heads=heads, head_dim=d_se // heads)
-
-
-LEVELS = ("coarse", "medium", "fine")
+def level_heads(h: int) -> dict[str, int]:
+    """Head count of each attention level, in the order the levels run."""
+    return {"coarse": h // 2, "medium": h, "fine": 2 * h}
 
 
 # ---------------------------------------------------------------------
@@ -52,15 +46,18 @@ def _token_table(d_t: int, seed: int) -> np.ndarray:
 
 
 def stub_text_encoder(token_ids, d_t: int, seed: int) -> np.ndarray:
-    """Token id k maps to row k of a seeded random embedding table.
-    token_ids is (n_t,), or (..., n_t) for a batch; returns (..., n_t, d_t)."""
+    """Token id k, in [0, TEXT_VOCAB), maps to row k of a seeded random
+    embedding table.  token_ids is (n_t,), or (..., n_t) for a batch;
+    returns (..., n_t, d_t)."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size == 0:
         raise InputError("token list must be non-empty")
     if ids.shape[-1] > 512:
         raise InputError(f"at most 512 tokens supported, got {ids.shape[-1]}")
-    table = _token_table(d_t, seed)
-    return table[ids % TEXT_VOCAB]
+    outside = ids[(ids < 0) | (ids >= TEXT_VOCAB)]
+    if outside.size:
+        raise InputError(f"token id {outside[0]} is outside the vocabulary [0, {TEXT_VOCAB})")
+    return _token_table(d_t, seed)[ids]
 
 
 def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) -> np.ndarray:
@@ -92,7 +89,7 @@ def extract_global_features(tokens: np.ndarray, grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def register_params(store: ParamStore, cfg: ModelConfig) -> None:
-    d_se, d_t, d_i, h = cfg.d_se, cfg.d_t, cfg.d_i, cfg.h
+    d_se, d_t, d_i = cfg.d_se, cfg.d_t, cfg.d_i
     hid = d_se // 2
     store.add("mfim.text_proj.w", (d_t, d_se))
     store.add("mfim.text_proj.b", (d_se,), init="zeros")
@@ -113,18 +110,11 @@ def register_params(store: ParamStore, cfg: ModelConfig) -> None:
         store.add(f"mfim.gate.{m}.b", (d_se,), init="zeros")
         store.add(f"mfim.ctx.{m}.w", (d_se, d_se))
         store.add(f"mfim.ctx.{m}.b", (d_se,), init="zeros")
-        for level in LEVELS:
-            lc = AttentionLevelConfig.for_level(level, d_se, h)
-            for head in range(lc.heads):
-                for proj in ("wq", "wk", "wv"):
-                    store.add(f"mfim.att.{m}.{level}.head{head}.{proj}", (d_se, lc.head_dim))
-            store.add(f"mfim.att.{m}.{level}.wo", (d_se, d_se))
+        for level, heads in level_heads(cfg.h).items():
+            register_self_attention(store, f"mfim.att.{m}.{level}", d_se, heads)
         for proj in ("wq", "wk", "wv"):
             store.add(f"mfim.cross.{m}.{proj}", (d_se, d_se))
-    store.add("mfim.mln.w1", (d_se, d_se))
-    store.add("mfim.mln.b1", (d_se,), init="zeros")
-    store.add("mfim.mln.w2", (d_se, d_se))
-    store.add("mfim.mln.b2", (d_se,), init="zeros")
+    register_mlp(store, "mfim.mln", d_se, d_se, d_se)
 
 
 def _channel_split(d_se: int) -> tuple[int, int, int]:
@@ -193,24 +183,13 @@ def self_gate(g: Graph, x: Node, w: Node, b: Node) -> Node:
     return g.mul(x, g.sigmoid(g.add(g.matmul(x, w), b)))
 
 
-def multi_granularity_attention(
-    g: Graph, store: ParamStore, prefix: str, x: Node, level_cfg: AttentionLevelConfig
-) -> Node:
-    """One attention level: per-head scaled dot-product, concat, W^O."""
-    lp = f"{prefix}.{level_cfg.level}"
-    heads = [tuple(g.param(store, f"{lp}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
-             for head in range(level_cfg.heads)]
-    return g.matmul(attention(g, x, x, heads), g.param(store, f"{lp}.wo"))
-
-
 def attention_pipeline(
     g: Graph, store: ParamStore, cfg: ModelConfig, modality: str, x: Node
 ) -> Node:
     """Coarse -> medium -> fine, each level consuming the previous output."""
     out = x
-    for level in LEVELS:
-        lc = AttentionLevelConfig.for_level(level, cfg.d_se, cfg.h)
-        out = multi_granularity_attention(g, store, f"mfim.att.{modality}", out, lc)
+    for level, heads in level_heads(cfg.h).items():
+        out = self_attention(g, store, f"mfim.att.{modality}.{level}", out, heads)
     return out
 
 
@@ -232,11 +211,7 @@ def joint_fusion(g: Graph, store: ParamStore, att_t2i: Node, att_i2t: Node) -> N
     """Concat rows, self-sigmoid refinement, mean-pool, 2-layer perceptron."""
     a = g.concat([att_t2i, att_i2t], axis=-2)
     refined = g.mul(a, g.sigmoid(a))
-    pooled = g.reduce_mean(refined, axes=-2)
-    hidden = g.relu(g.add(dense(g, pooled, g.param(store, "mfim.mln.w1")),
-                          g.param(store, "mfim.mln.b1")))
-    return g.add(dense(g, hidden, g.param(store, "mfim.mln.w2")),
-                 g.param(store, "mfim.mln.b2"))
+    return mlp(g, store, "mfim.mln", g.reduce_mean(refined, axes=-2))
 
 
 def mfim_forward(

@@ -12,7 +12,7 @@ from .cctfrm import register_params as register_cctfrm
 from .config import ConfigError, ModelConfig
 from .hcamam import hcamam_forward
 from .hcamam import register_params as register_hcamam
-from .layers import dense
+from .layers import mlp, register_mlp
 from .mfim import (
     InputError,
     extract_global_features,
@@ -58,11 +58,7 @@ class FloodNet:
             register_hcamam(store, cfg)
         if cfg.use_cctfrm:
             register_cctfrm(store, cfg)
-        d_in = cfg.d_fused + cfg.d_se + cfg.d_r
-        store.add("uffm.w1", (d_in, cfg.d_fused))
-        store.add("uffm.b1", (cfg.d_fused,), init="zeros")
-        store.add("uffm.w2", (cfg.d_fused, 1))
-        store.add("uffm.b2", (1,), init="zeros")
+        register_mlp(store, "uffm", cfg.d_fused + cfg.d_se + cfg.d_r, cfg.d_fused, 1)
 
     def forward(
         self,
@@ -98,10 +94,7 @@ class FloodNet:
         return self.head(g, y_final, mfim_vec, o_final)
 
     def head(self, g: Graph, y_final: Node, mfim_vec: Node, o_final: Node) -> tuple[Node, Node]:
-        store = self.store
-        f_concat = g.concat([y_final, mfim_vec, o_final], axis=-1)
-        hidden = g.relu(dense(g, f_concat, g.param(store, "uffm.w1"), g.param(store, "uffm.b1")))
-        logit = dense(g, hidden, g.param(store, "uffm.w2"), g.param(store, "uffm.b2"))
+        logit = mlp(g, self.store, "uffm", g.concat([y_final, mfim_vec, o_final], axis=-1))
         return g.sigmoid(logit), logit
 
 

@@ -56,7 +56,7 @@ class ParamStore:
     def _rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
 
-    def add(self, name: str, shape, init: str = "fanin", fan_in: int | None = None) -> None:
+    def add(self, name: str, shape, init: str = "fanin") -> None:
         if name in self.entries:
             raise KeyError(f"duplicate parameter {name!r}")
         shape = tuple(shape)
@@ -65,8 +65,7 @@ class ParamStore:
         elif init == "ones":
             value = np.ones(shape)
         elif init == "fanin":
-            if fan_in is None:
-                fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
+            fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
             bound = np.sqrt(6.0 / fan_in)
             value = self._rng(name).uniform(-bound, bound, size=shape)
         else:

@@ -16,15 +16,16 @@ from floodnet.hcamam import register_params as register_hcamam
 from floodnet.cctfrm import cctfrm_forward
 from floodnet.cctfrm import register_params as register_cctfrm
 from floodnet.metrics import compute_metrics, log_loss, mcnemar_test
+from floodnet.layers import self_attention
 from floodnet.mfim import (
-    AttentionLevelConfig,
     extract_global_features,
+    level_heads,
     mfim_forward,
     register_params as register_mfim,
     stub_image_encoder,
     stub_text_encoder,
 )
-from floodnet.model import FloodNet
+from floodnet.model import FloodNet, _Layout
 from floodnet.params import AdamWConfig, ParamStore, adamw_step
 from floodnet.training import bce_loss, evaluate, train
 
@@ -117,7 +118,7 @@ def test_criterion_2_oracle_suite():
     np.testing.assert_array_equal(g.maxpool2(g.constant(x)).value, maxpool2_scan(x))
 
     # BiLSTM direction against the unrolled per-gate oracle
-    from floodnet.mfim import _lstm_direction, multi_granularity_attention
+    from floodnet.mfim import _lstm_direction
 
     cfg = make_tiny_config()
     store = ParamStore(201)
@@ -138,12 +139,12 @@ def test_criterion_2_oracle_suite():
     for level, scale in (("coarse", np.sqrt(2.0 * cfg.d_se / cfg.h)),
                          ("medium", np.sqrt(cfg.d_se / cfg.h)),
                          ("fine", np.sqrt(cfg.d_se / (2.0 * cfg.h)))):
-        lc = AttentionLevelConfig.for_level(level, cfg.d_se, cfg.h)
+        n_heads = level_heads(cfg.h)[level]
         x = rng.standard_normal((3, cfg.d_se))
         g = Graph()
-        got = multi_granularity_attention(g, store, "mfim.att.t", g.constant(x), lc).value
+        got = self_attention(g, store, f"mfim.att.t.{level}", g.constant(x), n_heads).value
         heads = []
-        for head in range(lc.heads):
+        for head in range(n_heads):
             hp = f"mfim.att.t.{level}.head{head}"
             heads.append(attention_loops(
                 x, store.entries[f"{hp}.wq"].value, store.entries[f"{hp}.wk"].value,
@@ -235,13 +236,11 @@ def test_criterion_3_shape_and_normalization_invariants():
     out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg, False, None)
     assert out.shape[:2] == (4, 4)
 
-    assert AttentionLevelConfig.for_level("coarse", 512, 8) == AttentionLevelConfig(
-        "coarse", 4, 128
-    )
-    assert AttentionLevelConfig.for_level("medium", 512, 8) == AttentionLevelConfig(
-        "medium", 8, 64
-    )
-    assert AttentionLevelConfig.for_level("fine", 512, 8) == AttentionLevelConfig("fine", 16, 32)
+    assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}
+    layout = _Layout()
+    register_mfim(layout, ModelConfig(d_se=512, h=8))
+    for level, width in (("coarse", 128), ("medium", 64), ("fine", 32)):
+        assert layout["parameter", f"mfim.att.t.{level}.head0.wq"] == (512, width)
 
 
 @pytest.mark.slow

@@ -445,14 +445,6 @@ def test_batch_norm_eval_uses_buffers():
 # ---- pooling / resampling -------------------------------------------
 
 
-def test_global_avg_pool_constant():
-    from floodnet.layers import global_avg_pool
-
-    g = Graph()
-    out = global_avg_pool(g, g.constant(np.full((5, 4, 3), 2.5)))
-    np.testing.assert_allclose(out.value, np.full((1, 1, 3), 2.5), atol=1e-15)
-
-
 def test_maxpool_hand_case():
     g = Graph()
     out = g.maxpool2(g.constant(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)))

@@ -260,3 +260,42 @@ def test_token_ids_that_are_not_whole_numbers_exit_one(tmp_path, capsys, command
     args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
     assert main(args) == 1
     _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+@pytest.mark.parametrize("value", [64, 70])
+def test_token_ids_outside_the_vocabulary_exit_one(tmp_path, capsys, command, value):
+    cfg, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    path = json.loads(capsys.readouterr().out)["path"]
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["tokens"][2, 1] = value
+    np.savez(path, **arrays)
+    ckpt = str(tmp_path / "fresh.ckpt")
+    save_checkpoint(ckpt, FloodNet(cfg).store)
+    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
+    assert main(args) == 1
+    _assert_one_line_error(capsys, f"tokens[2, 1] is {value}, not a whole number >= 0 and < 64")
+
+
+@pytest.mark.parametrize("overrides,layer,needles", [
+    ({}, "bogus", ("'bogus'", "the taps are enc0, enc1")),
+    ({"use_cctfrm": False}, "enc0", ("'enc0'", "the taps are none")),
+])
+def test_explain_unknown_layer_exits_one(tmp_path, capsys, overrides, layer, needles):
+    _, cfg_path = _write_tiny_config(tmp_path, **overrides)
+    assert main(["explain", "--config", cfg_path, "--layer", layer, "--out", str(tmp_path)]) == 1
+    _assert_one_line_error(capsys, *needles)
+
+
+@pytest.mark.parametrize("layer,all_zero", [("enc0", True), ("enc1", False)])
+def test_explain_reports_an_all_zero_heatmap(tmp_path, capsys, layer, all_zero):
+    # a fresh tiny model at seed 42 gives an empty map at enc0, not at enc1
+    _, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["explain", "--config", cfg_path, "--layer", layer, "--out", str(tmp_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_zero"] is all_zero
+    values = json.loads((tmp_path / f"heatmap_0_{layer}.pgm.json").read_text())["values"]
+    assert (max(map(max, values)) == 0.0) is all_zero

@@ -9,6 +9,7 @@ from floodnet.checkpoint import (
 )
 from floodnet.config import ConfigError, ModelConfig
 from floodnet.data import generate_synthetic_dataset, split_dataset
+from floodnet.mfim import TEXT_VOCAB, InputError, stub_text_encoder
 from floodnet.params import ParamStore
 
 
@@ -45,6 +46,14 @@ def test_dataset_token_bands_disjoint_at_zero_difficulty():
             assert np.all(s.tokens < 16)
         else:
             assert np.all((s.tokens >= 16) & (s.tokens < 32))
+
+
+@pytest.mark.parametrize("bad", [-1, TEXT_VOCAB, 70])
+def test_token_ids_outside_the_vocabulary_are_refused(bad):
+    ids = np.concatenate([s.tokens for s in generate_synthetic_dataset(20, seed=1, difficulty=1.0)])
+    assert 0 <= ids.min() and ids.max() < TEXT_VOCAB
+    with pytest.raises(InputError, match=f"token id {bad} is outside the vocabulary"):
+        stub_text_encoder([5, bad, 6], d_t=4, seed=0)
 
 
 def test_dataset_rejects_bad_arguments():

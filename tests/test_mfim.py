@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from floodnet.autodiff import Graph
+from floodnet.config import ModelConfig
+from floodnet.layers import self_attention
 from floodnet.mfim import (
-    AttentionLevelConfig,
     InputError,
     _lstm_direction,
     _token_table,
@@ -11,13 +12,14 @@ from floodnet.mfim import (
     cross_modal_attention,
     extract_global_features,
     joint_fusion,
+    level_heads,
     mfim_forward,
-    multi_granularity_attention,
     register_params,
     self_gate,
     stub_image_encoder,
     stub_text_encoder,
 )
+from floodnet.model import _Layout
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
@@ -198,9 +200,11 @@ def test_contextual_gating_matches_formula_oracle():
 
 
 def test_head_dimension_arithmetic_large_scale():
-    assert AttentionLevelConfig.for_level("coarse", 512, 8) == AttentionLevelConfig("coarse", 4, 128)
-    assert AttentionLevelConfig.for_level("medium", 512, 8) == AttentionLevelConfig("medium", 8, 64)
-    assert AttentionLevelConfig.for_level("fine", 512, 8) == AttentionLevelConfig("fine", 16, 32)
+    assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}
+    layout = _Layout()
+    register_params(layout, ModelConfig(d_se=512, h=8))
+    for level, width in (("coarse", 128), ("medium", 64), ("fine", 32)):
+        assert layout["parameter", f"mfim.att.t.{level}.head0.wq"] == (512, width)
 
 
 def test_attention_singleton_sequence():
@@ -208,9 +212,8 @@ def test_attention_singleton_sequence():
     store = _lstm_store(cfg, seed=8)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 4))
-    lc = AttentionLevelConfig.for_level("coarse", 4, cfg.h)
     g = Graph()
-    out = multi_granularity_attention(g, store, "mfim.att.t", g.constant(x), lc)
+    out = self_attention(g, store, "mfim.att.t.coarse", g.constant(x), level_heads(cfg.h)["coarse"])
     v = x @ store.entries["mfim.att.t.coarse.head0.wv"].value
     expected = v @ store.entries["mfim.att.t.coarse.wo"].value
     assert np.abs(out.value - expected).max() < 1e-12
@@ -223,11 +226,11 @@ def test_attention_matches_loop_oracle(level, scale):
     store = _lstm_store(cfg, seed=9)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((3, 4))
-    lc = AttentionLevelConfig.for_level(level, 4, cfg.h)
+    n_heads = level_heads(cfg.h)[level]
     g = Graph()
-    out = multi_granularity_attention(g, store, "mfim.att.i", g.constant(x), lc)
+    out = self_attention(g, store, f"mfim.att.i.{level}", g.constant(x), n_heads)
     heads = []
-    for head in range(lc.heads):
+    for head in range(n_heads):
         hp = f"mfim.att.i.{level}.head{head}"
         heads.append(attention_loops(
             x,
