@@ -120,9 +120,10 @@ class Graph:
     def constant(self, value) -> Node:
         return self._record(_as_f64(value), (), None, "const")
 
-    def param(self, store, name: str) -> Node:
-        """Leaf backed by a ParamStore entry; backward accumulates there."""
-        entry = store.entries[name]
+    def param(self, store, name: str, shape, init: str = "fanin") -> Node:
+        """Leaf backed by the ParamStore entry `name` of `shape`, added with
+        `init` on its first read; backward accumulates there."""
+        entry = store.get(name, shape, init)
 
         def bwd(g, grads):
             entry.grad += g  # read at call time: adamw_step replaces the array

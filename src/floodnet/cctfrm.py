@@ -14,40 +14,8 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import (
-    batch_norm,
-    layer_norm,
-    mlp,
-    register_bn,
-    register_mlp,
-    register_self_attention,
-    self_attention,
-    sinusoidal_positions,
-)
+from .layers import batch_norm, layer_norm, mlp, self_attention, sinusoidal_positions
 from .params import ParamStore
-
-
-def register_params(store: ParamStore, cfg: ModelConfig) -> None:
-    c_in = 3
-    for i, c_out in enumerate(cfg.encoder_plan):
-        store.add(f"cctfrm.enc{i}.kernel", (3, 3, c_in, c_out))
-        register_bn(store, f"cctfrm.enc{i}.bn", c_out)
-        c_in = c_out
-    d = cfg.d_model
-    for layer in range(cfg.transformer_depth):
-        register_self_attention(store, f"cctfrm.tr{layer}", d, cfg.transformer_heads)
-        register_mlp(store, f"cctfrm.tr{layer}.ff", d, 2 * d, d)
-    c_in = cfg.d_model
-    for i, c_out in enumerate(cfg.decoder_plan):
-        store.add(f"cctfrm.dec{i}.kernel", (3, 3, c_in, c_out))
-        register_bn(store, f"cctfrm.dec{i}.bn", c_out)
-        c_in = c_out
-    c_t = cfg.cascade_channels()
-    store.add("cctfrm.adapter.kernel", (3, 3, 3, c_t))
-    register_bn(store, "cctfrm.harm.bn_img", c_t)
-    register_bn(store, "cctfrm.harm.bn_cascade", c_t)
-    for name in ("beta", "g_cascade", "g_image", "alpha_cascade", "alpha_sub"):
-        store.add(f"cctfrm.harm.{name}", (1,), init="ones")
 
 
 class SampleUniforms:
@@ -82,14 +50,16 @@ def gated_downsample_block(
     store: ParamStore,
     name: str,
     x: Node,
+    c_out: int,
     cfg: ModelConfig,
     train: bool,
     dropout_rng: np.random.Generator | SampleUniforms | None,
 ) -> Node:
-    """conv -> relu(G * sigmoid(G)) -> dropout -> batchnorm -> maxpool.
+    """3x3 conv to c_out channels -> relu(G * sigmoid(G)) -> dropout ->
+    batchnorm -> maxpool.
 
     dropout_rng supplies the mask's uniforms through `random(shape)`."""
-    conv = g.conv2d(x, g.param(store, f"{name}.kernel"))
+    conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
     act = g.relu(g.mul(conv, g.sigmoid(conv)))
     if train and cfg.dropout > 0.0:
         act = g.dropout(act, cfg.dropout, dropout_rng.random(act.shape))
@@ -107,8 +77,9 @@ def encoder(
     taps: dict | None = None,
 ) -> Node:
     out = x_img
-    for i in range(len(cfg.encoder_plan)):
-        out = gated_downsample_block(g, store, f"cctfrm.enc{i}", out, cfg, train, dropout_rng)
+    for i, c_out in enumerate(cfg.encoder_plan):
+        name = f"cctfrm.enc{i}"
+        out = gated_downsample_block(g, store, name, out, c_out, cfg, train, dropout_rng)
         if taps is not None:
             taps[f"enc{i}"] = out
     return out
@@ -121,7 +92,7 @@ def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: 
     for layer in range(cfg.transformer_depth):
         prefix = f"cctfrm.tr{layer}"
         x = g.add(x, self_attention(g, store, prefix, layer_norm(g, x), cfg.transformer_heads))
-        x = g.add(x, mlp(g, store, f"{prefix}.ff", layer_norm(g, x)))
+        x = g.add(x, mlp(g, store, f"{prefix}.ff", layer_norm(g, x), 2 * d, d))
     return x
 
 
@@ -130,12 +101,13 @@ def feature_enhancement(
     store: ParamStore,
     name: str,
     x: Node,
+    c_out: int,
     cfg: ModelConfig,
     train: bool,
     dropout_rng: np.random.Generator | SampleUniforms | None,
 ) -> Node:
     """Upsample x2 then gated block; net spatial extent is preserved."""
-    return gated_downsample_block(g, store, name, g.upsample2(x), cfg, train, dropout_rng)
+    return gated_downsample_block(g, store, name, g.upsample2(x), c_out, cfg, train, dropout_rng)
 
 
 def decoder_cascade(
@@ -148,8 +120,8 @@ def decoder_cascade(
 ) -> Node:
     outs = []
     cur = x
-    for i in range(len(cfg.decoder_plan)):
-        cur = feature_enhancement(g, store, f"cctfrm.dec{i}", cur, cfg, train, dropout_rng)
+    for i, c_out in enumerate(cfg.decoder_plan):
+        cur = feature_enhancement(g, store, f"cctfrm.dec{i}", cur, c_out, cfg, train, dropout_rng)
         outs.append(cur)
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
@@ -161,15 +133,18 @@ def reverse_feature_harmonization(
     batch-normalized adapted image features; result is flattened."""
     *lead, H_t, W_t, C_t = y_cascade.shape
     factor = x_img.shape[-3] // H_t
-    adapted = g.conv2d(x_img, g.param(store, "cctfrm.adapter.kernel"), stride=factor)
+    kernel = g.param(store, "cctfrm.adapter.kernel", (3, 3, x_img.shape[-1], C_t))
+    adapted = g.conv2d(x_img, kernel, stride=factor)
     x_n = batch_norm(g, adapted, store, "cctfrm.harm.bn_img", train)
     y_n = batch_norm(g, y_cascade, store, "cctfrm.harm.bn_cascade", train)
-    beta = g.param(store, "cctfrm.harm.beta")
-    y_sub = g.sub(g.mul(beta, x_n), g.sigmoid(y_n))
-    gate = g.sigmoid(g.add(g.mul(g.param(store, "cctfrm.harm.g_cascade"), y_n),
-                           g.mul(g.param(store, "cctfrm.harm.g_image"), x_n)))
-    o_final = g.mul(gate, g.add(g.mul(g.param(store, "cctfrm.harm.alpha_cascade"), y_n),
-                                g.mul(g.param(store, "cctfrm.harm.alpha_sub"), y_sub)))
+
+    def gain(name: str) -> Node:
+        return g.param(store, f"cctfrm.harm.{name}", (1,), "ones")
+
+    y_sub = g.sub(g.mul(gain("beta"), x_n), g.sigmoid(y_n))
+    gate = g.sigmoid(g.add(g.mul(gain("g_cascade"), y_n), g.mul(gain("g_image"), x_n)))
+    o_final = g.mul(gate, g.add(g.mul(gain("alpha_cascade"), y_n),
+                                g.mul(gain("alpha_sub"), y_sub)))
     return g.reshape(o_final, tuple(lead) + (H_t * W_t * C_t,))
 
 

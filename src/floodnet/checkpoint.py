@@ -39,9 +39,9 @@ def save_checkpoint(path: str, store: ParamStore) -> int:
     """Writes all parameter values and buffers; returns the byte size."""
     items = [(n, store.entries[n].value) for n in sorted(store.entries)]
     items += [(BUFFER_PREFIX + n, store.buffers[n]) for n in sorted(store.buffers)]
-    blob = MAGIC + struct.pack("<BI", VERSION, len(items))
-    for name, arr in items:
-        blob += _pack_entry(name, arr)
+    # one join: growing the blob by += would copy it once per entry
+    blob = b"".join([MAGIC, struct.pack("<BI", VERSION, len(items))]
+                    + [_pack_entry(name, arr) for name, arr in items])
     with open(path, "wb") as f:
         f.write(blob)
     return len(blob)

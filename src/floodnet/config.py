@@ -57,10 +57,6 @@ class ModelConfig:
     # derived helpers -------------------------------------------------
 
     @property
-    def n_i(self) -> int:
-        return self.grid[0] * self.grid[1]
-
-    @property
     def d_model(self) -> int:
         return self.encoder_plan[-1]
 
@@ -75,11 +71,6 @@ class ModelConfig:
     def d_r(self) -> int:
         hh, ww = self.encoder_out_spatial()
         return hh * ww * self.cascade_channels()
-
-    @property
-    def d_prime(self) -> int:
-        # channel concat of the two attention outputs doubles C
-        return self.n_i * 2 * self.hren_channels
 
     def validate(self) -> None:
         if self.h < 2 or self.h % 2:

@@ -38,13 +38,16 @@ def grad_cam(model: FloodNet, sample, target_layer: str = "enc0") -> np.ndarray:
     """Heatmap of the pre-sigmoid logit's sensitivity at an encoder block.
 
     The parameters are not sources and the tap is watched, so the sweep
-    covers only the tap's descendants and no ParamStore grad changes."""
+    covers only the tap's descendants and no ParamStore grad changes.
+    An unknown layer raises KeyError before the forward runs."""
+    cfg = model.cfg
+    layers = [f"enc{i}" for i in range(len(cfg.encoder_plan))] if cfg.use_cctfrm else []
+    if target_layer not in layers:
+        have = ", ".join(layers) if layers else "none, as use_cctfrm is false"
+        raise KeyError(f"unknown target layer {target_layer!r}; the taps are {have}")
     g = Graph(param_grads=False)
     taps = _WatchedTaps(g, target_layer)
     _, logit = model.forward(g, sample, train=False, taps=taps)
-    if target_layer not in taps:
-        have = ", ".join(taps) if taps else "none, as use_cctfrm is false"
-        raise KeyError(f"unknown target layer {target_layer!r}; the taps are {have}")
     node = taps[target_layer]
     g.backward(logit, keep=(node,))
     return heatmap_from_activation(node.value, node.grad)

@@ -37,18 +37,19 @@ def check_gradients(
 ) -> tuple[list[CoordResult], float]:
     """Compares reverse-sweep gradients of the scalar `build` output with
     central finite differences, step STEP, at n_coords sampled parameter
-    coordinates.
+    coordinates, over `names` or else every parameter of the store after
+    the first build.
 
     Returns per-coordinate results and the max relative error; raises
     AssertionError if any coordinate exceeds tol.
     """
-    if names is None:
-        names = store.names()
     store.zero_grad()
     g = Graph()
-    loss = build(g)
+    loss = build(g)  # adds the parameters an empty store lacks
     base = float(loss.value.reshape(()))
     g.backward(loss)
+    if names is None:
+        names = store.names()
     analytic = {n: store.entries[n].grad.copy() for n in names}
 
     rng = np.random.default_rng([seed, 0x6C])

@@ -49,41 +49,30 @@ def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
 
-def register_self_attention(store, prefix: str, d: int, heads: int) -> None:
-    """Query/key/value maps of width d // heads per head, and the (d, d)
-    output map W^O."""
-    for head in range(heads):
-        for proj in ("wq", "wk", "wv"):
-            store.add(f"{prefix}.head{head}.{proj}", (d, d // heads))
-    store.add(f"{prefix}.wo", (d, d))
+def linear(g: Graph, store, prefix: str, x: Node, d_out: int) -> Node:
+    """x @ w + b over x's last axis, w (d_in, d_out) read as {prefix}.w and
+    the zero-initialized b as {prefix}.b."""
+    return dense(g, x, g.param(store, f"{prefix}.w", (x.shape[-1], d_out)),
+                 g.param(store, f"{prefix}.b", (d_out,), "zeros"))
 
 
 def self_attention(g: Graph, store, prefix: str, x: Node, heads: int) -> Node:
     """Multi-head attention of x's rows over themselves, heads concatenated,
-    then W^O."""
-    triples = [tuple(g.param(store, f"{prefix}.head{head}.{proj}") for proj in ("wq", "wk", "wv"))
+    then W^O.  Each head maps the width d to d // heads; W^O is (d, d)."""
+    d = x.shape[-1]
+    triples = [tuple(g.param(store, f"{prefix}.head{head}.{proj}", (d, d // heads))
+                     for proj in ("wq", "wk", "wv"))
                for head in range(heads)]
-    return g.matmul(attention(g, x, x, triples), g.param(store, f"{prefix}.wo"))
+    return g.matmul(attention(g, x, x, triples), g.param(store, f"{prefix}.wo", (d, d)))
 
 
-def register_mlp(store, prefix: str, d_in: int, d_hidden: int, d_out: int) -> None:
-    store.add(f"{prefix}.w1", (d_in, d_hidden))
-    store.add(f"{prefix}.b1", (d_hidden,), init="zeros")
-    store.add(f"{prefix}.w2", (d_hidden, d_out))
-    store.add(f"{prefix}.b2", (d_out,), init="zeros")
-
-
-def mlp(g: Graph, store, prefix: str, x: Node) -> Node:
+def mlp(g: Graph, store, prefix: str, x: Node, d_hidden: int, d_out: int) -> Node:
     """Two-layer perceptron relu(x @ w1 + b1) @ w2 + b2."""
-    w1, b1, w2, b2 = (g.param(store, f"{prefix}.{name}") for name in ("w1", "b1", "w2", "b2"))
+    w1 = g.param(store, f"{prefix}.w1", (x.shape[-1], d_hidden))
+    b1 = g.param(store, f"{prefix}.b1", (d_hidden,), "zeros")
+    w2 = g.param(store, f"{prefix}.w2", (d_hidden, d_out))
+    b2 = g.param(store, f"{prefix}.b2", (d_out,), "zeros")
     return dense(g, g.relu(dense(g, x, w1, b1)), w2, b2)
-
-
-def register_bn(store, name: str, channels: int) -> None:
-    store.add(name + ".gamma", (channels,), init="ones")
-    store.add(name + ".beta", (channels,), init="zeros")
-    store.add_buffer(name + ".running_mean", np.zeros(channels))
-    store.add_buffer(name + ".running_var", np.ones(channels))
 
 
 def batch_norm(
@@ -99,23 +88,21 @@ def batch_norm(
     into the running buffers one map at a time, in batch order; eval mode
     uses the buffers (init 0 mean / 1 var).
     """
-    gamma = g.param(store, name + ".gamma")
-    beta = g.param(store, name + ".beta")
+    C = x.shape[-1]
+    gamma = g.param(store, name + ".gamma", (C,), "ones")
+    beta = g.param(store, name + ".beta", (C,), "zeros")
+    rm = store.buffer(name + ".running_mean", np.zeros(C))
+    rv = store.buffer(name + ".running_var", np.ones(C))
     if train:
         norm = g.standardize(x, (-3, -2), BN_EPS)
-        C = x.shape[-1]
         means = x.value.mean(axis=(-3, -2)).reshape(-1, C)
         variances = x.value.var(axis=(-3, -2)).reshape(-1, C)
         for m, v in zip(means, variances):
-            store.buffers[name + ".running_mean"] = (
-                BN_MOMENTUM * store.buffers[name + ".running_mean"] + (1 - BN_MOMENTUM) * m
-            )
-            store.buffers[name + ".running_var"] = (
-                BN_MOMENTUM * store.buffers[name + ".running_var"] + (1 - BN_MOMENTUM) * v
-            )
+            rm = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * m
+            rv = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * v
+        store.buffers[name + ".running_mean"] = rm
+        store.buffers[name + ".running_var"] = rv
     else:
-        rm = store.buffers[name + ".running_mean"]
-        rv = store.buffers[name + ".running_var"]
         norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + BN_EPS)))
     return g.add(g.mul(norm, gamma), beta)
 

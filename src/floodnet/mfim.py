@@ -12,15 +12,7 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import (
-    attention,
-    dense,
-    layer_norm,
-    mlp,
-    register_mlp,
-    register_self_attention,
-    self_attention,
-)
+from .layers import attention, layer_norm, linear, mlp, self_attention
 from .params import ParamStore
 
 
@@ -48,16 +40,22 @@ def _token_table(d_t: int, seed: int) -> np.ndarray:
 def stub_text_encoder(token_ids, d_t: int, seed: int) -> np.ndarray:
     """Token id k, in [0, TEXT_VOCAB), maps to row k of a seeded random
     embedding table.  token_ids is (n_t,), or (..., n_t) for a batch;
-    returns (..., n_t, d_t)."""
-    ids = np.asarray(token_ids, dtype=np.int64)
+    returns (..., n_t, d_t).  A whole-valued float id is accepted; a bool
+    or a fractional id raises."""
+    ids = np.asarray(token_ids)
     if ids.size == 0:
         raise InputError("token list must be non-empty")
     if ids.shape[-1] > 512:
         raise InputError(f"at most 512 tokens supported, got {ids.shape[-1]}")
+    if ids.dtype.kind not in "iu" or not isinstance(token_ids, np.ndarray):
+        # numpy casts a bool among ints to 0 or 1, so each id is checked as given
+        for t in np.asarray(token_ids, dtype=object).flat:
+            if isinstance(t, (bool, np.bool_)) or not float(t).is_integer():
+                raise InputError(f"token id {t!r} is not an integer")
     outside = ids[(ids < 0) | (ids >= TEXT_VOCAB)]
     if outside.size:
         raise InputError(f"token id {outside[0]} is outside the vocabulary [0, {TEXT_VOCAB})")
-    return _token_table(d_t, seed)[ids]
+    return _token_table(d_t, seed)[ids.astype(np.int64)]
 
 
 def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) -> np.ndarray:
@@ -84,39 +82,6 @@ def extract_global_features(tokens: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([tokens.mean(axis=-2), grid.mean(axis=(-3, -2))], axis=-1)
 
 
-# ---------------------------------------------------------------------
-# parameters
-# ---------------------------------------------------------------------
-
-def register_params(store: ParamStore, cfg: ModelConfig) -> None:
-    d_se, d_t, d_i = cfg.d_se, cfg.d_t, cfg.d_i
-    hid = d_se // 2
-    store.add("mfim.text_proj.w", (d_t, d_se))
-    store.add("mfim.text_proj.b", (d_se,), init="zeros")
-    for direction in ("fwd", "bwd"):
-        for gate in ("i", "f", "g", "o"):
-            store.add(f"mfim.bilstm.{direction}.w{gate}", (d_se, hid))
-            store.add(f"mfim.bilstm.{direction}.u{gate}", (hid, hid))
-            store.add(f"mfim.bilstm.{direction}.b{gate}", (hid,), init="zeros")
-    store.add("mfim.img_proj.w", (d_i, d_se))
-    store.add("mfim.img_proj.b", (d_se,), init="zeros")
-    splits = _channel_split(d_se)
-    for k, c in zip((3, 5, 7), splits):
-        store.add(f"mfim.ms.k{k}", (k, k, d_se, c))
-    store.add("mfim.ms.mix.w", (d_se, d_se))
-    store.add("mfim.ms.mix.b", (d_se,), init="zeros")
-    for m in ("t", "i"):
-        store.add(f"mfim.gate.{m}.w", (d_se, d_se))
-        store.add(f"mfim.gate.{m}.b", (d_se,), init="zeros")
-        store.add(f"mfim.ctx.{m}.w", (d_se, d_se))
-        store.add(f"mfim.ctx.{m}.b", (d_se,), init="zeros")
-        for level, heads in level_heads(cfg.h).items():
-            register_self_attention(store, f"mfim.att.{m}.{level}", d_se, heads)
-        for proj in ("wq", "wk", "wv"):
-            store.add(f"mfim.cross.{m}.{proj}", (d_se, d_se))
-    register_mlp(store, "mfim.mln", d_se, d_se, d_se)
-
-
 def _channel_split(d_se: int) -> tuple[int, int, int]:
     """Split d_se into three near-equal channel groups."""
     base = d_se // 3
@@ -130,7 +95,10 @@ def _channel_split(d_se: int) -> tuple[int, int, int]:
 
 def _lstm_direction(g: Graph, store: ParamStore, prefix: str, rows: list[Node], hid: int) -> list[Node]:
     # the named i/f/g/o weights side by side: one matmul pair per step
-    w, u, b = (g.concat([g.param(store, f"{prefix}.{kind}{gate}") for gate in "ifgo"], axis=-1)
+    decls = {"w": ((rows[0].shape[-1], hid), "fanin"), "u": ((hid, hid), "fanin"),
+             "b": ((hid,), "zeros")}
+    w, u, b = (g.concat([g.param(store, f"{prefix}.{kind}{gate}", *decls[kind]) for gate in "ifgo"],
+                        axis=-1)
                for kind in "wub")
     h_prev = g.constant(np.zeros((1, hid)))
     c_prev = g.constant(np.zeros((1, hid)))
@@ -155,12 +123,11 @@ def prepare_local_features(
     encoders return them.  Text: linear d_t -> d_se, then a single-layer
     BiLSTM (hidden d_se/2 per direction, concatenated).  Image: linear
     d_i -> d_se per region, convs of size 3/5/7 concatenated channelwise,
-    mixed back to d_se, flattened to (n_i, d_se).
+    mixed back to d_se, flattened to (H * W, d_se).
     """
     d_se = cfg.d_se
     hid = d_se // 2
-    ht = dense(g, g.constant(tokens), g.param(store, "mfim.text_proj.w"),
-               g.param(store, "mfim.text_proj.b"))
+    ht = linear(g, store, "mfim.text_proj", g.constant(tokens), d_se)
     rows = [g.narrow(ht, -2, k, 1) for k in range(ht.shape[-2])]
     fwd = _lstm_direction(g, store, "mfim.bilstm.fwd", rows, hid)
     bwd = _lstm_direction(g, store, "mfim.bilstm.bwd", rows[::-1], hid)[::-1]
@@ -168,19 +135,23 @@ def prepare_local_features(
 
     *lead, H, W, d_i = grid.shape
     lead = tuple(lead)
-    flat = dense(g, g.constant(grid.reshape(lead + (H * W, d_i))),
-                 g.param(store, "mfim.img_proj.w"), g.param(store, "mfim.img_proj.b"))
+    flat = linear(g, store, "mfim.img_proj", g.constant(grid.reshape(lead + (H * W, d_i))), d_se)
     regions = g.reshape(flat, lead + (H, W, d_se))
-    scales = [g.conv2d(regions, g.param(store, f"mfim.ms.k{k}")) for k in (3, 5, 7)]
+    scales = [g.conv2d(regions, g.param(store, f"mfim.ms.k{k}", (k, k, d_se, c)))
+              for k, c in zip((3, 5, 7), _channel_split(d_se))]
     mixed = g.concat(scales, axis=-1)
-    mixed = dense(g, g.reshape(mixed, lead + (H * W, d_se)),
-                  g.param(store, "mfim.ms.mix.w"), g.param(store, "mfim.ms.mix.b"))
+    mixed = linear(g, store, "mfim.ms.mix", g.reshape(mixed, lead + (H * W, d_se)), d_se)
     return ht_basis, mixed
 
 
 def self_gate(g: Graph, x: Node, w: Node, b: Node) -> Node:
     """x * sigmoid(x @ w + b)."""
     return g.mul(x, g.sigmoid(g.add(g.matmul(x, w), b)))
+
+
+def _square(g: Graph, store: ParamStore, prefix: str, d: int) -> tuple[Node, Node]:
+    """The (d, d) weight {prefix}.w and zero-initialized (d,) bias {prefix}.b."""
+    return g.param(store, f"{prefix}.w", (d, d)), g.param(store, f"{prefix}.b", (d,), "zeros")
 
 
 def attention_pipeline(
@@ -200,7 +171,8 @@ def contextual_gating(g: Graph, att: Node, h_raw: Node, w: Node, b: Node) -> Nod
 
 def cross_modal_attention(g: Graph, store: ParamStore, gt: Node, gi: Node) -> tuple[Node, Node]:
     """Single-head bidirectional cross-attention, scale 1/sqrt(d_se)."""
-    t, i = ({proj: g.param(store, f"mfim.cross.{m}.{proj}") for proj in ("wq", "wk", "wv")}
+    d = gt.shape[-1]
+    t, i = ({proj: g.param(store, f"mfim.cross.{m}.{proj}", (d, d)) for proj in ("wq", "wk", "wv")}
             for m in "ti")
     att_t2i = attention(g, gt, gi, [(t["wq"], i["wk"], i["wv"])])
     att_i2t = attention(g, gi, gt, [(i["wq"], t["wk"], t["wv"])])
@@ -211,7 +183,8 @@ def joint_fusion(g: Graph, store: ParamStore, att_t2i: Node, att_i2t: Node) -> N
     """Concat rows, self-sigmoid refinement, mean-pool, 2-layer perceptron."""
     a = g.concat([att_t2i, att_i2t], axis=-2)
     refined = g.mul(a, g.sigmoid(a))
-    return mlp(g, store, "mfim.mln", g.reduce_mean(refined, axes=-2))
+    d = a.shape[-1]
+    return mlp(g, store, "mfim.mln", g.reduce_mean(refined, axes=-2), d, d)
 
 
 def mfim_forward(
@@ -221,14 +194,13 @@ def mfim_forward(
     (..., H, W, d_i) region grid; returns the fused d_se feature vector."""
     ht, hi = prepare_local_features(g, store, cfg, tokens, grid)
     if cfg.use_hcgam:
-        ht_g = self_gate(g, ht, g.param(store, "mfim.gate.t.w"), g.param(store, "mfim.gate.t.b"))
-        hi_g = self_gate(g, hi, g.param(store, "mfim.gate.i.w"), g.param(store, "mfim.gate.i.b"))
+        d_se = cfg.d_se
+        ht_g = self_gate(g, ht, *_square(g, store, "mfim.gate.t", d_se))
+        hi_g = self_gate(g, hi, *_square(g, store, "mfim.gate.i", d_se))
         att_t = attention_pipeline(g, store, cfg, "t", ht_g)
         att_i = attention_pipeline(g, store, cfg, "i", hi_g)
-        gt = contextual_gating(g, att_t, ht, g.param(store, "mfim.ctx.t.w"),
-                               g.param(store, "mfim.ctx.t.b"))
-        gi = contextual_gating(g, att_i, hi, g.param(store, "mfim.ctx.i.w"),
-                               g.param(store, "mfim.ctx.i.b"))
+        gt = contextual_gating(g, att_t, ht, *_square(g, store, "mfim.ctx.t", d_se))
+        gi = contextual_gating(g, att_i, hi, *_square(g, store, "mfim.ctx.i", d_se))
     else:
         gt, gi = ht, hi
     att_t2i, att_i2t = cross_modal_attention(g, store, gt, gi)

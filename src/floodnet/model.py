@@ -8,37 +8,39 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .cctfrm import cctfrm_forward
-from .cctfrm import register_params as register_cctfrm
 from .config import ConfigError, ModelConfig
+from .data import SyntheticSample
 from .hcamam import hcamam_forward
-from .hcamam import register_params as register_hcamam
-from .layers import mlp, register_mlp
+from .layers import mlp
 from .mfim import (
     InputError,
     extract_global_features,
     mfim_forward,
-    register_params as register_mfim,
     stub_image_encoder,
     stub_text_encoder,
 )
-from .params import ParamStore
+from .params import ParamEntry, ParamStore
 
 
 class FloodNet:
     """Binary flood classifier over (token ids, raw image) samples."""
 
     def __init__(self, cfg: ModelConfig, store: ParamStore | None = None):
-        """A filled store, such as a loaded checkpoint, must hold exactly the
-        parameters and buffers that `cfg` registers, at the same shapes."""
+        """An empty store is filled by one forward of a blank sample.  A
+        filled store, such as a loaded checkpoint, must hold exactly the
+        parameters and buffers that forward reads, at the same shapes."""
         cfg.validate()
         self.cfg = cfg
-        self.store = store if store is not None else ParamStore(cfg.seed)
-        if not self.store.entries:
-            self._register(self.store)
+        store = store if store is not None else ParamStore(cfg.seed)
+        # a filled store is checked against what a forward reads from zero views
+        self.store = _Layout(0) if store.entries else store
+        blank = SyntheticSample(np.zeros(cfg.n_t, dtype=np.int64), np.zeros(cfg.image_size + (3,)),
+                                label=0)
+        self.forward(Graph(param_grads=False), blank)
+        if self.store is store:
             return
-        want = _Layout()
-        self._register(want)
-        have = _Layout.of(self.store)
+        want, have = _shapes(self.store), _shapes(store)
+        self.store = store
         for kind, name in sorted(have.keys() | want.keys()):
             if (kind, name) not in have:
                 raise ConfigError(f"the config needs {kind} {name!r}, which the store lacks")
@@ -47,18 +49,6 @@ class FloodNet:
             if have[kind, name] != want[kind, name]:
                 raise ConfigError(f"{kind} {name!r} has shape {have[kind, name]} in the store, "
                                   f"the config needs {want[kind, name]}")
-
-    def _register(self, store) -> None:
-        """Adds every parameter and buffer of the config to store, a
-        ParamStore or a _Layout."""
-        cfg = self.cfg
-        if cfg.use_mfim:
-            register_mfim(store, cfg)
-        if cfg.use_hcamam:
-            register_hcamam(store, cfg)
-        if cfg.use_cctfrm:
-            register_cctfrm(store, cfg)
-        register_mlp(store, "uffm", cfg.d_fused + cfg.d_se + cfg.d_r, cfg.d_fused, 1)
 
     def forward(
         self,
@@ -94,28 +84,26 @@ class FloodNet:
         return self.head(g, y_final, mfim_vec, o_final)
 
     def head(self, g: Graph, y_final: Node, mfim_vec: Node, o_final: Node) -> tuple[Node, Node]:
-        logit = mlp(g, self.store, "uffm", g.concat([y_final, mfim_vec, o_final], axis=-1))
+        joint = g.concat([y_final, mfim_vec, o_final], axis=-1)
+        logit = mlp(g, self.store, "uffm", joint, self.cfg.d_fused, 1)
         return g.sigmoid(logit), logit
 
 
-class _Layout(dict):
-    """(kind, name) -> shape of the parameters and buffers a registration
-    adds, recorded without allocating or drawing their values."""
+class _Layout(ParamStore):
+    """A store whose parameters are zero views: a forward run on it records
+    the names and shapes it reads without drawing or allocating values, so
+    its seed goes unused."""
 
-    def add(self, name: str, shape, **init) -> None:
-        self["parameter", name] = tuple(shape)
+    def add(self, name: str, shape, init: str = "fanin") -> None:
+        zero = np.broadcast_to(0.0, tuple(shape))
+        self.entries[name] = ParamEntry(zero, zero, zero, zero)
 
-    def add_buffer(self, name: str, value) -> None:
-        self["buffer", name] = np.shape(value)
 
-    @classmethod
-    def of(cls, store: ParamStore) -> "_Layout":
-        layout = cls()
-        for name, entry in store.entries.items():
-            layout.add(name, entry.value.shape)
-        for name, value in store.buffers.items():
-            layout.add_buffer(name, value)
-        return layout
+def _shapes(store: ParamStore) -> dict:
+    """(kind, name) -> shape of every parameter and buffer in store."""
+    shapes = {("parameter", name): e.value.shape for name, e in store.entries.items()}
+    shapes.update((("buffer", name), value.shape) for name, value in store.buffers.items())
+    return shapes
 
 
 def _stack(samples: list) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Named trainable tensors with per-parameter AdamW state.
 
-Initialization is a pure function of (store seed, parameter name), so two
-stores built with the same seed and the same creation calls are
-bit-identical regardless of creation order.
+A parameter is added where a forward first reads it (`get`), and its
+initialization is a pure function of (store seed, parameter name), so two
+stores of the same seed that read the same names are bit-identical
+regardless of reading order.
 """
 
 from __future__ import annotations
@@ -78,6 +79,23 @@ class ParamStore:
         if name in self.buffers:
             raise KeyError(f"duplicate buffer {name!r}")
         self.buffers[name] = np.asarray(value, dtype=np.float64)
+
+    def get(self, name: str, shape, init: str) -> ParamEntry:
+        """The entry `name`, added with `init` on its first read; a read at
+        another shape raises."""
+        shape = tuple(shape)
+        if name not in self.entries:
+            self.add(name, shape, init)
+        entry = self.entries[name]
+        if entry.value.shape != shape:
+            raise ValueError(f"parameter {name!r} has shape {entry.value.shape}, read as {shape}")
+        return entry
+
+    def buffer(self, name: str, init: np.ndarray) -> np.ndarray:
+        """The buffer `name`, added as `init` on its first read."""
+        if name not in self.buffers:
+            self.add_buffer(name, init)
+        return self.buffers[name]
 
     def names(self) -> list[str]:
         return sorted(self.entries)

@@ -12,16 +12,13 @@ from floodnet.config import ModelConfig
 from floodnet.data import generate_synthetic_dataset, split_dataset
 from floodnet.gradcheck import check_gradients
 from floodnet.hcamam import hcamam_forward
-from floodnet.hcamam import register_params as register_hcamam
 from floodnet.cctfrm import cctfrm_forward
-from floodnet.cctfrm import register_params as register_cctfrm
 from floodnet.metrics import compute_metrics, log_loss, mcnemar_test
 from floodnet.layers import self_attention
 from floodnet.mfim import (
     extract_global_features,
     level_heads,
     mfim_forward,
-    register_params as register_mfim,
     stub_image_encoder,
     stub_text_encoder,
 )
@@ -63,21 +60,18 @@ def test_criterion_1_gradient_suite():
     gl = extract_global_features(text, img)
 
     store = ParamStore(101)
-    register_mfim(store, cfg)
     check_gradients(
         lambda g: g.reduce_sum(g.tanh(mfim_forward(g, store, cfg, text, img))),
         store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=1,
     )
 
     store = ParamStore(102)
-    register_hcamam(store, cfg)
     check_gradients(
         lambda g: g.reduce_sum(g.tanh(hcamam_forward(g, store, cfg, img, gl, False))),
         store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=2,
     )
 
     store = ParamStore(103)
-    register_cctfrm(store, cfg)
     check_gradients(
         lambda g: g.reduce_sum(
             g.tanh(cctfrm_forward(g, store, cfg, sample.image, False, None))
@@ -122,7 +116,6 @@ def test_criterion_2_oracle_suite():
 
     cfg = make_tiny_config()
     store = ParamStore(201)
-    register_mfim(store, cfg)
     hid = cfg.d_se // 2
     xs = rng.standard_normal((3, cfg.d_se))
     g = Graph()
@@ -161,7 +154,6 @@ def test_criterion_2_oracle_suite():
     from floodnet.cctfrm import reverse_feature_harmonization
 
     store_h = ParamStore(202)
-    register_hcamam(store_h, cfg)
     x = rng.standard_normal((4, 4, cfg.hren_channels))
     g = Graph()
     assert np.abs(feeca_forward(g, store_h, g.constant(x)).value
@@ -171,7 +163,6 @@ def test_criterion_2_oracle_suite():
                   - _fmsa_oracle(x, store_h)).max() < 1e-9
 
     store_c = ParamStore(203)
-    register_cctfrm(store_c, cfg)
     hh, ww = cfg.encoder_out_spatial()
     y = rng.standard_normal((hh, ww, cfg.cascade_channels()))
     img = rng.random((cfg.image_size[0], cfg.image_size[1], 3))
@@ -227,20 +218,19 @@ def test_criterion_3_shape_and_normalization_invariants():
     assert np.all((gates > 0.0) & (gates < 1.0))
 
     cfg = make_tiny_config(dropout=0.0)
-    from floodnet.cctfrm import feature_enhancement, register_params
+    from floodnet.cctfrm import feature_enhancement
 
     store = ParamStore(301)
-    register_params(store, cfg)
     x = rng.standard_normal((4, 4, cfg.d_model))
     g = Graph()
-    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg, False, None)
+    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0], cfg,
+                              False, None)
     assert out.shape[:2] == (4, 4)
 
     assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}
-    layout = _Layout()
-    register_mfim(layout, ModelConfig(d_se=512, h=8))
+    layout = FloodNet(ModelConfig(d_se=512, h=8), _Layout(0)).store
     for level, width in (("coarse", 128), ("medium", 64), ("fine", 32)):
-        assert layout["parameter", f"mfim.att.t.{level}.head0.wq"] == (512, width)
+        assert layout.entries[f"mfim.att.t.{level}.head0.wq"].value.shape == (512, width)
 
 
 @pytest.mark.slow

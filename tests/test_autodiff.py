@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
 from floodnet.gradcheck import check_gradients
-from floodnet.layers import batch_norm, layer_norm, register_bn
+from floodnet.layers import batch_norm, layer_norm
 from floodnet.params import ParamStore
 
 from oracles import (
@@ -121,7 +121,8 @@ def test_conv2d_property_gradcheck(case):
         store.entries[name].value[...] = value
 
     def build(g):
-        out = g.conv2d(g.param(store, "x"), g.param(store, "kernel"), groups=groups, stride=stride)
+        out = g.conv2d(g.param(store, "x", x.shape), g.param(store, "kernel", kernel.shape),
+                       groups=groups, stride=stride)
         return g.reduce_sum(g.tanh(out))
 
     for name in ("kernel", "x"):
@@ -199,7 +200,7 @@ def _gradcheck_every_operand(op, operands):
         store.entries[name].value[...] = value
 
     def build(g):
-        out = op(g, *(g.param(store, n) for n in names))
+        out = op(g, *(g.param(store, n, v.shape) for n, v in zip(names, operands)))
         return g.reduce_sum(g.mul(g.tanh(out), g.constant(weights)))
 
     for name in names:
@@ -373,7 +374,7 @@ def test_standardize_property_gradcheck(case):
     weights = np.random.default_rng([1, 0x5D]).standard_normal(x.shape)
 
     def build(g):
-        return g.reduce_sum(g.mul(g.standardize(g.param(store, "x"), axes, 1e-5), g.constant(weights)))
+        return g.reduce_sum(g.mul(g.standardize(g.param(store, "x", x.shape), axes, 1e-5), g.constant(weights)))
 
     check_gradients(build, store, n_coords=8, tol=1e-4)
 
@@ -395,7 +396,6 @@ def test_standardize_property_constant_input_is_zero(case, c):
 
 def test_batch_norm_constant_channel_is_zero_pre_affine():
     store = ParamStore(0)
-    register_bn(store, "bn", 2)
     g = Graph()
     out = batch_norm(g, g.constant(np.full((3, 3, 2), 5.0)), store, "bn", train=True)
     np.testing.assert_allclose(out.value, np.zeros((3, 3, 2)), atol=1e-12)
@@ -408,7 +408,6 @@ def test_batch_norm_fixed_point():
     base = np.array([-1.0, 1.0])
     x = (base * np.sqrt(1.0 - eps))[:, None, None] * np.ones((2, 2, 3))
     store = ParamStore(0)
-    register_bn(store, "bn", 3)
     g = Graph()
     out = batch_norm(g, g.constant(x), store, "bn", train=True)
     assert np.abs(out.value - x).max() < 1e-6
@@ -418,7 +417,6 @@ def test_batch_norm_matches_statistics_oracle():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 5, 3)) * 2.0 + 0.3
     store = ParamStore(0)
-    register_bn(store, "bn", 3)
     g = Graph()
     out = batch_norm(g, g.constant(x), store, "bn", train=True).value
     mu = x.mean(axis=(0, 1))
@@ -432,7 +430,6 @@ def test_batch_norm_matches_statistics_oracle():
 
 def test_batch_norm_eval_uses_buffers():
     store = ParamStore(0)
-    register_bn(store, "bn", 2)
     store.buffers["bn.running_mean"] = np.array([1.0, -1.0])
     store.buffers["bn.running_var"] = np.array([4.0, 9.0])
     x = np.ones((2, 2, 2))
@@ -494,18 +491,16 @@ def test_upsample_avgpool_round_trip():
 
 def test_backward_linear_loss():
     store = ParamStore(0)
-    store.add("w", (3, 4))
     g = Graph()
-    loss = g.reduce_sum(g.param(store, "w"))
+    loss = g.reduce_sum(g.param(store, "w", (3, 4)))
     g.backward(loss)
     np.testing.assert_array_equal(store.entries["w"].grad, np.ones((3, 4)))
 
 
 def test_backward_quadratic_loss():
     store = ParamStore(0)
-    store.add("w", (3, 4))
     g = Graph()
-    w = g.param(store, "w")
+    w = g.param(store, "w", (3, 4))
     loss = g.scale(g.reduce_sum(g.mul(w, w)), 0.5)
     g.backward(loss)
     np.testing.assert_allclose(store.entries["w"].grad, store.entries["w"].value, atol=1e-15)
@@ -519,12 +514,11 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_keeps_only_constant_and_requested_grads():
     store = ParamStore(0)
-    store.add("w", (3, 2))
     x = np.random.default_rng(0).standard_normal((4, 3))
     g = Graph()
     xn = g.constant(x)
     g.watch(xn)
-    h = g.tanh(g.matmul(xn, g.param(store, "w")))
+    h = g.tanh(g.matmul(xn, g.param(store, "w", (3, 2))))
     unreached = g.relu(xn)
     mid = g.sigmoid(h)
     g.backward(g.reduce_sum(g.mul(mid, mid)), keep=(h, unreached))
@@ -544,12 +538,11 @@ def test_backward_keeps_only_constant_and_requested_grads():
 
 def test_dropped_tape_is_freed_without_the_cycle_collector():
     store = ParamStore(0)
-    store.add("w", (3, 3))
     gc.disable()
     try:
         g = Graph()
         x = g.conv2d(g.constant(np.ones((2, 4, 4, 3))), g.constant(np.ones((3, 3, 3, 2))))
-        loss = g.reduce_sum(g.tanh(g.matmul(g.reshape(x, (2, 16, 2)), g.narrow(g.param(store, "w"), 0, 0, 2))))
+        loss = g.reduce_sum(g.tanh(g.matmul(g.reshape(x, (2, 16, 2)), g.narrow(g.param(store, "w", (3, 3)), 0, 0, 2))))
         g.backward(loss)
         graph, value = weakref.ref(g), weakref.ref(x.value)
         del g, x, loss
@@ -562,11 +555,9 @@ def test_composite_forward_matches_finite_differences():
     from floodnet.gradcheck import check_gradients
 
     store = ParamStore(11)
-    store.add("a", (3, 3))
-    store.add("b", (3, 2))
 
     def build(g):
-        h = g.tanh(g.matmul(g.param(store, "a"), g.param(store, "b")))
+        h = g.tanh(g.matmul(g.param(store, "a", (3, 3)), g.param(store, "b", (3, 2))))
         s = g.sigmoid(g.reduce_sum(g.mul(h, h)))
         return g.softplus(g.add(s, 0.5))
 
@@ -580,10 +571,9 @@ def test_gradcheck_negative_control():
     from floodnet.gradcheck import check_gradients
 
     store = ParamStore(12)
-    store.add("w", (4,))
 
     def build(g):
-        w = g.param(store, "w")
+        w = g.param(store, "w", (4,))
         # wrong on purpose: constant copy breaks the w^2 gradient path
         frozen = g.constant(store.entries["w"].value)
         return g.reduce_sum(g.add(w, g.mul(frozen, frozen)))
@@ -706,7 +696,7 @@ def test_watch_property_gradcheck(case):
         out = g.conv2d(leaf, g.constant(kernel), groups=groups, stride=stride)
         return g.reduce_sum(g.mul(g.tanh(out), g.constant(weights)))
 
-    check_gradients(lambda g: build(g, g.param(store, "x")), store, n_coords=6)
+    check_gradients(lambda g: build(g, g.param(store, "x", x.shape)), store, n_coords=6)
     g = Graph()
     xn = g.watch(g.constant(x))
     g.backward(build(g, xn))
@@ -773,7 +763,7 @@ def test_param_leaves_are_sources_only_in_a_graph_that_takes_param_grads():
         store.entries["w"].grad[...] = 7.0
         g = Graph(param_grads=param_grads)
         xn = g.watch(g.constant(x))
-        w = g.param(store, "w")
+        w = g.param(store, "w", (3, 2))
         g.backward(g.reduce_sum(g.tanh(g.matmul(xn, w))))
         assert w.active == param_grads and (w.bwd is not None) == param_grads
         assert (store.entries["w"].grad != 7.0).all() == param_grads

@@ -7,12 +7,12 @@ from floodnet.cctfrm import (
     encoder,
     feature_enhancement,
     gated_downsample_block,
-    register_params,
     reverse_feature_harmonization,
     transformer_encoder,
 )
 from floodnet.config import ModelConfig
-from floodnet.layers import register_bn, sinusoidal_positions
+from floodnet.layers import sinusoidal_positions
+from floodnet.model import FloodNet
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
@@ -20,9 +20,7 @@ from oracles import conv2d_loops, layer_norm_ref, maxpool2_scan, softmax_rows
 
 
 def _store(cfg, seed=0):
-    store = ParamStore(seed)
-    register_params(store, cfg)
-    return store
+    return FloodNet(cfg, ParamStore(seed)).store
 
 
 def _sigmoid(z):
@@ -39,7 +37,7 @@ def test_gated_block_zero_kernel_collapses():
     rng = np.random.default_rng(0)
     g = Graph()
     out = gated_downsample_block(
-        g, store, "cctfrm.enc0", g.constant(rng.standard_normal((4, 4, 3))), cfg, True, None
+        g, store, "cctfrm.enc0", g.constant(rng.standard_normal((4, 4, 3))), 4, cfg, True, None
     )
     np.testing.assert_allclose(out.value, np.zeros((2, 2, 4)), atol=1e-12)
 
@@ -53,7 +51,7 @@ def test_gated_block_eval_dropout_is_identity():
     for rng_seed in (0, 1):
         g = Graph()
         node = gated_downsample_block(
-            g, store, "cctfrm.enc0", g.constant(x), cfg, False,
+            g, store, "cctfrm.enc0", g.constant(x), 4, cfg, False,
             np.random.default_rng(rng_seed),
         )
         outs.append(node.value)
@@ -67,10 +65,9 @@ def test_gated_block_matches_scripted_oracle():
     store2 = ParamStore(2)
     store2.add("blk.kernel", (3, 3, 2, 4), init="zeros")
     store2.entries["blk.kernel"].value[:] = kernel
-    register_bn(store2, "blk.bn", 4)
     x = np.random.default_rng(3).standard_normal((4, 4, 2))
     g = Graph()
-    out = gated_downsample_block(g, store2, "blk", g.constant(x), cfg, True, None)
+    out = gated_downsample_block(g, store2, "blk", g.constant(x), 4, cfg, True, None)
     G = conv2d_loops(x, kernel)
     act = np.maximum(G * _sigmoid(G), 0.0)
     mu, var = act.mean(axis=(0, 1)), act.var(axis=(0, 1))
@@ -85,13 +82,6 @@ def test_encoder_large_plan_shape():
     cfg = ModelConfig(encoder_plan=(64, 128, 256, 512), transformer_depth=1)
     cfg.validate()
     store = ParamStore(0)
-    from floodnet.layers import register_bn
-
-    c_in = 3
-    for i, c_out in enumerate(cfg.encoder_plan):
-        store.add(f"cctfrm.enc{i}.kernel", (3, 3, c_in, c_out))
-        register_bn(store, f"cctfrm.enc{i}.bn", c_out)
-        c_in = c_out
     g = Graph()
     out = encoder(g, store, cfg, g.constant(np.random.default_rng(4).random((64, 64, 3))),
                   train=False, dropout_rng=None)
@@ -116,8 +106,8 @@ def test_encoder_equals_manual_chaining():
     out = encoder(g, store, cfg, g.constant(x), train=False, dropout_rng=None)
     g2 = Graph()
     cur = g2.constant(x)
-    for i in range(len(cfg.encoder_plan)):
-        cur = gated_downsample_block(g2, store, f"cctfrm.enc{i}", cur, cfg, False, None)
+    for i, c_out in enumerate(cfg.encoder_plan):
+        cur = gated_downsample_block(g2, store, f"cctfrm.enc{i}", cur, c_out, cfg, False, None)
     np.testing.assert_array_equal(out.value, cur.value)
 
 
@@ -182,7 +172,7 @@ def test_cascade_single_stage_is_stage_output():
     g = Graph()
     out = decoder_cascade(g, store, cfg, g.constant(x), False, None)
     g2 = Graph()
-    stage = feature_enhancement(g2, store, "cctfrm.dec0", g2.constant(x), cfg, False, None)
+    stage = feature_enhancement(g2, store, "cctfrm.dec0", g2.constant(x), 4, cfg, False, None)
     np.testing.assert_array_equal(out.value, stage.value)
 
 
@@ -200,8 +190,8 @@ def test_cascade_matches_manual_composition():
     g2 = Graph()
     cur = g2.constant(x)
     stages = []
-    for i in range(len(cfg.decoder_plan)):
-        cur = feature_enhancement(g2, store, f"cctfrm.dec{i}", cur, cfg, False, None)
+    for i, c_out in enumerate(cfg.decoder_plan):
+        cur = feature_enhancement(g2, store, f"cctfrm.dec{i}", cur, c_out, cfg, False, None)
         stages.append(cur.value)
     np.testing.assert_array_equal(out.value, np.concatenate(stages, axis=2))
 
@@ -211,7 +201,8 @@ def test_feature_enhancement_preserves_spatial_extents():
     store = _store(cfg, seed=12)
     x = np.random.default_rng(12).standard_normal((4, 4, cfg.d_model))
     g = Graph()
-    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg, False, None)
+    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0], cfg,
+                              False, None)
     assert out.shape == (4, 4, cfg.decoder_plan[0])
 
 

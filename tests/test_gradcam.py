@@ -45,6 +45,23 @@ def test_grad_cam_on_model_layers():
         grad_cam(model, sample, "enc9")
 
 
+@pytest.mark.parametrize("overrides,layer,have", [
+    ({}, "bogus", "enc0, enc1"),
+    ({"use_cctfrm": False}, "enc0", "none, as use_cctfrm is false"),
+])
+def test_grad_cam_rejects_an_unknown_layer_before_the_forward(monkeypatch, overrides, layer, have):
+    cfg = make_tiny_config(**overrides)
+    model = FloodNet(cfg)
+    sample = generate_synthetic_dataset(1, 0, 0.0, cfg.image_size, cfg.n_t)[0]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("grad_cam ran the forward")
+
+    monkeypatch.setattr(FloodNet, "forward", no_forward)
+    with pytest.raises(KeyError, match=f"unknown target layer '{layer}'; the taps are {have}"):
+        grad_cam(model, sample, layer)
+
+
 def test_grad_cam_leaves_every_param_grad_as_it_found_it():
     cfg = make_tiny_config()
     model = FloodNet(cfg)

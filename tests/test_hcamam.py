@@ -7,8 +7,8 @@ from floodnet.hcamam import (
     fmsa_forward,
     hcamam_forward,
     hren_forward,
-    register_params,
 )
+from floodnet.model import FloodNet
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
@@ -16,9 +16,7 @@ from oracles import conv2d_loops, layer_norm_ref
 
 
 def _store(cfg, seed=0):
-    store = ParamStore(seed)
-    register_params(store, cfg)
-    return store
+    return FloodNet(cfg, ParamStore(seed)).store
 
 
 def _sigmoid(z):
@@ -181,7 +179,7 @@ def test_fusion_concatenation_order():
     out = attention_fusion(
         g, store,
         g.constant(np.full((1, 1, 1), a)), g.constant(np.full((1, 1, 1), b)),
-        np.array([c, d]),
+        np.array([c, d]), 4,
     )
     np.testing.assert_allclose(out.value, [a, b, c, d], atol=1e-15)
 
@@ -192,7 +190,7 @@ def test_fusion_zero_inputs_zero_bias():
     g = Graph()
     z = g.constant(np.zeros((2, 2, 4)))
     gl = np.zeros(cfg.d_t + cfg.d_i)
-    out = attention_fusion(g, store, z, z, gl)
+    out = attention_fusion(g, store, z, z, gl, cfg.d_fused)
     np.testing.assert_array_equal(out.value, np.zeros(cfg.d_fused))
 
 
@@ -204,7 +202,7 @@ def test_fusion_matches_concat_matmul_oracle():
     y_msa = rng.standard_normal((2, 2, 4))
     gl = rng.standard_normal(cfg.d_t + cfg.d_i)
     g = Graph()
-    out = attention_fusion(g, store, g.constant(y_mca), g.constant(y_msa), gl)
+    out = attention_fusion(g, store, g.constant(y_mca), g.constant(y_msa), gl, cfg.d_fused)
     flat = np.concatenate([np.concatenate([y_mca, y_msa], axis=2).reshape(-1), gl])
     expected = np.maximum(
         flat @ store.entries["hcamam.fusion.w"].value + store.entries["hcamam.fusion.b"].value, 0.0

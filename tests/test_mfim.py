@@ -14,12 +14,11 @@ from floodnet.mfim import (
     joint_fusion,
     level_heads,
     mfim_forward,
-    register_params,
     self_gate,
     stub_image_encoder,
     stub_text_encoder,
 )
-from floodnet.model import _Layout
+from floodnet.model import FloodNet, _Layout
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
@@ -52,6 +51,21 @@ def test_text_encoder_rejects_empty_and_oversized():
         stub_text_encoder([], d_t=4, seed=0)
     with pytest.raises(InputError):
         stub_text_encoder(np.zeros(513, dtype=int), d_t=4, seed=0)
+
+
+@pytest.mark.parametrize("ids,needle", [
+    ([3.7, 5], "token id 3.7 is not an integer"),
+    ([True, 5], "token id True is not an integer"),
+    (np.array([2.0, 0.5]), "token id 0.5 is not an integer"),
+])
+def test_text_encoder_rejects_fractional_and_boolean_ids(ids, needle):
+    with pytest.raises(InputError, match=needle):
+        stub_text_encoder(ids, d_t=4, seed=0)
+
+
+def test_text_encoder_accepts_whole_valued_floats():
+    np.testing.assert_array_equal(stub_text_encoder(np.array([3.0, 5.0]), d_t=4, seed=0),
+                                  stub_text_encoder([3, 5], d_t=4, seed=0))
 
 
 def test_image_encoder_constant_image_uniform_grid():
@@ -93,9 +107,7 @@ def test_global_features_matches_mean_oracle():
 
 
 def _lstm_store(cfg, seed=0):
-    store = ParamStore(seed)
-    register_params(store, cfg)
-    return store
+    return FloodNet(cfg, ParamStore(seed)).store
 
 
 def _gate_dicts(store, prefix):
@@ -201,10 +213,9 @@ def test_contextual_gating_matches_formula_oracle():
 
 def test_head_dimension_arithmetic_large_scale():
     assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}
-    layout = _Layout()
-    register_params(layout, ModelConfig(d_se=512, h=8))
+    layout = FloodNet(ModelConfig(d_se=512, h=8), _Layout(0)).store
     for level, width in (("coarse", 128), ("medium", 64), ("fine", 32)):
-        assert layout["parameter", f"mfim.att.t.{level}.head0.wq"] == (512, width)
+        assert layout.entries[f"mfim.att.t.{level}.head0.wq"].value.shape == (512, width)
 
 
 def test_attention_singleton_sequence():

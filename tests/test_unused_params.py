@@ -14,8 +14,8 @@ ALLOWED = {
     # a leaf has no parents to pass a gradient to, but every rule is
     # called as bwd(g, grads)
     ("autodiff", "Graph.param.bwd", "grads"),
-    # _Layout stands in for ParamStore during registration, so it takes
-    # the init keywords that it records no value for
+    # ParamStore.get adds a parameter on its first read through `add`, which
+    # _Layout overrides with a zero view that has no init to draw
     ("model", "_Layout.add", "init"),
 }
 
