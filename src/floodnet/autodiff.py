@@ -13,9 +13,10 @@ rule, and a rule writes no gradient for an inactive parent, so a sweep
 covers just the sources' descendants.  A graph with no sources, such as
 `Graph(param_grads=False)` for inference, records no rules at all.
 
-The image ops take (..., H, W, C) and matmul takes (..., n, k) @ (k, m) or
+The image ops take (..., H, W, C) and matmul takes (..., k) @ (k, m) or
 (B, n, k) @ (B, k, m), so one graph can carry a whole batch on a leading
-axis; without one, an op does exactly the unbatched work.
+axis; without one, an op does exactly the unbatched work.  maxpool2 needs
+even H and W, as conv2d needs extents divisible by its stride.
 """
 
 from __future__ import annotations
@@ -228,28 +229,26 @@ class Graph:
     # ---- linear algebra ----------------------------------------------
 
     def matmul(self, a, b) -> Node:
-        """(..., n, k) @ (k, m), or (B, n, k) @ (B, k, m) batched per row of B."""
+        """(..., k) @ (k, m), every leading axis of a folded into the rows of
+        one gemm, or (B, n, k) @ (B, k, m) batched per row of B."""
         a, b = self._coerce(a), self._coerce(b)
         av, bv = a.value, b.value
         stacked = av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0]
-        if av.ndim < 2 or not (bv.ndim == 2 or stacked):
-            raise ShapeError(f"matmul needs (...,n,k) @ (k,m) or (B,n,k) @ (B,k,m), "
+        if not (bv.ndim == 2 or stacked):
+            raise ShapeError(f"matmul needs (...,k) @ (k,m) or (B,n,k) @ (B,k,m), "
                              f"got {a.shape} and {b.shape}")
         if av.shape[-1] != bv.shape[-2]:
             raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
         k, m = bv.shape[-2:]
-        folded = av.ndim > 2 and not stacked  # rows fold into one gemm; rank 2 skips the reshapes
-        if folded:
-            out = (av.reshape(-1, k) @ bv).reshape(av.shape[:-1] + (m,))
-        else:
-            out = av @ bv
+        rows = av if stacked else av.reshape(-1, k)
+        out = (rows @ bv).reshape(av.shape[:-1] + (m,))
 
         def bwd(g, grads):
+            g = g.reshape(rows.shape[:-1] + (m,))
             if a.active:
-                da = (g.reshape(-1, m) @ bv.T).reshape(av.shape) if folded else g @ bv.swapaxes(-1, -2)
-                grads[a.idx] += da
+                grads[a.idx] += (g @ bv.swapaxes(-1, -2)).reshape(av.shape)
             if b.active:
-                grads[b.idx] += av.reshape(-1, k).T @ g.reshape(-1, m) if folded else av.swapaxes(-1, -2) @ g
+                grads[b.idx] += rows.swapaxes(-1, -2) @ g
 
         return self._record(out, (a, b), bwd, "matmul")
 
@@ -435,36 +434,31 @@ class Graph:
         return self._record(out, (x,), bwd, "fft2d_mag")
 
     def maxpool2(self, x) -> Node:
-        """2x2 max pooling over (..., H, W, C); odd extents are edge-replicated first."""
+        """2x2 max pooling over (..., H, W, C) with H and W even: the max of
+        the four strided views x[..., i::2, j::2, :].  A window's gradient
+        goes to its first maximum in row order."""
         x = self._coerce(x)
         if x.value.ndim < 3:
             raise ShapeError(f"maxpool2 expects (...,H,W,C), got {x.shape}")
-        *lead, H, W, C = x.shape
-        lead = tuple(lead)
-        n = len(lead)
-        ph, pw = H % 2, W % 2
-        xp = x.value
-        if ph or pw:
-            xp = np.pad(xp, ((0, 0),) * n + ((0, ph), (0, pw), (0, 0)), mode="edge")
-        H2, W2 = (H + ph) // 2, (W + pw) // 2
-        keep = tuple(range(n))
-        r = xp.reshape(lead + (H2, 2, W2, 2, C)).transpose(keep + (n, n + 2, n + 4, n + 1, n + 3))
-        r = r.reshape(lead + (H2, W2, C, 4))
-        arg = r.argmax(axis=-1)
-        out = np.take_along_axis(r, arg[..., None], axis=-1)[..., 0]
+        H, W = x.shape[-3:-1]
+        if H % 2 or W % 2:
+            raise ShapeError(f"maxpool2 needs even extents, got {H}x{W}")
+        offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+        views = [x.value[..., i::2, j::2, :] for i, j in offsets]
+        out = views[0]
+        for v in views[1:]:
+            out = np.maximum(out, v)
 
         def bwd(g, grads):
-            dr = np.zeros(lead + (H2, W2, C, 4))
-            np.put_along_axis(dr, arg[..., None], g[..., None], axis=-1)
-            dxp = dr.reshape(lead + (H2, W2, C, 2, 2)).transpose(keep + (n, n + 3, n + 1, n + 4, n + 2))
-            dxp = dxp.reshape(lead + (H2 * 2, W2 * 2, C))
-            dx = dxp[..., :H, :W, :].copy()
-            if ph:
-                dx[..., H - 1, :, :] += dxp[..., H, :W, :]
-            if pw:
-                dx[..., :, W - 1, :] += dxp[..., :H, W, :]
-            if ph and pw:
-                dx[..., H - 1, W - 1, :] += dxp[..., H, W, :]
+            # the views tile dx; each passes g where its window's first maximum sits
+            dx = np.empty(x.shape)
+            free = np.ones(out.shape, dtype=bool)
+            hit = np.empty(out.shape, dtype=bool)
+            for (i, j), v in zip(offsets, views):
+                np.equal(v, out, out=hit)
+                hit &= free
+                np.multiply(g, hit, out=dx[..., i::2, j::2, :])
+                free ^= hit
             grads[x.idx] += dx
 
         return self._record(out, (x,), bwd, "maxpool2")

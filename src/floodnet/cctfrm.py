@@ -41,7 +41,7 @@ def _gated_conv_sizes(cfg: ModelConfig, h: int, w: int) -> int:
     n = 0
     for c in cfg.encoder_plan:
         n += h * w * c
-        h, w = (h + 1) // 2, (w + 1) // 2
+        h, w = h // 2, w // 2
     return n + sum(4 * h * w * c for c in cfg.decoder_plan)
 
 

@@ -15,20 +15,6 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def dense(g: Graph, x: Node, w: Node, b: Node | None = None) -> Node:
-    """x @ w (+ b). Rank-1 x is treated as a single row; higher ranks are rows
-    over the last axis."""
-    squeeze = x.value.ndim == 1
-    if squeeze:
-        x = g.reshape(x, (1, x.shape[0]))
-    out = g.matmul(x, w)
-    if b is not None:
-        out = g.add(out, b)
-    if squeeze:
-        out = g.reshape(out, (out.shape[1],))
-    return out
-
-
 def layer_norm(g: Graph, x: Node) -> Node:
     """Zero-mean unit-variance normalization along the last axis, no affine."""
     return g.standardize(x, -1, LN_EPS)
@@ -52,8 +38,8 @@ def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
 def linear(g: Graph, store, prefix: str, x: Node, d_out: int) -> Node:
     """x @ w + b over x's last axis, w (d_in, d_out) read as {prefix}.w and
     the zero-initialized b as {prefix}.b."""
-    return dense(g, x, g.param(store, f"{prefix}.w", (x.shape[-1], d_out)),
-                 g.param(store, f"{prefix}.b", (d_out,), "zeros"))
+    w = g.param(store, f"{prefix}.w", (x.shape[-1], d_out))
+    return g.add(g.matmul(x, w), g.param(store, f"{prefix}.b", (d_out,), "zeros"))
 
 
 def self_attention(g: Graph, store, prefix: str, x: Node, heads: int) -> Node:
@@ -72,7 +58,7 @@ def mlp(g: Graph, store, prefix: str, x: Node, d_hidden: int, d_out: int) -> Nod
     b1 = g.param(store, f"{prefix}.b1", (d_hidden,), "zeros")
     w2 = g.param(store, f"{prefix}.w2", (d_hidden, d_out))
     b2 = g.param(store, f"{prefix}.b2", (d_out,), "zeros")
-    return dense(g, g.relu(dense(g, x, w1, b1)), w2, b2)
+    return g.add(g.matmul(g.relu(g.add(g.matmul(x, w1), b1)), w2), b2)
 
 
 def batch_norm(

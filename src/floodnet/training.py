@@ -8,7 +8,6 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .autodiff import Graph, Node
-from .config import ModelConfig
 from .data import SyntheticSample
 from .metrics import MetricsReport, compute_metrics
 from .model import FloodNet, predict
@@ -39,7 +38,7 @@ def evaluate(
         chunk = samples[start:start + step]
         # no name holds the chunk's tape, so it dies before the next forward
         probs[start:start + len(chunk)] = model.forward(
-            Graph(param_grads=False), chunk if len(chunk) > 1 else chunk[0], train=False
+            Graph(param_grads=False), chunk, train=False
         )[0].value.reshape(-1)
     y_true = np.array([s.label for s in samples])
     y_pred = np.array([predict(p) for p in probs])

@@ -62,19 +62,30 @@ def dft2_magnitude_quadratic(x: np.ndarray) -> np.ndarray:
 
 def maxpool2_scan(x: np.ndarray) -> np.ndarray:
     H, W, C = x.shape
-    xp = np.pad(x, ((0, H % 2), (0, W % 2), (0, 0)), mode="edge")
-    H2, W2 = xp.shape[0] // 2, xp.shape[1] // 2
-    out = np.zeros((H2, W2, C))
-    for i in range(H2):
-        for j in range(W2):
+    out = np.zeros((H // 2, W // 2, C))
+    for i in range(H // 2):
+        for j in range(W // 2):
             for c in range(C):
                 out[i, j, c] = max(
-                    xp[2 * i, 2 * j, c],
-                    xp[2 * i, 2 * j + 1, c],
-                    xp[2 * i + 1, 2 * j, c],
-                    xp[2 * i + 1, 2 * j + 1, c],
+                    x[2 * i, 2 * j, c],
+                    x[2 * i, 2 * j + 1, c],
+                    x[2 * i + 1, 2 * j, c],
+                    x[2 * i + 1, 2 * j + 1, c],
                 )
     return out
+
+
+def maxpool2_grad_scan(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each window's gradient at its first maximum in row order."""
+    dx = np.zeros_like(x)
+    for i in range(x.shape[0] // 2):
+        for j in range(x.shape[1] // 2):
+            for c in range(x.shape[2]):
+                window = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+                values = [x[r, s, c] for r, s in window]
+                r, s = window[values.index(max(values))]
+                dx[r, s, c] = g[i, j, c]
+    return dx
 
 
 def lstm_unrolled(xs, w, u, b, hid):

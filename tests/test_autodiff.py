@@ -16,6 +16,7 @@ from oracles import (
     conv2d_loops,
     dft2_magnitude_quadratic,
     matmul_loops,
+    maxpool2_grad_scan,
     maxpool2_scan,
     softmax_rows,
 )
@@ -54,7 +55,27 @@ def test_matmul_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         g.matmul(g.constant(np.ones((2, 3))), g.constant(np.ones((2, 3))))
     with pytest.raises(ShapeError):
-        g.matmul(g.constant(np.ones(3)), g.constant(np.ones((3, 2))))
+        g.matmul(g.constant(np.ones(3)), g.constant(np.ones(3)))
+
+
+def test_matmul_rank1_row_equals_the_one_row_matrix():
+    """(k,) @ (k, m) is the (1, k) row's product, value and gradients alike."""
+    rng = np.random.default_rng(5)
+    x, w = rng.standard_normal(4), rng.standard_normal((4, 3))
+    weights = rng.standard_normal(3)
+    runs = []
+    for row in (x, x.reshape(1, 4)):
+        g = Graph()
+        xn, wn = g.watch(g.constant(row)), g.watch(g.constant(w))
+        out = g.matmul(xn, wn)
+        g.backward(g.reduce_sum(g.mul(g.tanh(out), g.constant(weights))))
+        runs.append((out, xn.grad, wn.grad))
+    (out1, dx1, dw1), (out2, dx2, dw2) = runs
+    assert out1.shape == (3,) and out2.shape == (1, 3) and dx1.shape == (4,)
+    np.testing.assert_array_equal(out1.value, out2.value[0])
+    np.testing.assert_array_equal(dx1, dx2[0])
+    np.testing.assert_array_equal(dw1, dw2)
+    _gradcheck_every_operand(lambda g, a, b: g.matmul(a, b), [x, w])
 
 
 # ---- conv2d ----------------------------------------------------------
@@ -208,9 +229,10 @@ def _gradcheck_every_operand(op, operands):
 
 
 @st.composite
-def batches(draw, max_extent=7):
-    """A batch of 1-3 maps (B, H, W, C) with any small extents."""
-    B, H, W = draw(st.integers(1, 3)), draw(st.integers(1, max_extent)), draw(st.integers(1, max_extent))
+def batches(draw, max_extent=7, step=1):
+    """A batch of 1-3 maps (B, H, W, C) with small extents, multiples of step."""
+    B = draw(st.integers(1, 3))
+    H, W = (step * draw(st.integers(1, max_extent // step)) for _ in range(2))
     C = draw(st.integers(1, 3))
     return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((B, H, W, C))
 
@@ -236,7 +258,7 @@ def test_conv2d_batched_matches_per_sample(case, B, seed):
     assert rel_close(kn.grad, per_sample, 1e-12)
 
 
-@given(batches())
+@given(batches(max_extent=8, step=2))
 def test_maxpool2_batched_matches_per_sample(xs):
     _check_batched(lambda g, x: g.maxpool2(x), [xs], exact=True)
 
@@ -455,11 +477,31 @@ def test_maxpool_matches_window_scan():
     np.testing.assert_array_equal(g.maxpool2(g.constant(x)).value, maxpool2_scan(x))
 
 
-def test_maxpool_odd_extent_edge_replication():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((5, 7, 2))
+def test_maxpool_rejects_odd_extents():
+    for shape in [(5, 7, 2), (4, 7, 2), (5, 4, 2), (2, 3, 4, 1)]:
+        with pytest.raises(ShapeError):
+            Graph().maxpool2(np.ones(shape))
+
+
+def test_maxpool_four_way_tie_sends_the_gradient_top_left():
     g = Graph()
-    np.testing.assert_array_equal(g.maxpool2(g.constant(x)).value, maxpool2_scan(x))
+    x = g.watch(g.constant(np.full((2, 2, 1), 3.0)))
+    out = g.maxpool2(x)
+    g.backward(g.scale(g.reduce_sum(out), 5.0))
+    np.testing.assert_array_equal(out.value, np.full((1, 1, 1), 3.0))
+    np.testing.assert_array_equal(x.grad[..., 0], [[5.0, 0.0], [0.0, 0.0]])
+
+
+@given(batches(max_extent=6, step=2), st.integers(0, 2**32 - 1))
+def test_maxpool2_gradient_goes_to_the_first_maximum(xs, seed):
+    """On whole-valued maps, where windows often tie, each window's gradient
+    lands on its first maximum in row order."""
+    xs = np.round(xs)
+    gs = np.random.default_rng(seed).standard_normal(xs[:, ::2, ::2].shape)
+    g = Graph()
+    x = g.watch(g.constant(xs))
+    g.backward(g.reduce_sum(g.mul(g.maxpool2(x), g.constant(gs))))
+    np.testing.assert_array_equal(x.grad, np.stack([maxpool2_grad_scan(xi, gi) for xi, gi in zip(xs, gs)]))
 
 
 def test_upsample_replicates_single_value():
@@ -722,6 +764,9 @@ def rule_cases(draw, name):
         x, kernel, groups, stride = draw(conv_cases())
         operands = [x, kernel]
         op = lambda g, a, b: g.conv2d(a, b, groups=groups, stride=stride)
+    elif name == "maxpool2":
+        operands = [draw(batches(max_extent=6, step=2))]
+        op = lambda g, a: g.maxpool2(a)
     else:
         operands = [_draw_array(draw, (3, 4, 2))]
         op = lambda g, a: getattr(g, name)(a)

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from floodnet.autodiff import Graph
 from floodnet.cctfrm import (
@@ -10,7 +13,7 @@ from floodnet.cctfrm import (
     reverse_feature_harmonization,
     transformer_encoder,
 )
-from floodnet.config import ModelConfig
+from floodnet.config import ConfigError, ModelConfig
 from floodnet.layers import sinusoidal_positions
 from floodnet.model import FloodNet
 from floodnet.params import ParamStore
@@ -86,6 +89,20 @@ def test_encoder_large_plan_shape():
     out = encoder(g, store, cfg, g.constant(np.random.default_rng(4).random((64, 64, 3))),
                   train=False, dropout_rng=None)
     assert out.shape == (4, 4, 512)
+
+
+@given(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3),
+       st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(1, 3))
+def test_every_accepted_config_pools_even_maps(encoder_plan, decoder_plan, mh, mw):
+    """validate accepts an image extent iff 2^len(encoder_plan) divides it,
+    so every map the encoder pools is even: FloodNet(cfg) builds, and its
+    blank forward pools each of them."""
+    f = 2 ** len(encoder_plan)
+    plans = dict(encoder_plan=tuple(encoder_plan), decoder_plan=tuple(decoder_plan))
+    with pytest.raises(ConfigError):
+        make_tiny_config(image_size=(f * mh + f // 2, f * mw), **plans)
+    FloodNet(make_tiny_config(image_size=(f * mh, f * mw), **plans))
 
 
 def test_encoder_single_block_shape():

@@ -5,7 +5,6 @@ import pytest
 
 from floodnet.checkpoint import save_checkpoint
 from floodnet.cli import main
-from floodnet.config import ModelConfig
 from floodnet.model import FloodNet
 
 from conftest import make_tiny_config

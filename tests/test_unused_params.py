@@ -1,5 +1,6 @@
-"""Every parameter of every function in floodnet is read by its body, and
-every default of one is overridden at some call site."""
+"""Every parameter of every function in floodnet is read by its body,
+every default of one is overridden at some call site, and every name a
+module of floodnet or its tests imports is read there."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,35 @@ def test_every_default_is_overridden_somewhere():
                 found.add((module, qualname, param))
     assert sorted(found - ALLOWED_DEFAULTS) == []
     assert ALLOWED_DEFAULTS <= found, "an allowed default is now passed: drop it from ALLOWED_DEFAULTS"
+
+
+def _read_names(tree: ast.AST) -> set:
+    """Names a module loads, those in its string annotations and in its
+    __all__ list included."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        returns = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        annotation = getattr(node, "returns" if returns else "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            read |= _read_names(ast.parse(annotation.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return read
+
+
+def test_every_imported_name_is_read():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        found.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
+    assert found == []
