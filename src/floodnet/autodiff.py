@@ -476,20 +476,6 @@ class Graph:
 
         return self._record(out, (x,), bwd, "upsample2")
 
-    def dropout(self, x, rate: float, uniforms: np.ndarray) -> Node:
-        """Inverted dropout that keeps the entries whose uniform draw in
-        [0, 1) is >= rate; caller only invokes this in train mode."""
-        x = self._coerce(x)
-        if uniforms.shape != x.shape:
-            raise ShapeError(f"dropout uniforms {uniforms.shape} do not match {x.shape}")
-        mask = (uniforms >= rate) / (1.0 - rate)
-        out = x.value * mask
-
-        def bwd(g, grads):
-            grads[x.idx] += g * mask
-
-        return self._record(out, (x,), bwd, "dropout")
-
     # ---- backward -----------------------------------------------------
 
     def backward(self, loss: Node, keep=()) -> None:

@@ -18,21 +18,23 @@ from .layers import batch_norm, layer_norm, mlp, self_attention, sinusoidal_posi
 from .params import ParamStore
 
 
-class SampleUniforms:
-    """The dropout uniforms of one forward pass, drawn as one (..., n) block
-    where n is what the gated blocks of one sample use.  Each block takes the
-    next slice through `random`, as it would draw from the generator itself,
-    so every sample of a batch gets the masks it gets when run alone."""
+class DropoutMasks:
+    """The inverted-dropout masks (u >= rate) / (1 - rate) of one forward
+    pass's gated blocks.  The uniforms u are one (..., n) block, n being what
+    one sample's blocks use; each mask takes the next slice, so every sample
+    of a batch gets the masks it gets when run alone."""
 
-    def __init__(self, rng: np.random.Generator, lead: tuple, n: int):
-        self.block = rng.random(lead + (n,))
+    def __init__(self, rng: np.random.Generator, rate: float, shape: tuple):
+        self.uniforms = rng.random(shape)
+        self.rate = rate
         self.used = 0
 
-    def random(self, shape: tuple) -> np.ndarray:
-        n = math.prod(shape[self.block.ndim - 1:])
-        out = self.block[..., self.used:self.used + n].reshape(shape)
+    def take(self, shape: tuple) -> np.ndarray:
+        """The mask of the next block's activation, of this shape."""
+        n = math.prod(shape[self.uniforms.ndim - 1:])
+        u = self.uniforms[..., self.used:self.used + n].reshape(shape)
         self.used += n
-        return out
+        return (u >= self.rate) / (1.0 - self.rate)
 
 
 def _gated_conv_sizes(cfg: ModelConfig, h: int, w: int) -> int:
@@ -51,18 +53,15 @@ def gated_downsample_block(
     name: str,
     x: Node,
     c_out: int,
-    cfg: ModelConfig,
     train: bool,
-    dropout_rng: np.random.Generator | SampleUniforms | None,
+    masks: DropoutMasks | None,
 ) -> Node:
-    """3x3 conv to c_out channels -> relu(G * sigmoid(G)) -> dropout ->
-    batchnorm -> maxpool.
-
-    dropout_rng supplies the mask's uniforms through `random(shape)`."""
+    """3x3 conv to c_out channels -> relu(G * sigmoid(G)) -> times the next
+    dropout mask, when masks are given -> batchnorm -> maxpool."""
     conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
     act = g.relu(g.mul(conv, g.sigmoid(conv)))
-    if train and cfg.dropout > 0.0:
-        act = g.dropout(act, cfg.dropout, dropout_rng.random(act.shape))
+    if masks is not None:
+        act = g.mul(act, masks.take(act.shape))
     normed = batch_norm(g, act, store, f"{name}.bn", train)
     return g.maxpool2(normed)
 
@@ -73,13 +72,13 @@ def encoder(
     cfg: ModelConfig,
     x_img: Node,
     train: bool,
-    dropout_rng: np.random.Generator | SampleUniforms | None,
+    masks: DropoutMasks | None,
     taps: dict | None = None,
 ) -> Node:
     out = x_img
     for i, c_out in enumerate(cfg.encoder_plan):
         name = f"cctfrm.enc{i}"
-        out = gated_downsample_block(g, store, name, out, c_out, cfg, train, dropout_rng)
+        out = gated_downsample_block(g, store, name, out, c_out, train, masks)
         if taps is not None:
             taps[f"enc{i}"] = out
     return out
@@ -102,12 +101,11 @@ def feature_enhancement(
     name: str,
     x: Node,
     c_out: int,
-    cfg: ModelConfig,
     train: bool,
-    dropout_rng: np.random.Generator | SampleUniforms | None,
+    masks: DropoutMasks | None,
 ) -> Node:
     """Upsample x2 then gated block; net spatial extent is preserved."""
-    return gated_downsample_block(g, store, name, g.upsample2(x), c_out, cfg, train, dropout_rng)
+    return gated_downsample_block(g, store, name, g.upsample2(x), c_out, train, masks)
 
 
 def decoder_cascade(
@@ -116,12 +114,12 @@ def decoder_cascade(
     cfg: ModelConfig,
     x: Node,
     train: bool,
-    dropout_rng: np.random.Generator | SampleUniforms | None,
+    masks: DropoutMasks | None,
 ) -> Node:
     outs = []
     cur = x
     for i, c_out in enumerate(cfg.decoder_plan):
-        cur = feature_enhancement(g, store, f"cctfrm.dec{i}", cur, c_out, cfg, train, dropout_rng)
+        cur = feature_enhancement(g, store, f"cctfrm.dec{i}", cur, c_out, train, masks)
         outs.append(cur)
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
@@ -154,7 +152,7 @@ def cctfrm_forward(
     cfg: ModelConfig,
     raw_image: np.ndarray,
     train: bool,
-    dropout_rng: np.random.Generator | SampleUniforms | None,
+    dropout_rng: np.random.Generator | None,
     taps: dict | None = None,
 ) -> Node:
     """Full module forward; returns the flattened harmonized vector.
@@ -164,12 +162,12 @@ def cctfrm_forward(
     x_img = g.constant(raw_image)
     *lead, H, W, _ = x_img.shape
     lead = tuple(lead)
-    if train and cfg.dropout > 0.0:
-        dropout_rng = SampleUniforms(dropout_rng, lead, _gated_conv_sizes(cfg, H, W))
-    enc = encoder(g, store, cfg, x_img, train, dropout_rng, taps)
+    masks = (DropoutMasks(dropout_rng, cfg.dropout, lead + (_gated_conv_sizes(cfg, H, W),))
+             if train and cfg.dropout > 0.0 else None)
+    enc = encoder(g, store, cfg, x_img, train, masks, taps)
     hh, ww, d = enc.shape[-3:]
     tokens = g.reshape(enc, lead + (hh * ww, d))
     transformed = transformer_encoder(g, store, cfg, tokens)
     grid = g.reshape(transformed, lead + (hh, ww, d))
-    cascade = decoder_cascade(g, store, cfg, grid, train, dropout_rng)
+    cascade = decoder_cascade(g, store, cfg, grid, train, masks)
     return reverse_feature_harmonization(g, store, cascade, x_img, train)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .autodiff import ContractError, ShapeError
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig
 from .data import SyntheticSample, generate_synthetic_dataset, split_dataset
 from .gradcam import grad_cam, write_pgm, write_sidecar
@@ -226,12 +226,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InputError, CheckpointError, ValueError, AssertionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # a ShapeError is a ValueError, so the program faults are caught first
     except (TrainingError, ContractError, ShapeError, OSError, KeyError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
+    except (ValueError, AssertionError) as e:  # ConfigError, InputError, CheckpointError too
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

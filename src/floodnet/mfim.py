@@ -144,14 +144,9 @@ def prepare_local_features(
     return ht_basis, mixed
 
 
-def self_gate(g: Graph, x: Node, w: Node, b: Node) -> Node:
-    """x * sigmoid(x @ w + b)."""
-    return g.mul(x, g.sigmoid(g.add(g.matmul(x, w), b)))
-
-
-def _square(g: Graph, store: ParamStore, prefix: str, d: int) -> tuple[Node, Node]:
-    """The (d, d) weight {prefix}.w and zero-initialized (d,) bias {prefix}.b."""
-    return g.param(store, f"{prefix}.w", (d, d)), g.param(store, f"{prefix}.b", (d,), "zeros")
+def self_gate(g: Graph, store: ParamStore, prefix: str, x: Node) -> Node:
+    """x * sigmoid(x @ w + b), w and b the square linear layer {prefix}."""
+    return g.mul(x, g.sigmoid(linear(g, store, prefix, x, x.shape[-1])))
 
 
 def attention_pipeline(
@@ -164,9 +159,10 @@ def attention_pipeline(
     return out
 
 
-def contextual_gating(g: Graph, att: Node, h_raw: Node, w: Node, b: Node) -> Node:
-    """sigmoid(layer_norm(h_raw @ w + b)) * att."""
-    return g.mul(g.sigmoid(layer_norm(g, g.add(g.matmul(h_raw, w), b))), att)
+def contextual_gating(g: Graph, store: ParamStore, prefix: str, att: Node, h_raw: Node) -> Node:
+    """sigmoid(layer_norm(h_raw @ w + b)) * att, w and b the square linear
+    layer {prefix}."""
+    return g.mul(g.sigmoid(layer_norm(g, linear(g, store, prefix, h_raw, h_raw.shape[-1]))), att)
 
 
 def cross_modal_attention(g: Graph, store: ParamStore, gt: Node, gi: Node) -> tuple[Node, Node]:
@@ -194,13 +190,12 @@ def mfim_forward(
     (..., H, W, d_i) region grid; returns the fused d_se feature vector."""
     ht, hi = prepare_local_features(g, store, cfg, tokens, grid)
     if cfg.use_hcgam:
-        d_se = cfg.d_se
-        ht_g = self_gate(g, ht, *_square(g, store, "mfim.gate.t", d_se))
-        hi_g = self_gate(g, hi, *_square(g, store, "mfim.gate.i", d_se))
+        ht_g = self_gate(g, store, "mfim.gate.t", ht)
+        hi_g = self_gate(g, store, "mfim.gate.i", hi)
         att_t = attention_pipeline(g, store, cfg, "t", ht_g)
         att_i = attention_pipeline(g, store, cfg, "i", hi_g)
-        gt = contextual_gating(g, att_t, ht, *_square(g, store, "mfim.ctx.t", d_se))
-        gi = contextual_gating(g, att_i, hi, *_square(g, store, "mfim.ctx.i", d_se))
+        gt = contextual_gating(g, store, "mfim.ctx.t", att_t, ht)
+        gi = contextual_gating(g, store, "mfim.ctx.i", att_i, hi)
     else:
         gt, gi = ht, hi
     att_t2i, att_i2t = cross_modal_attention(g, store, gt, gi)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Graph, Node
+from .autodiff import ContractError, Graph, Node
 from .cctfrm import cctfrm_forward
 from .config import ConfigError, ModelConfig
 from .data import SyntheticSample
@@ -62,8 +62,13 @@ class FloodNet:
 
         For one sample both have shape (1,).  A list of samples runs as one
         batch stacked on a leading axis, and both have shape (B, 1).
+        A training forward whose CCTFRM branch drops out draws its masks
+        from dropout_rng, and raises ContractError before recording
+        anything when it is None.
         """
         cfg, store = self.cfg, self.store
+        if train and cfg.use_cctfrm and cfg.dropout > 0.0 and dropout_rng is None:
+            raise ContractError("a training forward with dropout needs a dropout_rng Generator")
         tokens, image = _stack(sample) if isinstance(sample, list) else (sample.tokens, sample.image)
         text = stub_text_encoder(tokens, cfg.d_t, cfg.seed)
         grid = stub_image_encoder(image, cfg.grid, cfg.d_i, cfg.seed)

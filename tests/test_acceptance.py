@@ -223,7 +223,7 @@ def test_criterion_3_shape_and_normalization_invariants():
     store = ParamStore(301)
     x = rng.standard_normal((4, 4, cfg.d_model))
     g = Graph()
-    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0], cfg,
+    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
                               False, None)
     assert out.shape[:2] == (4, 4)
 

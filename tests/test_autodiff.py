@@ -716,12 +716,6 @@ def test_reshape_property_gradcheck(shape, data):
     _gradcheck_every_operand(lambda g, a: g.reshape(a, target), [_draw_array(data.draw, shape)])
 
 
-@given(shapes(), st.sampled_from([0.0, 0.25, 0.5]), st.data())
-def test_dropout_property_gradcheck(shape, rate, data):
-    uniforms = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(size=shape)
-    _gradcheck_every_operand(lambda g, a: g.dropout(a, rate, uniforms), [_draw_array(data.draw, shape)])
-
-
 @given(conv_cases())
 def test_watch_property_gradcheck(case):
     """A watched constant gets the gradient that check_gradients verifies
@@ -851,7 +845,6 @@ GRADCHECK_PROPERTIES = {
     "fft2d_magnitude": test_fft2d_magnitude_batched_matches_per_sample,
     "maxpool2": test_maxpool2_batched_matches_per_sample,
     "upsample2": test_upsample2_batched_matches_per_sample,
-    "dropout": test_dropout_property_gradcheck,
     "watch": test_watch_property_gradcheck,
 }
 

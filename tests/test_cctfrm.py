@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from floodnet.autodiff import Graph
+from floodnet import cctfrm
+from floodnet.autodiff import ContractError, Graph
 from floodnet.cctfrm import (
+    DropoutMasks,
     cctfrm_forward,
     decoder_cascade,
     encoder,
@@ -14,6 +16,7 @@ from floodnet.cctfrm import (
     transformer_encoder,
 )
 from floodnet.config import ConfigError, ModelConfig
+from floodnet.data import generate_synthetic_dataset
 from floodnet.layers import sinusoidal_positions
 from floodnet.model import FloodNet
 from floodnet.params import ParamStore
@@ -40,25 +43,9 @@ def test_gated_block_zero_kernel_collapses():
     rng = np.random.default_rng(0)
     g = Graph()
     out = gated_downsample_block(
-        g, store, "cctfrm.enc0", g.constant(rng.standard_normal((4, 4, 3))), 4, cfg, True, None
+        g, store, "cctfrm.enc0", g.constant(rng.standard_normal((4, 4, 3))), 4, True, None
     )
     np.testing.assert_allclose(out.value, np.zeros((2, 2, 4)), atol=1e-12)
-
-
-def test_gated_block_eval_dropout_is_identity():
-    cfg = make_tiny_config(dropout=0.5)
-    store = _store(cfg, seed=1)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((4, 4, 3))
-    outs = []
-    for rng_seed in (0, 1):
-        g = Graph()
-        node = gated_downsample_block(
-            g, store, "cctfrm.enc0", g.constant(x), 4, cfg, False,
-            np.random.default_rng(rng_seed),
-        )
-        outs.append(node.value)
-    np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def test_gated_block_matches_scripted_oracle():
@@ -70,7 +57,7 @@ def test_gated_block_matches_scripted_oracle():
     store2.entries["blk.kernel"].value[:] = kernel
     x = np.random.default_rng(3).standard_normal((4, 4, 2))
     g = Graph()
-    out = gated_downsample_block(g, store2, "blk", g.constant(x), 4, cfg, True, None)
+    out = gated_downsample_block(g, store2, "blk", g.constant(x), 4, True, None)
     G = conv2d_loops(x, kernel)
     act = np.maximum(G * _sigmoid(G), 0.0)
     mu, var = act.mean(axis=(0, 1)), act.var(axis=(0, 1))
@@ -87,7 +74,7 @@ def test_encoder_large_plan_shape():
     store = ParamStore(0)
     g = Graph()
     out = encoder(g, store, cfg, g.constant(np.random.default_rng(4).random((64, 64, 3))),
-                  train=False, dropout_rng=None)
+                  train=False, masks=None)
     assert out.shape == (4, 4, 512)
 
 
@@ -111,7 +98,7 @@ def test_encoder_single_block_shape():
     store = _store(cfg, seed=5)
     g = Graph()
     out = encoder(g, store, cfg, g.constant(np.random.default_rng(5).random((4, 4, 3))),
-                  train=False, dropout_rng=None)
+                  train=False, masks=None)
     assert out.shape == (2, 2, 8)
 
 
@@ -120,11 +107,11 @@ def test_encoder_equals_manual_chaining():
     store = _store(cfg, seed=6)
     x = np.random.default_rng(6).random((16, 16, 3))
     g = Graph()
-    out = encoder(g, store, cfg, g.constant(x), train=False, dropout_rng=None)
+    out = encoder(g, store, cfg, g.constant(x), train=False, masks=None)
     g2 = Graph()
     cur = g2.constant(x)
     for i, c_out in enumerate(cfg.encoder_plan):
-        cur = gated_downsample_block(g2, store, f"cctfrm.enc{i}", cur, c_out, cfg, False, None)
+        cur = gated_downsample_block(g2, store, f"cctfrm.enc{i}", cur, c_out, False, None)
     np.testing.assert_array_equal(out.value, cur.value)
 
 
@@ -189,7 +176,7 @@ def test_cascade_single_stage_is_stage_output():
     g = Graph()
     out = decoder_cascade(g, store, cfg, g.constant(x), False, None)
     g2 = Graph()
-    stage = feature_enhancement(g2, store, "cctfrm.dec0", g2.constant(x), 4, cfg, False, None)
+    stage = feature_enhancement(g2, store, "cctfrm.dec0", g2.constant(x), 4, False, None)
     np.testing.assert_array_equal(out.value, stage.value)
 
 
@@ -208,7 +195,7 @@ def test_cascade_matches_manual_composition():
     cur = g2.constant(x)
     stages = []
     for i, c_out in enumerate(cfg.decoder_plan):
-        cur = feature_enhancement(g2, store, f"cctfrm.dec{i}", cur, c_out, cfg, False, None)
+        cur = feature_enhancement(g2, store, f"cctfrm.dec{i}", cur, c_out, False, None)
         stages.append(cur.value)
     np.testing.assert_array_equal(out.value, np.concatenate(stages, axis=2))
 
@@ -218,7 +205,7 @@ def test_feature_enhancement_preserves_spatial_extents():
     store = _store(cfg, seed=12)
     x = np.random.default_rng(12).standard_normal((4, 4, cfg.d_model))
     g = Graph()
-    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0], cfg,
+    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
                               False, None)
     assert out.shape == (4, 4, cfg.decoder_plan[0])
 
@@ -288,3 +275,84 @@ def test_cctfrm_forward_shape_and_gate_range(tiny_config):
     out = cctfrm_forward(g, store, tiny_config, img, train=False, dropout_rng=None)
     assert out.shape == (tiny_config.d_r,)
     assert np.all(np.isfinite(out.value))
+
+
+# ---- dropout masks ---------------------------------------------------
+
+
+def _samples(cfg, n, seed=0):
+    return generate_synthetic_dataset(n, seed, image_size=cfg.image_size, n_tokens=cfg.n_t)
+
+
+def test_eval_forward_ignores_the_dropout_generator():
+    """Eval mode draws no masks: cctfrm_forward and FloodNet.forward give the
+    same values with any generator or none."""
+    cfg = make_tiny_config(dropout=0.5)
+    model = FloodNet(cfg, ParamStore(1))
+    sample = _samples(cfg, 1, seed=1)[0]
+    outs, probs = [], []
+    for rng in (None, np.random.default_rng(0), np.random.default_rng(1)):
+        outs.append(cctfrm_forward(Graph(), model.store, cfg, sample.image, False, rng).value)
+        probs.append(model.forward(Graph(), sample, train=False, dropout_rng=rng)[0].value)
+    for out, prob in zip(outs[1:], probs[1:]):
+        np.testing.assert_array_equal(out, outs[0])
+        np.testing.assert_array_equal(prob, probs[0])
+
+
+def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
+    """Each mask is (u >= rate) / (1 - rate) for the next slice u of one
+    (B, n) uniform block, in block order enc0 .. dec_last; row b serves
+    sample b."""
+    cfg = make_tiny_config(dropout=0.5)
+    model = FloodNet(cfg)
+    blocks, handed = [], []
+    real_block = cctfrm.gated_downsample_block
+
+    def block(g, store, name, *rest):
+        blocks.append(name)
+        return real_block(g, store, name, *rest)
+
+    class Recording(DropoutMasks):
+        def take(self, shape):
+            mask = super().take(shape)
+            handed.append((blocks[-1], mask))
+            return mask
+
+    monkeypatch.setattr(cctfrm, "gated_downsample_block", block)
+    monkeypatch.setattr(cctfrm, "DropoutMasks", Recording)
+    model.forward(Graph(), _samples(cfg, 2), train=True, dropout_rng=np.random.default_rng(9))
+
+    # the activation of each gated block of the tiny config, per sample
+    shapes = {"cctfrm.enc0": (16, 16, 4), "cctfrm.enc1": (8, 8, 8),
+              "cctfrm.dec0": (8, 8, 8), "cctfrm.dec1": (8, 8, 4)}
+    assert [name for name, _ in handed] == list(shapes)
+    u = np.random.default_rng(9).random((2, sum(np.prod(s) for s in shapes.values())))
+    used = 0
+    for name, mask in handed:
+        size = np.prod(shapes[name])
+        assert mask.shape == (2,) + shapes[name]
+        for b in range(2):
+            want = (u[b, used:used + size].reshape(shapes[name]) >= 0.5) / 0.5
+            np.testing.assert_array_equal(mask[b], want)
+        used += size
+    assert used == u.shape[1]
+
+
+def test_a_training_forward_without_its_generator_raises_before_recording():
+    cfg = make_tiny_config(dropout=0.2)
+    model = FloodNet(cfg)
+    store = model.store
+    values = {name: e.value.tobytes() for name, e in store.entries.items()}
+    buffers = {name: b.tobytes() for name, b in store.buffers.items()}
+    sample = _samples(cfg, 1)[0]
+    g = Graph()
+    with pytest.raises(ContractError, match="dropout_rng") as err:
+        model.forward(g, sample, train=True)
+    assert "\n" not in str(err.value)
+    assert g.nodes == []
+    assert {name: e.value.tobytes() for name, e in store.entries.items()} == values
+    assert {name: b.tobytes() for name, b in store.buffers.items()} == buffers
+    for overrides in ({"dropout": 0.0}, {"use_cctfrm": False}):
+        other = FloodNet(make_tiny_config(**{"dropout": 0.2, **overrides}))
+        p, _ = other.forward(Graph(), sample, train=True)
+        assert np.all(np.isfinite(p.value))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from floodnet import cli
+from floodnet.autodiff import ShapeError
 from floodnet.checkpoint import save_checkpoint
 from floodnet.cli import main
 from floodnet.model import FloodNet
@@ -66,6 +68,18 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
+    """A ShapeError is a program fault, though it is also a ValueError."""
+    def fail(args):
+        raise ShapeError("matmul got (2, 3) @ (4, 5)")
+
+    monkeypatch.setattr(cli, "cmd_gen_data", fail)
+    _, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "runtime error: matmul got (2, 3) @ (4, 5)"
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

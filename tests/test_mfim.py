@@ -161,10 +161,19 @@ def test_lstm_length_three_matches_unrolled_oracle():
 # ---- gating ----------------------------------------------------------
 
 
+def _gate_store(w, b):
+    """A store whose square linear layer "gate" holds w and b."""
+    store = ParamStore(0)
+    for name, value in (("gate.w", w), ("gate.b", b)):
+        store.add(name, value.shape, "zeros")
+        store.entries[name].value[:] = value
+    return store
+
+
 def test_self_gate_zero_input():
     g = Graph()
-    out = self_gate(g, g.constant(np.zeros((2, 3))), g.constant(np.ones((3, 3))),
-                    g.constant(np.zeros(3)))
+    out = self_gate(g, _gate_store(np.ones((3, 3)), np.zeros(3)), "gate",
+                    g.constant(np.zeros((2, 3))))
     np.testing.assert_array_equal(out.value, np.zeros((2, 3)))
 
 
@@ -172,7 +181,7 @@ def test_self_gate_neutral_weights():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 4))
     g = Graph()
-    out = self_gate(g, g.constant(x), g.constant(np.zeros((4, 4))), g.constant(np.zeros(4)))
+    out = self_gate(g, _gate_store(np.zeros((4, 4)), np.zeros(4)), "gate", g.constant(x))
     np.testing.assert_allclose(out.value, 0.5 * x, atol=1e-15)
 
 
@@ -180,7 +189,7 @@ def test_self_gate_matches_formula_oracle():
     rng = np.random.default_rng(5)
     x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 4)), rng.standard_normal(4)
     g = Graph()
-    out = self_gate(g, g.constant(x), g.constant(w), g.constant(b))
+    out = self_gate(g, _gate_store(w, b), "gate", g.constant(x))
     expected = x / (1.0 + np.exp(-(x @ w + b)))
     assert np.abs(out.value - expected).max() < 1e-12
 
@@ -190,11 +199,11 @@ def test_contextual_gating_neutral_and_zero_cases():
     att = rng.standard_normal((3, 4))
     h_raw = rng.standard_normal((3, 4))
     g = Graph()
-    out = contextual_gating(g, g.constant(att), g.constant(h_raw),
-                            g.constant(np.zeros((4, 4))), g.constant(np.zeros(4)))
+    out = contextual_gating(g, _gate_store(np.zeros((4, 4)), np.zeros(4)), "gate",
+                            g.constant(att), g.constant(h_raw))
     np.testing.assert_allclose(out.value, 0.5 * att, atol=1e-12)
-    out0 = contextual_gating(g, g.constant(np.zeros((3, 4))), g.constant(h_raw),
-                             g.constant(rng.standard_normal((4, 4))), g.constant(np.zeros(4)))
+    out0 = contextual_gating(g, _gate_store(rng.standard_normal((4, 4)), np.zeros(4)), "gate",
+                             g.constant(np.zeros((3, 4))), g.constant(h_raw))
     np.testing.assert_array_equal(out0.value, np.zeros((3, 4)))
 
 
@@ -203,7 +212,7 @@ def test_contextual_gating_matches_formula_oracle():
     att, h_raw = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     w, b = rng.standard_normal((4, 4)), rng.standard_normal(4)
     g = Graph()
-    out = contextual_gating(g, g.constant(att), g.constant(h_raw), g.constant(w), g.constant(b))
+    out = contextual_gating(g, _gate_store(w, b), "gate", g.constant(att), g.constant(h_raw))
     gate = 1.0 / (1.0 + np.exp(-layer_norm_ref(h_raw @ w + b)))
     assert np.abs(out.value - gate * att).max() < 1e-12
 
