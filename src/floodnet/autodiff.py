@@ -26,6 +26,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+NORM_EPS = 1e-5  # added to every variance a normalization divides by
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
@@ -318,9 +320,9 @@ class Graph:
 
         return self._record(out, (a,), bwd, "sum")
 
-    def reduce_mean(self, a, axes=None, keepdims=False) -> Node:
+    def reduce_mean(self, a, axes=None) -> Node:
         a = self._coerce(a)
-        total = self.reduce_sum(a, axes, keepdims)
+        total = self.reduce_sum(a, axes)
         return self.scale(total, total.value.size / a.value.size)
 
     def softmax_last(self, a) -> Node:
@@ -335,11 +337,11 @@ class Graph:
 
         return self._record(out, (a,), bwd, "softmax")
 
-    def standardize(self, a, axes, eps: float) -> Node:
-        """(a - mean) / sqrt(var + eps) over `axes`, with the biased variance."""
+    def standardize(self, a, axes) -> Node:
+        """(a - mean) / sqrt(var + NORM_EPS) over `axes`, with the biased variance."""
         a = self._coerce(a)
         centered = a.value - a.value.mean(axis=axes, keepdims=True)
-        rstd = 1.0 / np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + eps)
+        rstd = 1.0 / np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + NORM_EPS)
         out = centered * rstd
 
         def bwd(g, grads):

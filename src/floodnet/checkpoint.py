@@ -70,18 +70,27 @@ def load_checkpoint(path: str) -> ParamStore:
     store = ParamStore(seed=0)
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "truncated name length"))
-        name = take(name_len, "truncated name").decode("utf-8")
+        name_off = off
+        try:
+            name = take(name_len, "truncated name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(name_off, "name is not valid utf-8") from None
         rank = take(1, "truncated rank")[0]
         if rank > 4:
             raise CheckpointError(off - 1, f"rank {rank} exceeds 4")
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "truncated extents"))
         arr = np.frombuffer(take(8 * math.prod(shape), "truncated data"), dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(off - 8 * arr.size, f"{name!r} holds a non-finite value")
         arr = arr.reshape(shape).copy()
-        if name.startswith(BUFFER_PREFIX):
-            store.add_buffer(name[len(BUFFER_PREFIX) :], arr)
-        else:
-            store.add(name, shape, init="zeros")
-            store.entries[name].value = arr
+        try:
+            if name.startswith(BUFFER_PREFIX):
+                store.add_buffer(name[len(BUFFER_PREFIX) :], arr)
+            else:
+                store.add(name, shape, init="zeros")
+                store.entries[name].value = arr
+        except KeyError as e:  # the name came earlier in the file
+            raise CheckpointError(name_off, e.args[0]) from None
     if off != len(blob):
         raise CheckpointError(off, "trailing bytes after last entry")
     return store

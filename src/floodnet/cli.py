@@ -30,9 +30,8 @@ def _load_config(args) -> ModelConfig:
 
 
 def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
@@ -50,9 +49,7 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
         for name, arr in (("tokens", tokens), ("images", images), ("labels", labels)):
             if not np.isfinite(arr).all():
                 raise InputError(f"{path}: {name} holds a non-finite value")
-        bad = np.flatnonzero((labels != 0) & (labels != 1))
-        if bad.size:
-            raise InputError(f"{path}: labels[{bad[0]}] is {labels[bad[0]]}, not 0 or 1")
+        check_labels(f"{path}: labels", labels, labels.shape)
         bad = np.argwhere((tokens < 0) | (tokens >= TEXT_VOCAB) | (tokens != np.floor(tokens)))
         if bad.size:
             i, j = bad[0]
@@ -180,42 +177,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="floodnet")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--seed", type=int, help="overrides the config seed")
-        p.add_argument("--out", help="output directory")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config path")
+    config.add_argument("--seed", type=int, help="overrides the config seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help="dataset npz (default: generate)")
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset npz")
-    common(p)
+    p = sub.add_parser("gen-data", parents=[config, out], help="write a synthetic dataset npz")
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train and checkpoint a model")
-    common(p)
-    p.add_argument("--data", help="dataset npz (default: generate)")
+    p = sub.add_parser("train", parents=[config, out, data], help="train and checkpoint a model")
     p.add_argument("--epochs", type=int, help="overrides the config epoch count")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
-    common(p)
-    p.add_argument("--data", help="dataset npz (default: generate)")
+    p = sub.add_parser("eval", parents=[config, data],
+                       help="evaluate a checkpoint on the validation split")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    p = sub.add_parser("gradcheck", parents=[config],
+                       help="finite-difference gradient verification")
     p.add_argument("--coords", type=int, default=20)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("explain", help="export an activation heatmap")
-    common(p)
-    p.add_argument("--data", help="dataset npz (default: generate)")
+    p = sub.add_parser("explain", parents=[config, out, data], help="export an activation heatmap")
     p.add_argument("--checkpoint")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--layer", default="enc0")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("metrics", help="metrics report from a predictions JSON")
-    common(p)
     p.add_argument("predictions", help="JSON with y_true, y_pred, optional probs")
     p.add_argument("--compare", help="second predictions JSON for a paired test")
     p.set_defaults(fn=cmd_metrics)

@@ -11,7 +11,7 @@ from .autodiff import Graph, Node
 from .params import ParamStore
 
 STEP = 1e-5
-DEFAULT_TOL = 1e-4
+TOL = 1e-4
 
 
 @dataclass
@@ -32,7 +32,6 @@ def check_gradients(
     store: ParamStore,
     names: list[str] | None = None,
     n_coords: int = 20,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> tuple[list[CoordResult], float]:
     """Compares reverse-sweep gradients of the scalar `build` output with
@@ -41,7 +40,7 @@ def check_gradients(
     the first build.
 
     Returns per-coordinate results and the max relative error; raises
-    AssertionError if any coordinate exceeds tol.
+    AssertionError if any coordinate exceeds TOL.
     """
     store.zero_grad()
     g = Graph()
@@ -71,7 +70,7 @@ def check_gradients(
         a = float(analytic[name][idx])
         results.append(CoordResult(name, idx, a, numeric, _rel_err(a, numeric)))
     max_err = max(r.rel_err for r in results)
-    bad = [r for r in results if r.rel_err > tol]
+    bad = [r for r in results if r.rel_err > TOL]
     if bad:
         worst = max(bad, key=lambda r: r.rel_err)
         raise AssertionError(

@@ -13,10 +13,8 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import LN_EPS, batch_norm, layer_norm, linear
+from .layers import batch_norm, layer_norm, linear
 from .params import ParamStore
-
-FNORM_EPS = 1e-5
 
 
 def hren_forward(g: Graph, store: ParamStore, cfg: ModelConfig, x: Node, train: bool) -> Node:
@@ -57,7 +55,7 @@ def feeca_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     weighted = g.mul(sff, g.reshape(y_proj, x.shape[:-3] + (1, 1, C)))
     y_att = g.sigmoid(g.reduce_sum(weighted, axes=-1, keepdims=True))
     # the gate is standardized over each whole map, x over its channels
-    return g.mul(g.standardize(y_att, (-3, -2, -1), LN_EPS), layer_norm(g, x))
+    return g.mul(g.standardize(y_att, (-3, -2, -1)), layer_norm(g, x))
 
 
 def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
@@ -70,7 +68,7 @@ def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     a_spatial = g.sigmoid(z_sum)
     f_freq = g.fft2d_magnitude(x)
     a_agg = g.mul(a_spatial, f_freq)
-    f_norm = g.standardize(f_freq, (-3, -2), FNORM_EPS)  # per channel
+    f_norm = g.standardize(f_freq, (-3, -2))  # per channel
     # the channel mixes below treat every pixel as a row
     a_proj = g.matmul(g.mul(a_agg, f_norm), g.param(store, "hcamam.fmsa.proj.w", (C, C)))
     local = g.conv2d(a_proj, g.param(store, "hcamam.fmsa.spatial", (7, 7, 1, C)), groups=C)

@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Graph, Node
+from .autodiff import NORM_EPS, Graph, Node
 
-LN_EPS = 1e-5
-BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
 def layer_norm(g: Graph, x: Node) -> Node:
     """Zero-mean unit-variance normalization along the last axis, no affine."""
-    return g.standardize(x, -1, LN_EPS)
+    return g.standardize(x, -1)
 
 
 def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
@@ -80,7 +78,7 @@ def batch_norm(
     rm = store.buffer(name + ".running_mean", np.zeros(C))
     rv = store.buffer(name + ".running_var", np.ones(C))
     if train:
-        norm = g.standardize(x, (-3, -2), BN_EPS)
+        norm = g.standardize(x, (-3, -2))
         means = x.value.mean(axis=(-3, -2)).reshape(-1, C)
         variances = x.value.var(axis=(-3, -2)).reshape(-1, C)
         for m, v in zip(means, variances):
@@ -89,7 +87,7 @@ def batch_norm(
         store.buffers[name + ".running_mean"] = rm
         store.buffers[name + ".running_var"] = rv
     else:
-        norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + BN_EPS)))
+        norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + NORM_EPS)))
     return g.add(g.mul(norm, gamma), beta)
 
 

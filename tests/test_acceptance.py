@@ -10,7 +10,7 @@ from floodnet.autodiff import Graph
 from floodnet.checkpoint import load_checkpoint, save_checkpoint
 from floodnet.config import ModelConfig
 from floodnet.data import generate_synthetic_dataset, split_dataset
-from floodnet.gradcheck import check_gradients
+from floodnet.gradcheck import TOL, check_gradients
 from floodnet.hcamam import hcamam_forward
 from floodnet.cctfrm import cctfrm_forward
 from floodnet.metrics import compute_metrics, log_loss, mcnemar_test
@@ -55,6 +55,7 @@ def _sample_inputs(cfg, seed=0):
 
 def test_criterion_1_gradient_suite():
     start = time.time()
+    assert TOL == GRAD_TOL  # every check_gradients call below gates on it
     cfg = make_tiny_config(dropout=0.0)
     sample, text, img = _sample_inputs(cfg)
     gl = extract_global_features(text, img)
@@ -62,13 +63,13 @@ def test_criterion_1_gradient_suite():
     store = ParamStore(101)
     check_gradients(
         lambda g: g.reduce_sum(g.tanh(mfim_forward(g, store, cfg, text, img))),
-        store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=1,
+        store, n_coords=GRAD_COORDS, seed=1,
     )
 
     store = ParamStore(102)
     check_gradients(
         lambda g: g.reduce_sum(g.tanh(hcamam_forward(g, store, cfg, img, gl, False))),
-        store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=2,
+        store, n_coords=GRAD_COORDS, seed=2,
     )
 
     store = ParamStore(103)
@@ -76,7 +77,7 @@ def test_criterion_1_gradient_suite():
         lambda g: g.reduce_sum(
             g.tanh(cctfrm_forward(g, store, cfg, sample.image, False, None))
         ),
-        store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=3,
+        store, n_coords=GRAD_COORDS, seed=3,
     )
 
     model = FloodNet(cfg, store=ParamStore(104))
@@ -85,7 +86,7 @@ def test_criterion_1_gradient_suite():
         _, logit = model.forward(g, sample, train=False)
         return bce_loss(g, logit, sample.label)
 
-    check_gradients(build_full, model.store, n_coords=GRAD_COORDS, tol=GRAD_TOL, seed=4)
+    check_gradients(build_full, model.store, n_coords=GRAD_COORDS, seed=4)
     assert time.time() - start < 300.0
 
 

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
@@ -381,7 +381,7 @@ def standardize_cases(draw):
 def test_standardize_property_matches_numpy(case):
     x, axes = case
     g = Graph()
-    out = g.standardize(g.constant(x), axes, 1e-5).value
+    out = g.standardize(g.constant(x), axes).value
     expected = (x - x.mean(axis=axes, keepdims=True)) / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
     assert np.abs(out - expected).max() <= 1e-12
 
@@ -389,6 +389,10 @@ def test_standardize_property_matches_numpy(case):
 @given(standardize_cases())
 def test_standardize_property_gradcheck(case):
     x, axes = case
+    # two values standardize to +-1 but for eps: the gradient is eps's term
+    # alone, ~eps / d^3 for a half-gap d, which central differences cannot
+    # resolve to TOL at scale 30
+    assume(np.prod([x.shape[a] for a in np.atleast_1d(axes)]) > 2)
     store = ParamStore(0)
     store.add("x", x.shape)
     store.entries["x"].value[...] = x
@@ -396,9 +400,9 @@ def test_standardize_property_gradcheck(case):
     weights = np.random.default_rng([1, 0x5D]).standard_normal(x.shape)
 
     def build(g):
-        return g.reduce_sum(g.mul(g.standardize(g.param(store, "x", x.shape), axes, 1e-5), g.constant(weights)))
+        return g.reduce_sum(g.mul(g.standardize(g.param(store, "x", x.shape), axes), g.constant(weights)))
 
-    check_gradients(build, store, n_coords=8, tol=1e-4)
+    check_gradients(build, store, n_coords=8)
 
 
 @given(standardize_cases(), st.floats(-10.0, 10.0))
@@ -407,7 +411,7 @@ def test_standardize_property_constant_input_is_zero(case, c):
     g = Graph()
     xn = g.constant(np.full(x.shape, c))
     g.watch(xn)
-    out = g.standardize(xn, axes, 1e-5)
+    out = g.standardize(xn, axes)
     g.backward(g.reduce_sum(g.mul(out, g.constant(x))))
     assert np.abs(out.value).max() <= 1e-9
     assert np.isfinite(xn.grad).all()
@@ -681,7 +685,8 @@ def reduce_cases(draw):
 @given(st.sampled_from(["reduce_sum", "reduce_mean"]), reduce_cases())
 def test_reduce_property_gradcheck(name, case):
     x, axes, keepdims = case
-    _gradcheck_every_operand(lambda g, a: getattr(g, name)(a, axes, keepdims), [x])
+    kwargs = {"keepdims": keepdims} if name == "reduce_sum" else {}
+    _gradcheck_every_operand(lambda g, a: getattr(g, name)(a, axes, **kwargs), [x])
 
 
 @given(shapes(), st.sampled_from([1.0, 10.0]), st.data())

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -121,6 +124,11 @@ def test_train_eval_explain_round_trip(tmp_path, capsys):
     assert paths["pgm"].endswith(".pgm")
 
 
+def _out_args(command, tmp_path):
+    """eval writes no file, so it takes no --out."""
+    return [] if command == "eval" else ["--out", str(tmp_path)]
+
+
 def _assert_one_line_error(capsys, *needles):
     captured = capsys.readouterr()
     err = captured.err.strip()
@@ -147,7 +155,7 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
     np.savez(path, **arrays)
     ckpt = str(tmp_path / "fresh.ckpt")
     save_checkpoint(ckpt, FloodNet(cfg).store)
-    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args = [command, "--config", cfg_path, "--data", path, *_out_args(command, tmp_path)]
     if command != "train":
         args += ["--checkpoint", ckpt]
     assert main(args) == 1
@@ -174,7 +182,7 @@ def test_malformed_data_file_exits_one(tmp_path, capsys, command, name, edit, ne
     np.savez(path, **arrays)
     ckpt = str(tmp_path / "fresh.ckpt")
     save_checkpoint(ckpt, FloodNet(cfg).store)
-    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args = [command, "--config", cfg_path, "--data", path, *_out_args(command, tmp_path)]
     args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
     assert main(args) == 1
     _assert_one_line_error(capsys, *needles)
@@ -192,7 +200,8 @@ def test_checkpoint_of_another_config_exits_one(tmp_path, capsys, command, overr
     assert main(["train", "--config", other_cfg, "--out", str(other), "--epochs", "1"]) == 0
     ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
     _, cfg_path = _write_tiny_config(tmp_path)
-    assert main([command, "--config", cfg_path, "--checkpoint", ckpt, "--out", str(tmp_path)]) == 1
+    argv = [command, "--config", cfg_path, "--checkpoint", ckpt, *_out_args(command, tmp_path)]
+    assert main(argv) == 1
     _assert_one_line_error(capsys, *needles)
 
 
@@ -269,7 +278,7 @@ def test_token_ids_that_are_not_whole_numbers_exit_one(tmp_path, capsys, command
     np.savez(path, **arrays)
     ckpt = str(tmp_path / "fresh.ckpt")
     save_checkpoint(ckpt, FloodNet(cfg).store)
-    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args = [command, "--config", cfg_path, "--data", path, *_out_args(command, tmp_path)]
     args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
     assert main(args) == 1
     _assert_one_line_error(capsys, needle)
@@ -287,7 +296,7 @@ def test_token_ids_outside_the_vocabulary_exit_one(tmp_path, capsys, command, va
     np.savez(path, **arrays)
     ckpt = str(tmp_path / "fresh.ckpt")
     save_checkpoint(ckpt, FloodNet(cfg).store)
-    args = [command, "--config", cfg_path, "--data", path, "--out", str(tmp_path)]
+    args = [command, "--config", cfg_path, "--data", path, *_out_args(command, tmp_path)]
     args += ["--epochs", "1"] if command == "train" else ["--checkpoint", ckpt]
     assert main(args) == 1
     _assert_one_line_error(capsys, f"tokens[2, 1] is {value}, not a whole number >= 0 and < 64")
@@ -312,3 +321,50 @@ def test_explain_reports_an_all_zero_heatmap(tmp_path, capsys, layer, all_zero):
     assert out["all_zero"] is all_zero
     values = json.loads((tmp_path / f"heatmap_0_{layer}.pgm.json").read_text())["values"]
     assert (max(map(max, values)) == 0.0) is all_zero
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "p.json", "--config", "c.json"],
+    ["metrics", "p.json", "--seed", "1"],
+    ["metrics", "p.json", "--out", "d"],
+    ["eval", "--checkpoint", "m.ckpt", "--out", "d"],
+    ["gradcheck", "--out", "d"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _args_read(fn) -> set:
+    """Attributes that a cli function reads off `args`, itself or in the cli
+    functions that it passes `args` to."""
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and "args" in [getattr(a, "id", None) for a in node.args]:
+            read |= _args_read(getattr(cli, node.func.id))
+    return read
+
+
+def test_every_cli_flag_is_read_by_its_handler():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, p in sub.choices.items():
+        read = _args_read(p.get_default("fn"))
+        unread += [f"{command} {a.dest}" for a in p._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    assert unread == []
+
+
+def test_eval_of_a_checkpoint_holding_a_nan_exits_one(tmp_path, capsys):
+    cfg, cfg_path = _write_tiny_config(tmp_path)
+    store = FloodNet(cfg).store
+    store.entries[store.names()[0]].value.flat[3] = np.nan
+    ckpt = str(tmp_path / "nan.ckpt")
+    save_checkpoint(ckpt, store)
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    _assert_one_line_error(capsys, f"'{store.names()[0]}' holds a non-finite value")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,45 @@ def test_checkpoint_every_truncation_names_its_field(tmp_path):
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert (err.value.offset, str(err.value)) == (want[0], f"byte {want[0]}: {want[1]}"), cut
+
+
+def _write_entries(path, entries):
+    """A checkpoint of (name bytes, float array) entries, laid out as the
+    module docstring says, whatever the names and values."""
+    blob = b"XFLD" + struct.pack("<BI", 1, len(entries))
+    for name, arr in entries:
+        blob += struct.pack("<H", len(name)) + name
+        blob += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape) + arr.astype("<f8").tobytes()
+    path.write_bytes(blob)
+
+
+@pytest.mark.parametrize("name,kind", [(b"x", "parameter"), (b"buffer.x", "buffer")])
+def test_checkpoint_duplicate_name_names_its_offset(tmp_path, name, kind):
+    path = tmp_path / "dup.ckpt"
+    _write_entries(path, [(name, np.ones(2)), (name, np.ones(2))])
+    # header 9, first entry 2 + len(name) + 1 + 8 + 16, second name length 2
+    off = 9 + (2 + len(name) + 1 + 8 + 16) + 2
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"byte {off}: duplicate {kind} 'x'"
+
+
+def test_checkpoint_name_that_is_not_utf8_names_its_offset(tmp_path):
+    path = tmp_path / "name.ckpt"
+    _write_entries(path, [(b"a\xffb", np.ones(2))])
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == "byte 11: name is not valid utf-8"  # header 9, name length 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_names_its_offset(tmp_path, bad):
+    path = tmp_path / "nan.ckpt"
+    _write_entries(path, [(b"x", np.array([[1.0, 2.0], [3.0, bad]]))])
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(path))
+    # header 9, name length 2, "x" 1, rank 1, extents 16
+    assert str(err.value) == "byte 29: 'x' holds a non-finite value"
 
 
 def test_checkpoint_size_accounting(tmp_path):

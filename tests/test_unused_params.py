@@ -20,10 +20,7 @@ ALLOWED = {
     ("model", "_Layout.add", "init"),
 }
 
-ALLOWED_DEFAULTS = {
-    # the reduce property test passes it positionally, through getattr(g, name)
-    ("autodiff", "Graph.reduce_mean", "keepdims"),
-}
+ALLOWED_DEFAULTS = set()
 
 
 def _functions(tree: ast.AST, module: str, prefix: str = "", in_class: bool = False):
