@@ -23,10 +23,6 @@ class CoordResult:
     rel_err: float
 
 
-def _rel_err(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a) + abs(n), 1e-6)
-
-
 def check_gradients(
     build: Callable[[Graph], Node],
     store: ParamStore,
@@ -35,9 +31,9 @@ def check_gradients(
     seed: int = 0,
 ) -> tuple[list[CoordResult], float]:
     """Compares reverse-sweep gradients of the scalar `build` output with
-    central finite differences, step STEP, at n_coords sampled parameter
-    coordinates, over `names` or else every parameter of the store after
-    the first build.
+    central finite differences, step STEP * max(1, |x|) at a coordinate x,
+    at n_coords sampled parameter coordinates, over `names` or else every
+    parameter of the store after the first build.
 
     Returns per-coordinate results and the max relative error; raises
     AssertionError if any coordinate exceeds TOL.
@@ -60,15 +56,17 @@ def check_gradients(
         flat = int(rng.integers(entry.value.size))
         idx = np.unravel_index(flat, entry.value.shape)
         orig = entry.value[idx]
-        entry.value[idx] = orig + STEP
+        step = STEP * max(1.0, abs(orig))
+        entry.value[idx] = orig + step
         # the perturbed forwards need no gradient, so their graphs have no sources
         up = float(build(Graph(param_grads=False)).value.reshape(()))
-        entry.value[idx] = orig - STEP
+        entry.value[idx] = orig - step
         down = float(build(Graph(param_grads=False)).value.reshape(()))
         entry.value[idx] = orig
-        numeric = (up - down) / (2 * STEP)
+        numeric = (up - down) / (2 * step)
         a = float(analytic[name][idx])
-        results.append(CoordResult(name, idx, a, numeric, _rel_err(a, numeric)))
+        rel_err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
+        results.append(CoordResult(name, idx, a, numeric, rel_err))
     max_err = max(r.rel_err for r in results)
     bad = [r for r in results if r.rel_err > TOL]
     if bad:

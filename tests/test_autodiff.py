@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
@@ -389,10 +389,6 @@ def test_standardize_property_matches_numpy(case):
 @given(standardize_cases())
 def test_standardize_property_gradcheck(case):
     x, axes = case
-    # two values standardize to +-1 but for eps: the gradient is eps's term
-    # alone, ~eps / d^3 for a half-gap d, which central differences cannot
-    # resolve to TOL at scale 30
-    assume(np.prod([x.shape[a] for a in np.atleast_1d(axes)]) > 2)
     store = ParamStore(0)
     store.add("x", x.shape)
     store.entries["x"].value[...] = x

@@ -345,7 +345,11 @@ def _args_read(fn) -> set:
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
             read.add(node.attr)
         elif isinstance(node, ast.Call) and "args" in [getattr(a, "id", None) for a in node.args]:
-            read |= _args_read(getattr(cli, node.func.id))
+            callee = getattr(cli, getattr(node.func, "id", ""), None)
+            assert inspect.isfunction(callee), (
+                f"{fn.__name__} passes args to {ast.unparse(node.func)}, which is not a cli function"
+            )
+            read |= _args_read(callee)
     return read
 
 
