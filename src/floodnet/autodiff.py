@@ -17,10 +17,17 @@ The image ops take (..., H, W, C) and matmul takes (..., k) @ (k, m) or
 (B, n, k) @ (B, k, m), so one graph can carry a whole batch on a leading
 axis; without one, an op does exactly the unbatched work.  maxpool2 needs
 even H and W, as conv2d needs extents divisible by its stride.
+
+conv2d has two kernels and picks one from the operand shapes: im2col times
+the kernel, or the input times the dense matrix of the whole map, whichever
+matrix holds fewer entries.  With nb the product of the leading extents,
+that is the dense one when H*W*C_out/groups <= nb*K*K: a batch of small
+maps read by a wide kernel, where most im2col entries are zero padding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -358,17 +365,17 @@ class Graph:
 
         x: (..., H, W, C_in) with H and W multiples of stride,
         kernel: (K, K, C_in // groups, C_out); output (..., H/stride, W/stride, C_out).
-        Computed as one matmul batched over groups: an im2col matrix with
-        columns ordered (i, j, c), and one row per output pixel of every
-        leading index, times the kernel viewed as
-        (groups, K*K*C_in/groups, C_out/groups).
+        Either kernel is one matmul batched over groups.  Per group, the
+        dense matrix of the map (`_conv_dense`) has H*W*C_in/groups x
+        Ho*Wo*C_out/groups entries and the im2col matrix (`_conv_im2col`)
+        nb*Ho*Wo x K*K*C_in/groups, nb the product of the leading extents;
+        the dense kernel runs when its matrix is no larger, that is when
+        H*W*C_out/groups <= nb*K*K.
         """
         x, kernel = self._coerce(x), self._coerce(kernel)
         if x.value.ndim < 3 or kernel.value.ndim != 4:
             raise ShapeError(f"conv2d expects (...,H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
         *lead, H, W, c_in = x.shape
-        lead = tuple(lead)
-        n = len(lead)
         K, K2, cg, c_out = kernel.shape
         if K != K2 or K % 2 == 0:
             raise ShapeError(f"kernel must be square with odd extent, got {K}x{K2}")
@@ -378,41 +385,8 @@ class Graph:
             raise ShapeError(f"kernel input slice {cg} != C_in/groups = {c_in // groups}")
         if stride < 1 or H % stride or W % stride:
             raise ShapeError(f"extents {H}x{W} not divisible by stride {stride}")
-        P, s = K // 2, stride
-        Ho, Wo, cog = H // s, W // s, c_out // groups
-        rows = math.prod(lead) * Ho * Wo
-        # bwd rebuilds the columns: keeping them on the tape would hold
-        # K*K copies of every conv input until the sweep ends
-        xp = np.zeros(lead + (H + 2 * P, W + 2 * P, c_in))  # np.pad costs several times this
-        xp[..., P:P + H, P:P + W, :] = x.value
-        kmat = kernel.value.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
-        # (lead, Ho, Wo, groups, cg, K, K) -> (groups, lead, Ho, Wo, K, K, cg),
-        # and the column grads back to (lead, Ho, Wo, K, K, groups, cg)
-        to_cols = (n + 2, *range(n + 2), n + 4, n + 5, n + 3)
-        from_cols = (*range(1, n + 5), 0, n + 5)
-
-        def im2col():
-            win = sliding_window_view(xp, (K, K), axis=(n, n + 1))[..., ::s, ::s, :, :, :]
-            win = win.reshape(lead + (Ho, Wo, groups, cg, K, K)).transpose(to_cols)
-            return win.reshape(groups, rows, K * K * cg)
-
-        out = np.matmul(im2col(), kmat).transpose(1, 0, 2).reshape(lead + (Ho, Wo, c_out))
-
-        def bwd(g, grads):
-            gm = g.reshape(rows, groups, cog).transpose(1, 0, 2)
-            if kernel.active:
-                dk = np.matmul(im2col().transpose(0, 2, 1), gm)
-                grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
-            if x.active:  # not so for the raw image batch
-                dcols = np.matmul(gm, kmat.transpose(0, 2, 1)).reshape((groups,) + lead + (Ho, Wo, K, K, cg))
-                dcols = dcols.transpose(from_cols)
-                dxp = np.zeros_like(xp)
-                dxp_g = dxp.reshape(lead + (H + 2 * P, W + 2 * P, groups, cg))
-                for i in range(K):
-                    for j in range(K):
-                        dxp_g[..., i:i + H:s, j:j + W:s, :, :] += dcols[..., i, j, :, :]
-                grads[x.idx] += dxp[..., P:P + H, P:P + W, :]
-
+        dense = H * W * (c_out // groups) <= math.prod(lead) * K * K
+        out, bwd = (_conv_dense if dense else _conv_im2col)(x, kernel, groups, stride)
         return self._record(out, (x, kernel), bwd, "conv2d")
 
     def fft2d_magnitude(self, x) -> Node:
@@ -501,3 +475,100 @@ class Graph:
             node.grad = g if node.bwd is None or node.idx in kept else None
             if g is not None and node.bwd is not None:
                 node.bwd(g, grads)
+
+
+# ---- conv2d kernels -------------------------------------------------
+# Each takes conv2d's checked operands and returns the output value and the
+# backward rule.
+
+
+def _conv_im2col(x: Node, kernel: Node, groups: int, s: int):
+    """An im2col matrix with columns ordered (i, j, c), one row per output
+    pixel of every leading index, times the kernel viewed as
+    (groups, K*K*C_in/groups, C_out/groups)."""
+    *lead, H, W, c_in = x.shape
+    lead = tuple(lead)
+    n = len(lead)
+    K, _, cg, c_out = kernel.shape
+    P, Ho, Wo, cog = K // 2, H // s, W // s, c_out // groups
+    rows = math.prod(lead) * Ho * Wo
+    # bwd rebuilds the columns: keeping them on the tape would hold
+    # K*K copies of every conv input until the sweep ends
+    xp = np.zeros(lead + (H + 2 * P, W + 2 * P, c_in))  # np.pad costs several times this
+    xp[..., P:P + H, P:P + W, :] = x.value
+    kmat = kernel.value.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
+    # (lead, Ho, Wo, groups, cg, K, K) -> (groups, lead, Ho, Wo, K, K, cg)
+    to_cols = (n + 2, *range(n + 2), n + 4, n + 5, n + 3)
+
+    def im2col():
+        win = sliding_window_view(xp, (K, K), axis=(n, n + 1))[..., ::s, ::s, :, :, :]
+        win = win.reshape(lead + (Ho, Wo, groups, cg, K, K)).transpose(to_cols)
+        return win.reshape(groups, rows, K * K * cg)
+
+    out = np.matmul(im2col(), kmat).transpose(1, 0, 2).reshape(lead + (Ho, Wo, c_out))
+
+    def bwd(g, grads):
+        gm = g.reshape(rows, groups, cog).transpose(1, 0, 2)
+        if kernel.active:
+            dk = np.matmul(im2col().transpose(0, 2, 1), gm)
+            grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
+        if x.active:  # not so for the raw image batch
+            # one (groups, rows, cg) block per tap, each added whole
+            taps = np.matmul(gm, kernel.value.reshape(K * K, cg, groups, cog).transpose(0, 2, 3, 1))
+            dxp = np.zeros_like(xp)
+            dxp_g = dxp.reshape(lead + (H + 2 * P, W + 2 * P, groups, cg))
+            for t, block in enumerate(taps):
+                i, j = divmod(t, K)
+                dxp_g[..., i:i + H:s, j:j + W:s, :, :] += np.moveaxis(
+                    block.reshape((groups,) + lead + (Ho, Wo, cg)), 0, -2)
+            grads[x.idx] += dxp[..., P:P + H, P:P + W, :]
+
+    return out, bwd
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_index(H: int, W: int, K: int, s: int) -> np.ndarray:
+    """(H*W, Ho*Wo) read-only: the tap ty*K + tx of a KxK same-padded kernel
+    at stride s that links each input pixel to each output pixel, or K*K
+    where that tap falls outside the kernel.  Cached: it costs more than a
+    small map's whole dense forward."""
+    P = K // 2
+    ty = (np.arange(H)[:, None] - s * np.arange(H // s) + P)[:, None, :, None]
+    tx = (np.arange(W)[:, None] - s * np.arange(W // s) + P)[None, :, None, :]
+    inside = (0 <= ty) & (ty < K) & (0 <= tx) & (tx < K)
+    t = np.where(inside, ty * K + tx, K * K).reshape(H * W, -1)
+    t.flags.writeable = False
+    return t
+
+
+def _conv_dense(x: Node, kernel: Node, groups: int, s: int):
+    """x as (groups, nb, H*W*cg) times the dense matrix D of the map,
+    (groups, H*W*cg, Ho*Wo*cog): D[(p, c), (q, o)] is the kernel entry of the
+    tap t[p, q] that links input pixel p to output pixel q, or zero where
+    that tap falls outside the kernel."""
+    *lead, H, W, c_in = x.shape
+    K, _, cg, c_out = kernel.shape
+    Ho, Wo, cog = H // s, W // s, c_out // groups
+    nb, HW, HoWo = math.prod(lead), H * W, Ho * Wo
+    t = _tap_index(H, W, K, s)
+    taps = np.concatenate([kernel.value.reshape(K * K, cg, groups, cog), np.zeros((1, cg, groups, cog))])
+    # bwd reads D: it is no larger than the im2col matrix, and rebuilding
+    # it there measured slower than keeping it until the sweep
+    D = taps[t].transpose(3, 0, 2, 1, 4).reshape(groups, HW * cg, HoWo * cog)
+    xm = x.value.reshape(nb, HW, groups, cg).transpose(2, 0, 1, 3).reshape(groups, nb, HW * cg)
+    out = np.matmul(xm, D).reshape(groups, nb, HoWo, cog).transpose(1, 2, 0, 3)
+    out = out.reshape(tuple(lead) + (Ho, Wo, c_out))
+
+    def bwd(g, grads):
+        gm = g.reshape(nb, HoWo, groups, cog).transpose(2, 0, 1, 3).reshape(groups, nb, HoWo * cog)
+        if kernel.active:
+            dD = np.matmul(xm.transpose(0, 2, 1), gm).reshape(groups, HW, cg, HoWo, cog)
+            dD = dD.transpose(1, 3, 2, 0, 4).reshape(HW * HoWo, cg * c_out)
+            # one-hot of t without the zero tap's row
+            onehot = (np.arange(K * K)[:, None] == t.reshape(1, -1)).astype(np.float64)
+            grads[kernel.idx] += (onehot @ dD).reshape(kernel.shape)
+        if x.active:
+            dx = np.matmul(gm, D.transpose(0, 2, 1)).reshape(groups, nb, HW, cg).transpose(1, 2, 0, 3)
+            grads[x.idx] += dx.reshape(x.shape)
+
+    return out, bwd

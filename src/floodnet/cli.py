@@ -77,9 +77,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     if not args.config:
-        print(build_parser().format_usage(), file=sys.stderr)
-        print("error: train requires --config", file=sys.stderr)
-        return 1
+        raise ConfigError("train requires --config")
     cfg = _load_config(args)
     epochs = cfg.epochs if args.epochs is None else args.epochs
     if epochs < 1:

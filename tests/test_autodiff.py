@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from floodnet import autodiff
 from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
 from floodnet.gradcheck import check_gradients
 from floodnet.layers import batch_norm, layer_norm
@@ -179,6 +180,86 @@ def test_conv2d_stride_must_divide_extents():
     for shape in ((6, 8, 2), (8, 6, 2)):
         with pytest.raises(ShapeError):
             g.conv2d(g.constant(np.ones(shape)), kernel, stride=4)
+
+
+# Cases on each side of conv2d's kernel rule, H*W*C_out/groups <= nb*K*K:
+# (leading extents, H, W, C_in, C_out, K, groups, stride, dense)
+RULE_CASES = {
+    "mfim_k7_batch2": ((2,), 4, 4, 64, 22, 7, 1, 1, False),
+    "groups2": ((4,), 4, 4, 4, 4, 3, 2, 1, True),
+    "depthwise": ((2,), 4, 4, 3, 3, 7, 3, 1, True),
+    "stride2": ((2,), 4, 4, 2, 2, 5, 1, 2, True),
+    "8x8_k3_batch1": ((1,), 8, 8, 3, 2, 3, 1, 1, False),
+}
+CONV_KERNELS = {"dense": autodiff._conv_dense, "im2col": autodiff._conv_im2col}
+
+
+def _kernels_run(monkeypatch):
+    """The list of kernels conv2d runs from here on, by kind, in order."""
+    ran = []
+    for kind, fn in CONV_KERNELS.items():
+        monkeypatch.setattr(autodiff, f"_conv_{kind}", lambda *a, kind=kind, fn=fn: ran.append(kind) or fn(*a))
+    return ran
+
+
+def _rule_case(name):
+    lead, H, W, c_in, c_out, K, groups, stride, dense = RULE_CASES[name]
+    rng = np.random.default_rng(sorted(RULE_CASES).index(name))
+    kernel = rng.standard_normal((K, K, c_in // groups, c_out)) / np.sqrt(K * K * c_in // groups)
+    return rng.standard_normal(lead + (H, W, c_in)), kernel, groups, stride, dense
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_conv2d_rule_picks_the_kernel_with_the_smaller_matrix(name, monkeypatch):
+    x, kernel, groups, stride, dense = _rule_case(name)
+    ran = _kernels_run(monkeypatch)
+    Graph().conv2d(x, kernel, groups=groups, stride=stride)
+    assert ran == ["dense" if dense else "im2col"]
+
+
+@pytest.mark.parametrize("kind", CONV_KERNELS)
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_conv2d_kernel_matches_loop_oracle_and_gradcheck(name, kind, monkeypatch):
+    """Each kernel, forced whichever the rule picks, on every case."""
+    x, kernel, groups, stride, _ = _rule_case(name)
+    monkeypatch.setattr(autodiff, "_conv_dense", CONV_KERNELS[kind])
+    monkeypatch.setattr(autodiff, "_conv_im2col", CONV_KERNELS[kind])
+    out = Graph().conv2d(x, kernel, groups=groups, stride=stride).value
+    H, W, c_in = x.shape[-3:]
+    want = [conv2d_loops(xi, kernel, groups)[::stride, ::stride] for xi in x.reshape(-1, H, W, c_in)]
+    assert np.abs(out - np.reshape(want, out.shape)).max() <= 1e-10
+    store = ParamStore(0)
+    for pname, value in (("x", x), ("kernel", kernel)):
+        store.add(pname, value.shape)
+        store.entries[pname].value[...] = value
+
+    def build(g):
+        out = g.conv2d(g.param(store, "x", x.shape), g.param(store, "kernel", kernel.shape),
+                       groups=groups, stride=stride)
+        return g.reduce_sum(g.tanh(out))
+
+    for pname in ("kernel", "x"):
+        check_gradients(build, store, names=[pname], n_coords=6)
+
+
+def test_conv2d_batch_that_crosses_the_rule_matches_per_sample(monkeypatch):
+    """5x5 kernel on 4x4x2 maps: one sample runs im2col (16*2 > 25), a batch
+    of three the dense kernel (32 <= 75)."""
+    rng = np.random.default_rng(4)
+    xs, kernel = rng.standard_normal((3, 4, 4, 2)), rng.standard_normal((5, 5, 2, 2)) / 5.0
+    ran = _kernels_run(monkeypatch)
+
+    def kernel_grad(x):
+        g = Graph()
+        kn = g.watch(g.constant(kernel))
+        g.backward(g.reduce_sum(g.tanh(g.conv2d(g.constant(x), kn))))
+        return kn.grad
+
+    batched = kernel_grad(xs)
+    per_sample = sum(kernel_grad(xi) for xi in xs)
+    assert ran == ["dense", "im2col", "im2col", "im2col"]
+    assert rel_close(batched, per_sample, 1e-12)
+    _check_batched(lambda g, xn: g.conv2d(xn, g.constant(kernel)), [xs], exact=False)
 
 
 # ---- batched ops -------------------------------------------------------

@@ -34,7 +34,8 @@ def test_gen_data_writes_npz(tmp_path, capsys):
 
 def test_train_without_config_exits_one(capsys):
     assert main(["train"]) == 1
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--config" in err
 
 
 def test_train_zero_epochs_exits_one(tmp_path, capsys):
