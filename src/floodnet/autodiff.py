@@ -224,6 +224,37 @@ class Graph:
 
         return self._record(out, (a,), bwd, "relu")
 
+    def swish_gate(self, a, mask=None) -> Node:
+        """relu(a * sigmoid(a)), times mask when one is given: the values of
+        relu(mul(a, sigmoid(a))) and then mul by mask, bit for bit, in one
+        node.  mask is a plain array that broadcasts to a's shape, such as
+        a dropout mask."""
+        a = self._coerce(a)
+        # the steps of Graph.sigmoid, 1 / (1 + exp(-a)), each in place
+        s = np.negative(a.value)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        out = a.value * s
+        np.maximum(out, 0.0, out=out)
+        if mask is not None:
+            out *= mask
+
+        def bwd(g, grads):
+            # g * mask * (a > 0) * s * (1 + a * (1 - s))
+            d = 1.0 - s
+            d *= a.value
+            d += 1.0
+            d *= s
+            d *= g
+            if mask is not None:
+                d *= mask
+            d *= a.value > 0.0
+            grads[a.idx] += d
+
+        return self._record(out, (a,), bwd, "swish_gate")
+
     def softplus(self, a) -> Node:
         """log(1 + exp(a)) without overflow or cancellation."""
         a = self._coerce(a)
@@ -344,18 +375,49 @@ class Graph:
 
         return self._record(out, (a,), bwd, "softmax")
 
-    def standardize(self, a, axes) -> Node:
-        """(a - mean) / sqrt(var + NORM_EPS) over `axes`, with the biased variance."""
+    def standardize(self, a, axes, affine=None, moments=None) -> Node:
+        """n = (a - mean) / sqrt(var + NORM_EPS) over `axes`, with the biased
+        variance; n * gamma + beta when affine = (gamma, beta) is given.
+
+        gamma and beta are per-channel, (C,) for an a of (..., C), so axes
+        must keep the last axis.  moments, when given, is
+        `mean_var(a.value, axes)`, for a caller that reads them too."""
         a = self._coerce(a)
-        centered = a.value - a.value.mean(axis=axes, keepdims=True)
-        rstd = 1.0 / np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + NORM_EPS)
-        out = centered * rstd
+        mean, var = mean_var(a.value, axes) if moments is None else moments
+        n = a.value - mean
+        rstd = 1.0 / np.sqrt(var + NORM_EPS)
+        n *= rstd
+        parents, out = (a,), n
+        if affine is not None:
+            gamma, beta = (self._coerce(p) for p in affine)
+            C = a.shape[-1]
+            if gamma.shape != (C,) or beta.shape != (C,):
+                raise ShapeError(f"affine of {gamma.shape} and {beta.shape} for {a.shape}: want ({C},)")
+            if rstd.shape[-1] != C:
+                raise ShapeError(f"a per-channel affine needs axes {axes} to keep the last axis")
+            parents = (a, gamma, beta)
+            out = n * gamma.value
+            out += beta.value
+        count = n.size // rstd.size
 
         def bwd(g, grads):
-            gy = (g * out).mean(axis=axes, keepdims=True)
-            grads[a.idx] += (g - g.mean(axis=axes, keepdims=True) - out * gy) * rstd
+            # with gamma constant over each slice:
+            # dx = gamma * rstd * (g - mean(g) - n * mean(g * n))
+            sum_g = _sum(g, axes)
+            gn = g * n
+            sum_gn = _sum(gn, axes)
+            if a.active:
+                np.multiply(n, sum_gn / count, out=gn)
+                dx = g - sum_g / count
+                dx -= gn
+                dx *= rstd if affine is None else rstd * gamma.value
+                grads[a.idx] += dx
+            if affine is not None and gamma.active:
+                grads[gamma.idx] += sum_gn.reshape(-1, C).sum(axis=0)
+            if affine is not None and beta.active:
+                grads[beta.idx] += sum_g.reshape(-1, C).sum(axis=0)
 
-        return self._record(out, (a,), bwd, "standardize")
+        return self._record(out, parents, bwd, "standardize")
 
     # ---- neural primitives -------------------------------------------
 
@@ -475,6 +537,30 @@ class Graph:
             node.grad = g if node.bwd is None or node.idx in kept else None
             if g is not None and node.bwd is not None:
                 node.bwd(g, grads)
+
+
+# ---- normalization moments -------------------------------------------
+
+
+def _sum(v: np.ndarray, axes) -> np.ndarray:
+    """Sum of v over axes, with keepdims.  Over the spatial axes of
+    (..., H, W, C) it is one gemv, ones(H*W) @ v as (nb, H*W, C): numpy's
+    strided reduction over those axes is several times slower."""
+    nd = v.ndim
+    if nd >= 3 and sorted(ax % nd for ax in np.atleast_1d(axes)) == [nd - 3, nd - 2]:
+        *lead, H, W, C = v.shape
+        return np.matmul(np.ones(H * W), v.reshape(-1, H * W, C)).reshape(tuple(lead) + (1, 1, C))
+    return v.sum(axis=axes, keepdims=True)
+
+
+def mean_var(v: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased variance of v over axes, with keepdims."""
+    sums = _sum(v, axes)
+    count = v.size // sums.size
+    mean = sums / count
+    centered = v - mean
+    centered *= centered
+    return mean, _sum(centered, axes) / count
 
 
 # ---- conv2d kernels -------------------------------------------------

@@ -56,12 +56,11 @@ def gated_downsample_block(
     train: bool,
     masks: DropoutMasks | None,
 ) -> Node:
-    """3x3 conv to c_out channels -> relu(G * sigmoid(G)) -> times the next
-    dropout mask, when masks are given -> batchnorm -> maxpool."""
+    """3x3 conv to c_out channels -> relu(G * sigmoid(G)), times the next
+    dropout mask when masks are given, as one swish_gate node -> batchnorm
+    -> maxpool."""
     conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
-    act = g.relu(g.mul(conv, g.sigmoid(conv)))
-    if masks is not None:
-        act = g.mul(act, masks.take(act.shape))
+    act = g.swish_gate(conv, None if masks is None else masks.take(conv.shape))
     normed = batch_norm(g, act, store, f"{name}.bn", train)
     return g.maxpool2(normed)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import NORM_EPS, Graph, Node
+from .autodiff import NORM_EPS, Graph, Node, mean_var
 
 BN_MOMENTUM = 0.9
 
@@ -68,9 +68,10 @@ def batch_norm(
 ) -> Node:
     """Per-channel batch norm over the spatial axes of each (H,W,C) map.
 
-    Train mode normalizes each map by its own statistics and folds them
-    into the running buffers one map at a time, in batch order; eval mode
-    uses the buffers (init 0 mean / 1 var).
+    Train mode is one `standardize` node with the affine: each map is
+    normalized by its own statistics, and the same moments are folded into
+    the running buffers one map at a time, in batch order.  Eval mode uses
+    the buffers (init 0 mean / 1 var).
     """
     C = x.shape[-1]
     gamma = g.param(store, name + ".gamma", (C,), "ones")
@@ -78,16 +79,14 @@ def batch_norm(
     rm = store.buffer(name + ".running_mean", np.zeros(C))
     rv = store.buffer(name + ".running_var", np.ones(C))
     if train:
-        norm = g.standardize(x, (-3, -2))
-        means = x.value.mean(axis=(-3, -2)).reshape(-1, C)
-        variances = x.value.var(axis=(-3, -2)).reshape(-1, C)
-        for m, v in zip(means, variances):
+        mean, var = moments = mean_var(x.value, (-3, -2))
+        for m, v in zip(mean.reshape(-1, C), var.reshape(-1, C)):
             rm = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * m
             rv = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * v
         store.buffers[name + ".running_mean"] = rm
         store.buffers[name + ".running_var"] = rv
-    else:
-        norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + NORM_EPS)))
+        return g.standardize(x, (-3, -2), (gamma, beta), moments)
+    norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + NORM_EPS)))
     return g.add(g.mul(norm, gamma), beta)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from floodnet.layers import batch_norm
+
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, k = a.shape
@@ -43,6 +45,28 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, groups: int = 1) -> np.ndarr
                                     acc += x[ii, jj, ci] * kernel[u, v, c, do]
                     out[i, j, do] = acc
     return out
+
+
+def gated_block_chain(g, store, name: str, x, c_out: int, train: bool, mask):
+    """The gated block as the chain of single ops it was built from: conv2d,
+    relu(mul(G, sigmoid(G))), mul by the dropout mask, then in train mode
+    standardize, mul by gamma and add beta, with each map's np.mean and
+    np.var folded into the store's running buffers in batch order (eval
+    mode: layers.batch_norm), and maxpool2."""
+    conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
+    act = g.relu(g.mul(conv, g.sigmoid(conv)))
+    if mask is not None:
+        act = g.mul(act, g.constant(mask))
+    if not train:
+        return g.maxpool2(batch_norm(g, act, store, f"{name}.bn", False))
+    gamma = g.param(store, f"{name}.bn.gamma", (c_out,), "ones")
+    beta = g.param(store, f"{name}.bn.beta", (c_out,), "zeros")
+    for key, stat in (("running_mean", np.mean), ("running_var", np.var)):
+        buf = store.buffers[f"{name}.bn.{key}"]
+        for per_map in stat(act.value, axis=(-3, -2)).reshape(-1, c_out):
+            buf = 0.9 * buf + 0.1 * per_map
+        store.buffers[f"{name}.bn.{key}"] = buf
+    return g.maxpool2(g.add(g.mul(g.standardize(act, (-3, -2)), gamma), beta))
 
 
 def dft2_magnitude_quadratic(x: np.ndarray) -> np.ndarray:

@@ -4,10 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from floodnet import autodiff
+from floodnet import autodiff, layers
 from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
 from floodnet.gradcheck import check_gradients
 from floodnet.layers import batch_norm, layer_norm
@@ -494,6 +494,108 @@ def test_standardize_property_constant_input_is_zero(case, c):
     assert np.isfinite(xn.grad).all()
 
 
+@st.composite
+def affine_standardize_cases(draw):
+    """(x, axes, gamma, beta): axes that keep the channel axis, the spatial
+    pair or H alone, with at least two entries reduced; gamma and beta (C,)."""
+    axes = draw(st.sampled_from([(-3, -2), -2]))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(3, 4))))
+    if np.prod([shape[a] for a in np.atleast_1d(axes)]) < 2:
+        shape = shape[:-3] + (shape[-3], 2, shape[-1])
+    C = shape[-1]
+    x = _draw_array(draw, shape, draw(st.sampled_from([0.1, 1.0, 30.0])))
+    return x, axes, _draw_array(draw, (C,)), _draw_array(draw, (C,))
+
+
+@given(affine_standardize_cases())
+# gamma of either sign and zero, so dx vanishes in one channel and d(gamma) does not
+@example(case=(np.arange(24.0).reshape(2, 3, 2, 2) % 5, (-3, -2), np.array([0.0, -1.5]), np.array([0.3, 0.0])))
+# two values per slice: the whole dx is the eps term, ~eps / d^3
+@example(case=(np.array([[[0.3, -1.2]], [[-0.9, 0.4]]]), (-3, -2), np.array([1.5, -0.5]), np.array([0.2, -0.3])))
+def test_standardize_affine_property_gradcheck(case):
+    """standardize(x, axes, (gamma, beta)) is the numpy oracle times gamma
+    plus beta, and check_gradients passes on x, and on gamma and beta."""
+    x, axes, gamma, beta = case
+    g = Graph()
+    out = g.standardize(g.constant(x), axes, (g.constant(gamma), g.constant(beta))).value
+    norm = (x - x.mean(axis=axes, keepdims=True)) / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
+    assert np.abs(out - (norm * gamma + beta)).max() <= 1e-12 * max(1.0, np.abs(gamma).max())
+    store = ParamStore(0)
+    for name, value in (("x", x), ("gamma", gamma), ("beta", beta)):
+        store.add(name, value.shape)
+        store.entries[name].value[...] = value
+    weights = np.random.default_rng([1, 0x5D]).standard_normal(x.shape)
+
+    def build(g):
+        affine = (g.param(store, "gamma", gamma.shape), g.param(store, "beta", beta.shape))
+        normed = g.standardize(g.param(store, "x", x.shape), axes, affine)
+        return g.reduce_sum(g.mul(normed, g.constant(weights)))
+
+    check_gradients(build, store, names=["x"], n_coords=8)
+    check_gradients(build, store, names=["gamma", "beta"], n_coords=6)
+
+
+def test_standardize_affine_rejects_what_is_not_per_channel():
+    g = Graph()
+    x = g.constant(np.ones((2, 3, 4)))
+    ones = g.constant(np.ones(4))
+    with pytest.raises(ShapeError, match="keep the last axis"):
+        g.standardize(x, -1, (ones, ones))
+    with pytest.raises(ShapeError, match="want"):
+        g.standardize(x, (-3, -2), (ones, g.constant(np.ones(3))))
+
+
+# ---- swish gate --------------------------------------------------------
+
+
+@st.composite
+def gate_cases(draw):
+    """(x, mask): x at three scales; mask None or an inverted-dropout mask
+    (u >= rate) / (1 - rate), which holds zeros."""
+    shape = draw(shapes())
+    x = _draw_array(draw, shape, draw(st.sampled_from([0.5, 3.0, 30.0])))
+    if draw(st.booleans()):
+        return x, None
+    rate = draw(st.sampled_from([0.2, 0.5]))
+    return x, (np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) >= rate) / (1.0 - rate)
+
+
+@given(gate_cases())
+@example(case=(np.zeros((2, 3)), None))  # the kink: the gradient there is 0, as relu's
+@example(case=(np.array([-800.0, -30.0, 0.5, 800.0]), None))  # exp(800) overflows: s = 0
+@example(case=(np.array([[1.5, -0.7], [2.0, 0.3]]), np.array([[0.0, 2.0], [2.0, 0.0]])))
+def test_swish_gate_property_gradcheck(case):
+    """swish_gate's value is relu(mul(x, sigmoid(x))) times the mask bit
+    for bit; its gradient is the closed form, with no NaN and no floating
+    point error; check_gradients passes off the kink at 0."""
+    x, mask = case
+    weights = np.random.default_rng([2, 0x5D]).standard_normal(x.shape)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        g = Graph()
+        xn = g.watch(g.constant(x))
+        out = g.swish_gate(xn, mask)
+        g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
+    g = Graph()
+    chain = g.relu(g.mul(x, g.sigmoid(x)))
+    np.testing.assert_array_equal(out.value, chain.value if mask is None else g.mul(chain, mask).value)
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    want = weights * (1.0 if mask is None else mask) * (x > 0) * s * (1.0 + x * (1.0 - s))
+    assert np.isfinite(xn.grad).all()
+    assert np.abs(xn.grad - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+    off_kink = np.where(x < 0.0, x - 0.1, x + 0.1)
+    store = ParamStore(0)
+    store.add("x", x.shape)
+    store.entries["x"].value[...] = off_kink
+
+    def build(g):
+        gated = g.swish_gate(g.param(store, "x", x.shape), mask)
+        return g.reduce_sum(g.mul(g.tanh(gated), g.constant(weights)))
+
+    check_gradients(build, store, n_coords=8)
+
+
 # ---- batch norm ------------------------------------------------------
 
 
@@ -529,6 +631,35 @@ def test_batch_norm_matches_statistics_oracle():
     # running buffers fold the batch statistics at momentum 0.9
     np.testing.assert_allclose(store.buffers["bn.running_mean"], 0.1 * mu, atol=1e-12)
     np.testing.assert_allclose(store.buffers["bn.running_var"], 0.9 + 0.1 * var, atol=1e-12)
+
+
+def test_batch_norm_fold_reads_the_moments_of_its_normalization(monkeypatch):
+    """Train mode folds each map's np.mean and np.var into the buffers in
+    batch order, and computes the moments once: the standardize node
+    divides by the same arrays."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 4, 5, 2)) * [1.0, 3.0] + rng.standard_normal((3, 1, 1, 2)) * 5.0
+    calls = []
+
+    def spy(v, axes, real=autodiff.mean_var):
+        calls.append(axes)
+        return real(v, axes)
+
+    monkeypatch.setattr(autodiff, "mean_var", spy)
+    monkeypatch.setattr(layers, "mean_var", spy)
+    store = ParamStore(0)
+    rm, rv = np.array([0.5, -0.5]), np.array([2.0, 0.7])
+    store.buffers.update({"bn.running_mean": rm, "bn.running_var": rv})
+    g = Graph()
+    out = batch_norm(g, g.constant(x), store, "bn", train=True).value
+    assert calls == [(-3, -2)]
+    for b in range(3):
+        rm = 0.9 * rm + 0.1 * np.mean(x[b], axis=(0, 1))
+        rv = 0.9 * rv + 0.1 * np.var(x[b], axis=(0, 1))
+    np.testing.assert_allclose(store.buffers["bn.running_mean"], rm, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(store.buffers["bn.running_var"], rv, rtol=1e-12, atol=0)
+    mu, var = x.mean(axis=(1, 2), keepdims=True), x.var(axis=(1, 2), keepdims=True)
+    assert np.abs(out - (x - mu) / np.sqrt(var + 1e-5)).max() <= 1e-12
 
 
 def test_batch_norm_eval_uses_buffers():
@@ -843,13 +974,18 @@ def rule_cases(draw, name):
     elif name == "maxpool2":
         operands = [draw(batches(max_extent=6, step=2))]
         op = lambda g, a: g.maxpool2(a)
+    elif name == "standardize":
+        x = draw(batches())
+        operands = [x, _draw_array(draw, x.shape[-1:]), _draw_array(draw, x.shape[-1:])]
+        op = lambda g, a, gamma, beta: g.standardize(a, (-3, -2), (gamma, beta))
     else:
         operands = [_draw_array(draw, (3, 4, 2))]
         op = lambda g, a: getattr(g, name)(a)
     return op, operands
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "concat", "conv2d", "tanh", "maxpool2"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "concat", "conv2d", "tanh", "maxpool2",
+                                  "standardize", "swish_gate"])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
     op, operands = data.draw(rule_cases(name))
@@ -923,6 +1059,7 @@ GRADCHECK_PROPERTIES = {
     "reduce_mean": test_reduce_property_gradcheck,
     "softmax_last": test_softmax_last_property_gradcheck,
     "standardize": test_standardize_property_gradcheck,
+    "swish_gate": test_swish_gate_property_gradcheck,
     "conv2d": test_conv2d_property_gradcheck,
     "fft2d_magnitude": test_fft2d_magnitude_batched_matches_per_sample,
     "maxpool2": test_maxpool2_batched_matches_per_sample,

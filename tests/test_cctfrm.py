@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,7 +24,7 @@ from floodnet.model import FloodNet
 from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
-from oracles import conv2d_loops, layer_norm_ref, maxpool2_scan, softmax_rows
+from oracles import conv2d_loops, gated_block_chain, layer_norm_ref, maxpool2_scan, softmax_rows
 
 
 def _store(cfg, seed=0):
@@ -63,6 +65,64 @@ def test_gated_block_matches_scripted_oracle():
     mu, var = act.mean(axis=(0, 1)), act.var(axis=(0, 1))
     bn = (act - mu) / np.sqrt(var + 1e-5)
     assert np.abs(out.value - maxpool2_scan(bn)).max() < 1e-10
+
+
+def _gated_block_run(block, store, x, train, mask):
+    """block's output, and the gradients of x, the kernel, gamma and beta
+    through tanh and fixed weights; ParamStore grads start from zero."""
+    store.zero_grad()
+    g = Graph()
+    xn = g.watch(g.constant(x))
+    out = block(g, store, "blk", xn, 8, train, mask)
+    weights = np.random.default_rng(4).standard_normal(out.shape)
+    g.backward(g.reduce_sum(g.mul(g.tanh(out), g.constant(weights))))
+    grads = {name: e.grad.copy() for name, e in store.entries.items()}
+    return out.value, xn.grad, grads
+
+
+@pytest.mark.parametrize("train, with_mask", [(True, False), (True, True), (False, False)])
+def test_gated_block_equals_the_chain_of_single_ops(train, with_mask):
+    """The fused block (one swish_gate node, one affine standardize node)
+    gives the chain's values and gradients of x, kernel, gamma and beta to
+    1e-12 relative, and the same running buffers; in eval mode its forward
+    is the chain's bit for bit."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 8, 8, 4)) + np.array([0.0, 1.0, -1.0, 2.0])
+    store = ParamStore(6)
+    g = Graph(param_grads=False)
+    gated_downsample_block(g, store, "blk", g.constant(x), 8, False, None)
+    store.entries["blk.bn.gamma"].value[:] = rng.uniform(0.5, 1.5, 8)
+    store.entries["blk.bn.beta"].value[:] = rng.standard_normal(8)
+    store.buffers["blk.bn.running_mean"] = rng.standard_normal(8)
+    store.buffers["blk.bn.running_var"] = rng.uniform(0.5, 2.0, 8)
+    chain_store = copy.deepcopy(store)
+
+    def masks():
+        return DropoutMasks(np.random.default_rng(7), 0.3, (3, 8 * 8 * 8)) if with_mask else None
+
+    out, dx, grads = _gated_block_run(gated_downsample_block, store, x, train, masks())
+    mask = masks().take((3, 8, 8, 8)) if with_mask else None
+    c_out, c_dx, c_grads = _gated_block_run(gated_block_chain, chain_store, x, train, mask)
+    if not train:
+        np.testing.assert_array_equal(out, c_out)
+    assert set(grads) == {"blk.kernel", "blk.bn.gamma", "blk.bn.beta"}
+    for got, want in [(out, c_out), (dx, c_dx)] + [(grads[n], c_grads[n]) for n in grads]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for name, buf in chain_store.buffers.items():
+        np.testing.assert_allclose(store.buffers[name], buf, rtol=1e-12, atol=0)
+
+
+def test_a_training_gated_block_records_conv_gate_normalization_and_pool():
+    """Apart from its parameter leaves, a train-mode gated block with a
+    dropout mask records exactly four nodes."""
+    store = ParamStore(0)
+    masks = DropoutMasks(np.random.default_rng(0), 0.5, (2, 8 * 8 * 4))
+    g = Graph()
+    gated_downsample_block(g, store, "blk", g.constant(np.ones((2, 8, 8, 3))), 4, True, masks)
+    tags = [n.tag for n in g.nodes[1:]]
+    assert [t for t in tags if not t.startswith("param:")] == ["conv2d", "swish_gate", "standardize", "maxpool2"]
+    assert sorted(t for t in tags if t.startswith("param:")) == [
+        "param:blk.bn.beta", "param:blk.bn.gamma", "param:blk.kernel"]
 
 
 # ---- encoder ---------------------------------------------------------
