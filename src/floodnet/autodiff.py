@@ -13,9 +13,9 @@ rule, and a rule writes no gradient for an inactive parent, so a sweep
 covers just the sources' descendants.  A graph with no sources, such as
 `Graph(param_grads=False)` for inference, records no rules at all.
 
-The image ops take (..., H, W, C) and matmul takes (..., k) @ (k, m) or
-(B, n, k) @ (B, k, m), so one graph can carry a whole batch on a leading
-axis; without one, an op does exactly the unbatched work.  maxpool2 needs
+The image ops take (..., H, W, C), matmul takes (..., k) @ (k, m) and
+attention takes (..., rows, width), so one graph can carry a whole batch on
+a leading axis; without one, an op does exactly the unbatched work.  maxpool2 needs
 even H and W, as conv2d needs extents divisible by its stride.
 
 conv2d has two kernels and picks one from the operand shapes: im2col times
@@ -187,15 +187,6 @@ class Graph:
 
         return self._record(out, (a, b), bwd, "mul")
 
-    def scale(self, a, c: float) -> Node:
-        a = self._coerce(a)
-        out = a.value * c
-
-        def bwd(g, grads):
-            grads[a.idx] += g * c
-
-        return self._record(out, (a,), bwd, "scale")
-
     def sigmoid(self, a) -> Node:
         a = self._coerce(a)
         with np.errstate(over="ignore"):
@@ -270,39 +261,59 @@ class Graph:
 
     def matmul(self, a, b) -> Node:
         """(..., k) @ (k, m), every leading axis of a folded into the rows of
-        one gemm, or (B, n, k) @ (B, k, m) batched per row of B."""
+        one gemm."""
         a, b = self._coerce(a), self._coerce(b)
         av, bv = a.value, b.value
-        stacked = av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0]
-        if not (bv.ndim == 2 or stacked):
-            raise ShapeError(f"matmul needs (...,k) @ (k,m) or (B,n,k) @ (B,k,m), "
-                             f"got {a.shape} and {b.shape}")
-        if av.shape[-1] != bv.shape[-2]:
+        if bv.ndim != 2:
+            raise ShapeError(f"matmul needs (...,k) @ (k,m), got {a.shape} and {b.shape}")
+        k, m = bv.shape
+        if av.shape[-1] != k:
             raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-        k, m = bv.shape[-2:]
-        rows = av if stacked else av.reshape(-1, k)
+        rows = av.reshape(-1, k)
         out = (rows @ bv).reshape(av.shape[:-1] + (m,))
 
         def bwd(g, grads):
-            g = g.reshape(rows.shape[:-1] + (m,))
+            g = g.reshape(-1, m)
             if a.active:
-                grads[a.idx] += (g @ bv.swapaxes(-1, -2)).reshape(av.shape)
+                grads[a.idx] += (g @ bv.T).reshape(av.shape)
             if b.active:
-                grads[b.idx] += rows.swapaxes(-1, -2) @ g
+                grads[b.idx] += rows.T @ g
 
         return self._record(out, (a, b), bwd, "matmul")
 
-    def transpose(self, a) -> Node:
-        """Swaps the last two axes."""
-        a = self._coerce(a)
-        if a.value.ndim < 2:
-            raise ShapeError(f"transpose needs rank >= 2, got {a.shape}")
-        out = np.swapaxes(a.value, -1, -2).copy()
+    def attention(self, q, k, v, heads: int) -> Node:
+        """softmax(q_h k_h^T / sqrt(d)) v_h for each head h, the heads side
+        by side: q is (..., n, heads * d), k and v are (..., m, heads * d),
+        and head h reads columns h*d to (h+1)*d.  The backward starts from
+        the kept softmax P: with dP = dO V^T, dV = P^T dO,
+        dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K and dK = dS^T Q."""
+        q, k, v = self._coerce(q), self._coerce(k), self._coerce(v)
+        width = q.shape[-1]
+        if (q.value.ndim < 2 or k.shape != v.shape or k.shape[:-2] != q.shape[:-2]
+                or k.shape[-1] != width or heads < 1 or width % heads):
+            raise ShapeError(f"attention of {heads} heads needs (...,n,heads*d) and two (...,m,heads*d), "
+                             f"got {q.shape}, {k.shape} and {v.shape}")
+        # (..., rows, heads * d) <-> (..., heads, rows, d)
+        split = lambda a: np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
+        merge = lambda a: np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], width))
+        qh, kh, vh = split(q.value), split(k.value), split(v.value)
+        c = 1.0 / np.sqrt(width // heads)
+        s = qh @ np.swapaxes(kh, -1, -2) * c
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
 
         def bwd(g, grads):
-            grads[a.idx] += np.swapaxes(g, -1, -2)
+            gh = split(g)
+            if v.active:
+                grads[v.idx] += merge(np.swapaxes(p, -1, -2) @ gh)
+            dp = gh @ np.swapaxes(vh, -1, -2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+            if q.active:
+                grads[q.idx] += merge(ds @ kh)
+            if k.active:
+                grads[k.idx] += merge(np.swapaxes(ds, -1, -2) @ qh)
 
-        return self._record(out, (a,), bwd, "transpose")
+        return self._record(merge(p @ vh), (q, k, v), bwd, "attention")
 
     # ---- shape surgery ------------------------------------------------
 
@@ -361,19 +372,7 @@ class Graph:
     def reduce_mean(self, a, axes=None) -> Node:
         a = self._coerce(a)
         total = self.reduce_sum(a, axes)
-        return self.scale(total, total.value.size / a.value.size)
-
-    def softmax_last(self, a) -> Node:
-        a = self._coerce(a)
-        shifted = a.value - a.value.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
-
-        def bwd(g, grads):
-            dot = (g * out).sum(axis=-1, keepdims=True)
-            grads[a.idx] += out * (g - dot)
-
-        return self._record(out, (a,), bwd, "softmax")
+        return self.mul(total, total.value.size / a.value.size)
 
     def standardize(self, a, axes, affine=None, moments=None) -> Node:
         """n = (a - mean) / sqrt(var + NORM_EPS) over `axes`, with the biased

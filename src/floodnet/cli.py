@@ -36,7 +36,13 @@ def _out_dir(args) -> str:
 
 def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     if path:
-        with np.load(path) as z:
+        z = np.load(path)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise InputError(f"{path}: not an npz archive")
+        with z:
+            missing = [name for name in ("tokens", "images", "labels") if name not in z.files]
+            if missing:
+                raise InputError(f"{path}: lacks the array {missing[0]!r}")
             tokens, images, labels = z["tokens"], z["images"], z["labels"]
         if labels.ndim != 1:
             raise InputError(f"{path}: labels has shape {labels.shape}, expected (N,)")
@@ -149,9 +155,18 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    with open(args.predictions) as f:
+def _predictions(path: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in the file at path, which must hold keys."""
+    with open(path) as f:
         data = json.load(f)
+    missing = [key for key in keys if not isinstance(data, dict) or key not in data]
+    if missing:
+        raise InputError(f"{path}: not a JSON object holding {missing[0]!r}")
+    return data
+
+
+def cmd_metrics(args) -> int:
+    data = _predictions(args.predictions, ("y_true", "y_pred"))
     probs = data.get("probs")
     if not data["y_true"]:
         raise InputError(f"{args.predictions} holds no labels")
@@ -160,8 +175,7 @@ def cmd_metrics(args) -> int:
     report = compute_metrics(np.array(data["y_true"]), np.array(data["y_pred"]), probs)
     out = report.to_dict()
     if args.compare:
-        with open(args.compare) as f:
-            other = json.load(f)
+        other = _predictions(args.compare, ("y_pred",))
         y_true, other_pred = np.array(data["y_true"]), np.array(other["y_pred"])
         check_labels(f"{args.compare}: y_pred", other_pred, y_true.shape)
         stat, p = mcnemar_test(y_true, np.array(data["y_pred"]), other_pred)
@@ -171,8 +185,16 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, as other bad input does; every
+    subcommand parser is of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="floodnet")
+    parser = _Parser(prog="floodnet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     config = argparse.ArgumentParser(add_help=False)
@@ -214,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     # a ShapeError is a ValueError, so the program faults are caught first
     except (TrainingError, ContractError, ShapeError, OSError, KeyError) as e:

@@ -7,13 +7,47 @@ The JSON config file mirrors ModelConfig field names exactly; the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .params import AdamWConfig
 
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent configuration, naming the field."""
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can fill a field annotated hint: only a bool
+    fills a bool, an int an int, any number a float, and a non-empty list
+    of such items a tuple, of the tuple's length when that is fixed."""
+    items = typing.get_args(hint)  # (int, int) or (int, ...) for a tuple
+    if items:
+        n = None if items[-1] is Ellipsis else len(items)
+        return isinstance(value, list) and 0 < len(value) == (n or len(value)) and all(
+            _fits(v, items[0]) for v in value)
+    return isinstance(value, bool) == (hint is bool) and isinstance(value, (int, hint))
+
+
+def _from_json(cls, data, where: str):
+    """cls(**data) for a dataclass cls and a JSON object data, each list
+    made a tuple.  A ConfigError names the first key of data that is not a
+    field of cls or whose value does not fit its field."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in data.items():
+        if is_dataclass(hints[key]):
+            value = _from_json(hints[key], value, key)
+        elif not _fits(value, hints[key]):
+            want = cls.__dataclass_fields__[key].type
+            raise ConfigError(f"{where}.{key} must be {want}, got {json.dumps(value)}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -131,30 +165,11 @@ class ModelConfig:
     # serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("grid", "image_size", "encoder_plan", "decoder_plan"):
-            d[key] = list(d[key])
-        return d
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "optimizer" in kwargs:
-            opt = kwargs["optimizer"]
-            if not isinstance(opt, dict):
-                raise ConfigError("optimizer must be an object")
-            bad = set(opt) - set(AdamWConfig.__dataclass_fields__)
-            if bad:
-                raise ConfigError(f"unknown optimizer keys: {sorted(bad)}")
-            kwargs["optimizer"] = AdamWConfig(**opt)
-        for key in ("grid", "image_size", "encoder_plan", "decoder_plan"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs)
+    def from_dict(cls, data) -> "ModelConfig":
+        cfg = _from_json(cls, data, "config")
         cfg.validate()
         return cfg
 

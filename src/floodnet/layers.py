@@ -23,14 +23,12 @@ def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
 
     heads holds one (wq, wk, wv) triple per head; each head's scores
     q k^T are scaled by 1/sqrt(head width) before the softmax, and the head
-    outputs are concatenated along the last axis."""
-    outs = []
-    for wq, wk, wv in heads:
-        q, k, v = g.matmul(q_in, wq), g.matmul(kv_in, wk), g.matmul(kv_in, wv)
-        scores = g.scale(g.matmul(q, g.transpose(k)), 1.0 / np.sqrt(wq.shape[-1]))
-        weights = g.softmax_last(scores)
-        outs.append(g.matmul(weights, v))
-    return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
+    outputs are concatenated along the last axis.  Each projection's
+    per-head weights sit side by side, so the heads share three matmuls
+    and one `Graph.attention` node."""
+    wq, wk, wv = (ws[0] if len(ws) == 1 else g.concat(ws, axis=-1) for ws in zip(*heads))
+    q, k, v = g.matmul(q_in, wq), g.matmul(kv_in, wk), g.matmul(kv_in, wv)
+    return g.attention(q, k, v, len(heads))
 
 
 def linear(g: Graph, store, prefix: str, x: Node, d_out: int) -> Node:

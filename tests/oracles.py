@@ -141,15 +141,19 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def attention_loops(x, wq, wk, wv, scale):
-    """Explicit QK^T/softmax/V single-head attention."""
-    q, k, v = x @ wq, x @ wk, x @ wv
-    n = x.shape[0]
-    out = np.zeros_like(v)
-    for i in range(n):
-        logits = np.array([q[i] @ k[j] * scale for j in range(n)])
+    """Explicit QK^T/softmax/V single-head self-attention."""
+    return attention_rows(x @ wq, x @ wk, x @ wv, scale)
+
+
+def attention_rows(q, k, v, scale):
+    """Each row of q attends over the rows of k: v's rows weighted by the
+    softmax of q[i] . k[j] * scale over j."""
+    out = np.zeros((len(q), v.shape[1]))
+    for i in range(len(q)):
+        logits = np.array([q[i] @ k[j] * scale for j in range(len(k))])
         w = np.exp(logits - logits.max())
         w /= w.sum()
-        for j in range(n):
+        for j in range(len(k)):
             out[i] += w[j] * v[j]
     return out
 

@@ -36,6 +36,7 @@ from oracles import (
     lstm_unrolled,
     matmul_loops,
     maxpool2_scan,
+    softmax_rows,
 )
 
 GRAD_TOL = 1e-4
@@ -212,7 +213,10 @@ def test_criterion_2_oracle_suite():
 def test_criterion_3_shape_and_normalization_invariants():
     rng = np.random.default_rng(300)
     g = Graph()
-    rows = g.softmax_last(g.constant(rng.standard_normal((6, 9)))).value
+    # one head whose values are the identity returns the attention weights
+    q, k = rng.standard_normal((6, 9)), rng.standard_normal((9, 9))
+    rows = g.attention(q, k, np.eye(9), 1).value
+    assert np.abs(rows - softmax_rows(q @ k.T / 3.0)).max() <= 1e-12
     assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9
 
     gates = g.sigmoid(g.constant(rng.standard_normal((4, 4, 3)) * 10)).value

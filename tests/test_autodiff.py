@@ -14,12 +14,13 @@ from floodnet.layers import batch_norm, layer_norm
 from floodnet.params import ParamStore
 
 from oracles import (
+    attention_loops,
+    attention_rows,
     conv2d_loops,
     dft2_magnitude_quadratic,
     matmul_loops,
     maxpool2_grad_scan,
     maxpool2_scan,
-    softmax_rows,
 )
 
 
@@ -354,24 +355,21 @@ def test_fft2d_magnitude_batched_matches_per_sample(xs):
     _check_batched(lambda g, x: g.fft2d_magnitude(x), [xs], exact=False)
 
 
-@given(batches())
-def test_transpose_batched_matches_per_sample(xs):
-    _check_batched(lambda g, x: g.transpose(x), [xs[..., 0]], exact=False)
-
-
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_matmul_rank3_forms_match_per_sample(B, n, k, m, stacked, seed):
+       st.integers(0, 2**32 - 1))
+def test_matmul_rank3_forms_match_per_sample(B, n, k, m, seed):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((B, n, k))
-    b = rng.standard_normal((B, k, m) if stacked else (k, m))
+    a, b = rng.standard_normal((B, n, k)), rng.standard_normal((k, m))
     _check_batched(lambda g, x, y: g.matmul(x, y), [a, b], exact=False)
 
 
 def test_matmul_rejects_mismatched_batches():
+    """The right operand is one (k, m) matrix: a stack of them is refused,
+    whether or not its leading extent matches the left operand's."""
     g = Graph()
-    with pytest.raises(ShapeError):
-        g.matmul(g.constant(np.ones((2, 3, 4))), g.constant(np.ones((3, 4, 2))))
+    for right in ((3, 4, 2), (2, 4, 2)):
+        with pytest.raises(ShapeError):
+            g.matmul(g.constant(np.ones((2, 3, 4))), g.constant(np.ones(right)))
 
 
 # ---- fft magnitude ---------------------------------------------------
@@ -402,13 +400,15 @@ def test_fft_magnitude_matches_quadratic_dft_oracle():
     assert np.abs(out.value - dft2_magnitude_quadratic(x)).max() < 1e-9
 
 
-# ---- softmax / sigmoid ----------------------------------------------
+# ---- attention / sigmoid --------------------------------------------
 
 
 def test_softmax_symmetry():
+    """Zero queries weigh every key alike: each row is the mean of v's rows."""
+    v = np.random.default_rng(5).standard_normal((4, 6))
     g = Graph()
-    out = g.softmax_last(g.constant([0.0, 0.0]))
-    np.testing.assert_allclose(out.value, [0.5, 0.5], atol=1e-15)
+    out = g.attention(np.zeros((3, 6)), np.ones((4, 6)), v, 2)
+    np.testing.assert_allclose(out.value, np.tile(v.mean(axis=0), (3, 1)), rtol=0, atol=1e-15)
 
 
 def test_sigmoid_midpoint():
@@ -417,13 +417,18 @@ def test_sigmoid_midpoint():
 
 
 def test_softmax_shift_invariance():
+    """Scores of about 1e3, where exp overflows unless the softmax shifts by
+    the row maximum, stay finite and match the loop oracle head by head."""
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 6))
+    x, wq, wk, wv = rng.standard_normal((5, 4)), *rng.standard_normal((3, 4, 4))
+    c = 1.0 / np.sqrt(2)
+    wq *= 1e3 / np.abs((x @ wq)[:, :2] @ (x @ wk)[:, :2].T * c).max()
     g = Graph()
-    a = g.softmax_last(g.constant(x)).value
-    b = g.softmax_last(g.constant(x + 100.0)).value
-    assert np.abs(a - b).max() < 1e-12
-    np.testing.assert_allclose(a, softmax_rows(x), atol=1e-12)
+    out = g.attention(x @ wq, x @ wk, x @ wv, 2).value
+    want = np.concatenate([attention_loops(x, wq[:, h], wk[:, h], wv[:, h], c)
+                           for h in (slice(0, 2), slice(2, 4))], axis=1)
+    assert np.isfinite(out).all()
+    assert rel_close(out, want, 1e-12)
 
 
 # ---- layer norm ------------------------------------------------------
@@ -699,7 +704,7 @@ def test_maxpool_four_way_tie_sends_the_gradient_top_left():
     g = Graph()
     x = g.watch(g.constant(np.full((2, 2, 1), 3.0)))
     out = g.maxpool2(x)
-    g.backward(g.scale(g.reduce_sum(out), 5.0))
+    g.backward(g.mul(g.reduce_sum(out), 5.0))
     np.testing.assert_array_equal(out.value, np.full((1, 1, 1), 3.0))
     np.testing.assert_array_equal(x.grad[..., 0], [[5.0, 0.0], [0.0, 0.0]])
 
@@ -755,7 +760,7 @@ def test_backward_quadratic_loss():
     store = ParamStore(0)
     g = Graph()
     w = g.param(store, "w", (3, 4))
-    loss = g.scale(g.reduce_sum(g.mul(w, w)), 0.5)
+    loss = g.mul(g.reduce_sum(g.mul(w, w)), 0.5)
     g.backward(loss)
     np.testing.assert_allclose(store.entries["w"].grad, store.entries["w"].value, atol=1e-15)
 
@@ -864,11 +869,6 @@ def test_binary_elementwise_property_gradcheck(name, pair):
     _gradcheck_every_operand(lambda g, a, b: getattr(g, name)(a, b), pair)
 
 
-@given(shapes(), st.floats(-3.0, 3.0), st.data())
-def test_scale_property_gradcheck(shape, c, data):
-    _gradcheck_every_operand(lambda g, a: g.scale(a, c), [_draw_array(data.draw, shape)])
-
-
 @given(st.sampled_from(["sigmoid", "tanh", "relu", "softplus"]), shapes(),
        st.sampled_from([0.5, 3.0]), st.data())
 def test_unary_elementwise_property_gradcheck(name, shape, scale, data):
@@ -897,9 +897,35 @@ def test_reduce_property_gradcheck(name, case):
     _gradcheck_every_operand(lambda g, a: getattr(g, name)(a, axes, **kwargs), [x])
 
 
-@given(shapes(), st.sampled_from([1.0, 10.0]), st.data())
-def test_softmax_last_property_gradcheck(shape, scale, data):
-    _gradcheck_every_operand(lambda g, a: g.softmax_last(a), [_draw_array(data.draw, shape, scale)])
+@st.composite
+def attention_cases(draw):
+    """(q, k, v, heads): leading axes () or (B,), n query rows against
+    m != n key rows, 1-4 heads of width 1-3, q and k at two scales."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
+    heads, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5).filter(lambda m: m != n))
+    scale = draw(st.sampled_from([0.5, 2.0]))
+    q, k = (_draw_array(draw, lead + (rows, heads * d), scale) for rows in (n, m))
+    return q, k, _draw_array(draw, lead + (m, heads * d)), heads
+
+
+@given(attention_cases())
+def test_attention_property_gradcheck(case):
+    """attention equals the per-head loop oracle, a batch equals its samples
+    one at a time, and check_gradients passes on q, k and v."""
+    q, k, v, heads = case
+    op = lambda g, a, b, c: g.attention(a, b, c, heads)
+    out = op(Graph(), q, k, v).value
+    d = q.shape[-1] // heads
+    cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
+    for i in np.ndindex(q.shape[:-2]):
+        want = [attention_rows(q[i][:, c], k[i][:, c], v[i][:, c], 1.0 / np.sqrt(d)) for c in cols]
+        assert rel_close(out[i], np.concatenate(want, axis=-1), 1e-12)
+    if q.ndim == 3:
+        _check_batched(op, [q, k, v], exact=False)
+    else:
+        _gradcheck_every_operand(op, [q, k, v])
 
 
 @given(shapes(), st.integers(1, 3), st.data())
@@ -961,9 +987,11 @@ def rule_cases(draw, name):
     elif name == "matmul":
         B, n, k, m = (draw(st.integers(1, 3)) for _ in range(4))
         lead = draw(st.sampled_from([(), (B,)]))
-        right = lead if lead and draw(st.booleans()) else ()
-        operands = [_draw_array(draw, lead + (n, k)), _draw_array(draw, right + (k, m))]
+        operands = [_draw_array(draw, lead + (n, k)), _draw_array(draw, (k, m))]
         op = lambda g, a, b: g.matmul(a, b)
+    elif name == "attention":
+        *operands, heads = draw(attention_cases())
+        op = lambda g, q, k, v: g.attention(q, k, v, heads)
     elif name == "concat":
         operands = [_draw_array(draw, (2, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 3)))]
         op = lambda g, *ps: g.concat(ps, -1)
@@ -984,8 +1012,8 @@ def rule_cases(draw, name):
     return op, operands
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "concat", "conv2d", "tanh", "maxpool2",
-                                  "standardize", "swish_gate"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "attention", "concat", "conv2d", "tanh",
+                                  "maxpool2", "standardize", "swish_gate"])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
     op, operands = data.draw(rule_cases(name))
@@ -1045,19 +1073,17 @@ GRADCHECK_PROPERTIES = {
     "add": test_binary_elementwise_property_gradcheck,
     "sub": test_binary_elementwise_property_gradcheck,
     "mul": test_binary_elementwise_property_gradcheck,
-    "scale": test_scale_property_gradcheck,
     "sigmoid": test_unary_elementwise_property_gradcheck,
     "tanh": test_unary_elementwise_property_gradcheck,
     "relu": test_unary_elementwise_property_gradcheck,
     "softplus": test_unary_elementwise_property_gradcheck,
     "matmul": test_matmul_rank3_forms_match_per_sample,
-    "transpose": test_transpose_batched_matches_per_sample,
+    "attention": test_attention_property_gradcheck,
     "reshape": test_reshape_property_gradcheck,
     "concat": test_concat_property_gradcheck,
     "narrow": test_narrow_property_gradcheck,
     "reduce_sum": test_reduce_property_gradcheck,
     "reduce_mean": test_reduce_property_gradcheck,
-    "softmax_last": test_softmax_last_property_gradcheck,
     "standardize": test_standardize_property_gradcheck,
     "swish_gate": test_swish_gate_property_gradcheck,
     "conv2d": test_conv2d_property_gradcheck,

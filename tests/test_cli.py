@@ -68,12 +68,6 @@ def test_train_data_file_without_training_samples_exits_one(tmp_path, capsys):
     assert "val_fraction=0.6" in err and "out of 1" in err
 
 
-def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
-
-
 def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
     """A ShapeError is a program fault, though it is also a ValueError."""
     def fail(args):
@@ -86,10 +80,19 @@ def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
     assert err == "runtime error: matmul got (2, 3) @ (4, 5)"
 
 
-def test_invalid_config_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("text,needle", [
+    pytest.param('{"h": 3}', "h must be even", id="h_odd"),
+    pytest.param('{"d_se": "64"}', 'config.d_se must be int, got "64"', id="d_se_string"),
+    pytest.param('{"grid": 4}', "config.grid must be tuple[int, int], got 4", id="grid_number"),
+    pytest.param("5", "config must be a JSON object", id="top_level_number"),
+    pytest.param('{"optimizer": {"learning_rate": "x"}}',
+                 'optimizer.learning_rate must be float, got "x"', id="learning_rate_string"),
+])
+def test_invalid_config_exits_one(tmp_path, capsys, text, needle):
     path = tmp_path / "bad.json"
-    path.write_text('{"h": 3}')
+    path.write_text(text)
     assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 1
+    _assert_one_line_error(capsys, needle)
 
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -164,23 +167,29 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "explain"])
-@pytest.mark.parametrize("name,edit,needles", [
-    pytest.param("labels", lambda a: a * 2, ("labels[0] is 2", "not 0 or 1"), id="labels_x2"),
-    pytest.param("labels", lambda a: a[:, None], ("labels has shape (8, 1)", "expected (N,)"),
-                 id="labels_2d"),
-    pytest.param("tokens", lambda a: a[:3], ("tokens has shape (3, 4)", "expected (8, n_tokens)"),
-                 id="tokens_3_rows"),
-    pytest.param("images", lambda a: a[:, :8, :8],
+@pytest.mark.parametrize("edit,needles", [
+    pytest.param(lambda a: {**a, "labels": a["labels"] * 2}, ("labels[0] is 2", "not 0 or 1"),
+                 id="labels_x2"),
+    pytest.param(lambda a: {**a, "labels": a["labels"][:, None]},
+                 ("labels has shape (8, 1)", "expected (N,)"), id="labels_2d"),
+    pytest.param(lambda a: {**a, "tokens": a["tokens"][:3]},
+                 ("tokens has shape (3, 4)", "expected (8, n_tokens)"), id="tokens_3_rows"),
+    pytest.param(lambda a: {**a, "images": a["images"][:, :8, :8]},
                  ("images has shape (8, 8, 8, 3)", "expected (8, 16, 16, 3)"), id="images_8x8"),
+    pytest.param(lambda a: {"images": a["images"], "labels": a["labels"]},
+                 ("dataset.npz: lacks the array 'tokens'",), id="no_tokens"),
+    pytest.param(lambda a: a["images"], ("dataset.npz: not an npz archive",), id="npy"),
 ])
-def test_malformed_data_file_exits_one(tmp_path, capsys, command, name, edit, needles):
+def test_malformed_data_file_exits_one(tmp_path, capsys, command, edit, needles):
+    """edit maps the arrays of a good file to what the --data file holds
+    instead: arrays for an npz, or one array written as .npy."""
     cfg, cfg_path = _write_tiny_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
     path = json.loads(capsys.readouterr().out)["path"]
     with np.load(path) as z:
-        arrays = dict(z)
-    arrays[name] = edit(arrays[name])
-    np.savez(path, **arrays)
+        saved = edit(dict(z))
+    with open(path, "wb") as f:
+        np.savez(f, **saved) if isinstance(saved, dict) else np.save(f, saved)
     ckpt = str(tmp_path / "fresh.ckpt")
     save_checkpoint(ckpt, FloodNet(cfg).store)
     args = [command, "--config", cfg_path, "--data", path, *_out_args(command, tmp_path)]
@@ -242,6 +251,8 @@ def test_metrics_rejects_empty_or_non_finite_input(tmp_path, capsys, data):
     ({"y_true": [2, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9, 0.1, 0.8]}, "y_true[0] is 2"),
     ({"y_true": [1, 0, 1], "y_pred": [1, 0, -1]}, "y_pred[2] is -1"),
     ({"y_true": [1, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9]}, "1 probs for 3 labels"),
+    ([1, 0, 1], "preds.json: not a JSON object holding 'y_true'"),
+    ({"y_pred": [1, 0, 1]}, "preds.json: not a JSON object holding 'y_true'"),
 ])
 def test_metrics_rejects_bad_labels_or_probs(tmp_path, capsys, data, needle):
     preds = tmp_path / "preds.json"
@@ -324,18 +335,27 @@ def test_explain_reports_an_all_zero_heatmap(tmp_path, capsys, layer, all_zero):
     assert (max(map(max, values)) == 0.0) is all_zero
 
 
-@pytest.mark.parametrize("argv", [
-    ["metrics", "p.json", "--config", "c.json"],
-    ["metrics", "p.json", "--seed", "1"],
-    ["metrics", "p.json", "--out", "d"],
-    ["eval", "--checkpoint", "m.ckpt", "--out", "d"],
-    ["gradcheck", "--out", "d"],
+@pytest.mark.parametrize("argv,needle", [
+    pytest.param(["frobnicate"], "floodnet: argument command: invalid choice: 'frobnicate'",
+                 id="unknown_subcommand"),
+    pytest.param(["eval"], "floodnet eval: the following arguments are required: --checkpoint",
+                 id="eval_without_checkpoint"),
+    pytest.param(["metrics", "p.json", "--config", "c.json"],
+                 "floodnet: unrecognized arguments: --config c.json", id="metrics_config"),
+    pytest.param(["metrics", "p.json", "--seed", "1"], "floodnet: unrecognized arguments: --seed 1",
+                 id="metrics_seed"),
+    pytest.param(["metrics", "p.json", "--out", "d"], "floodnet: unrecognized arguments: --out d",
+                 id="metrics_out"),
+    pytest.param(["eval", "--checkpoint", "m.ckpt", "--out", "d"],
+                 "floodnet: unrecognized arguments: --out d", id="eval_out"),
+    pytest.param(["gradcheck", "--out", "d"], "floodnet: unrecognized arguments: --out d",
+                 id="gradcheck_out"),
 ])
-def test_a_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_a_usage_error_exits_one(capsys, argv, needle):
+    """An unknown subcommand, a missing required flag, or a flag that the
+    subcommand does not read."""
+    assert main(argv) == 1
+    _assert_one_line_error(capsys, "error: " + needle)
 
 
 def _args_read(fn) -> set:

@@ -100,7 +100,7 @@ def test_bce_batch_matches_summation_oracle():
     for p, y in zip(probs, labels):
         term = bce_loss(g, g.constant([np.log(p / (1 - p))]), int(y))
         total = term if total is None else g.add(total, term)
-    mean = g.scale(total, 1.0 / 8)
+    mean = g.mul(total, 1.0 / 8)
     expected = -np.mean(labels * np.log(probs) + (1 - labels) * np.log(1 - probs))
     assert abs(mean.value[0] - expected) < 1e-12
 
@@ -193,7 +193,7 @@ def _train_step(model, batch, batched):
             _, logit = model.forward(g, s, train=True, dropout_rng=rng)
             term = bce_loss(g, logit, s.label)
             total = term if total is None else g.add(total, term)
-        loss = g.scale(total, 1.0 / len(batch))
+        loss = g.mul(total, 1.0 / len(batch))
     g.backward(loss)
     grads = {n: e.grad.copy() for n, e in model.store.entries.items()}
     return float(loss.value[0]), grads, dict(model.store.buffers)
