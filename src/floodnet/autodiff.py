@@ -13,6 +13,11 @@ rule, and a rule writes no gradient for an inactive parent, so a sweep
 covers just the sources' descendants.  A graph with no sources, such as
 `Graph(param_grads=False)` for inference, records no rules at all.
 
+The sweep stores each node's first gradient contribution as given, so a
+node's gradient may be another node's, or a view of it.  No rule may write
+into its g, or into an array it has handed on to `grads.accumulate`; a
+rule that adds into a gradient in place takes it from `grads.writable`.
+
 The image ops take (..., H, W, C), matmul takes (..., k) @ (k, m) and
 attention takes (..., rows, width), so one graph can carry a whole batch on
 a leading axis; without one, an op does exactly the unbatched work.  maxpool2 needs
@@ -23,15 +28,18 @@ the kernel, or the input times the dense matrix of the whole map, whichever
 matrix holds fewer entries.  With nb the product of the leading extents,
 that is the dense one when H*W*C_out/groups <= nb*K*K: a batch of small
 maps read by a wide kernel, where most im2col entries are zero padding.
+upsample_conv2d, a 3x3 conv of a x2 nearest-upsampled map, records a
+`conv2d` node too; it never builds the upsampled map.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 NORM_EPS = 1e-5  # added to every variance a normalization divides by
 
@@ -88,17 +96,51 @@ class Node:
         return self.value.shape
 
 
-class _LazyGrads(dict):
-    """Gradient accumulators by node index, zero-filled on first use."""
+class _Grads(dict):
+    """Gradients by node index.  A node's first contribution is stored as
+    given, so it may be a rule's g or a view of it: the container never
+    writes into it.  A second contribution stores old + new, which the
+    container owns, and later ones add into that in place."""
 
     def __init__(self, nodes):
         super().__init__()
         self.nodes = nodes
+        self.owned = {}  # index -> True where the stored array is the container's own
 
-    def __missing__(self, idx):
-        z = np.zeros_like(self.nodes[idx].value)
-        self[idx] = z
-        return z
+    def accumulate(self, idx: int, value: np.ndarray) -> None:
+        old = self.get(idx)
+        if old is None:
+            shape = self.nodes[idx].value.shape
+            if value.shape == shape:
+                self[idx] = value
+                return
+            # a broadcast contribution, such as reduce_sum's, widened
+            self[idx] = np.broadcast_to(value, shape).copy()
+        elif idx in self.owned:
+            old += value
+            return
+        else:
+            self[idx] = old + value
+        self.owned[idx] = True
+
+    def writable(self, idx: int) -> np.ndarray:
+        """The gradient of idx as an array the container owns, zeros when
+        none is stored yet: the caller may add into it in place."""
+        g = self.get(idx)
+        if g is None:
+            g = np.zeros_like(self.nodes[idx].value)
+        elif idx not in self.owned:
+            g = g.copy()
+        else:
+            return g
+        self[idx] = g
+        self.owned[idx] = True
+        return g
+
+    def take(self, idx: int) -> np.ndarray | None:
+        """Removes and returns the gradient of idx, None when there is none."""
+        self.owned.pop(idx, None)
+        return self.pop(idx, None)
 
 
 class Graph:
@@ -136,7 +178,7 @@ class Graph:
         entry = store.get(name, shape, init)
 
         def bwd(g, grads):
-            entry.grad += g  # read at call time: adamw_step replaces the array
+            entry.grad += g  # zeroed in place by zero_grad and adamw_step
 
         return self._record(entry.value, (), bwd, f"param:{name}", source=self.param_grads)
 
@@ -157,9 +199,9 @@ class Graph:
 
         def bwd(g, grads):
             if a.active:
-                grads[a.idx] += _unbroadcast(g, a.shape)
+                grads.accumulate(a.idx, _unbroadcast(g, a.shape))
             if b.active:
-                grads[b.idx] += _unbroadcast(g, b.shape)
+                grads.accumulate(b.idx, _unbroadcast(g, b.shape))
 
         return self._record(out, (a, b), bwd, "add")
 
@@ -169,9 +211,9 @@ class Graph:
 
         def bwd(g, grads):
             if a.active:
-                grads[a.idx] += _unbroadcast(g, a.shape)
+                grads.accumulate(a.idx, _unbroadcast(g, a.shape))
             if b.active:
-                grads[b.idx] -= _unbroadcast(g, b.shape)
+                grads.accumulate(b.idx, -_unbroadcast(g, b.shape))
 
         return self._record(out, (a, b), bwd, "sub")
 
@@ -181,9 +223,9 @@ class Graph:
 
         def bwd(g, grads):
             if a.active:
-                grads[a.idx] += _unbroadcast(g * b.value, a.shape)
+                grads.accumulate(a.idx, _unbroadcast(g * b.value, a.shape))
             if b.active:
-                grads[b.idx] += _unbroadcast(g * a.value, b.shape)
+                grads.accumulate(b.idx, _unbroadcast(g * a.value, b.shape))
 
         return self._record(out, (a, b), bwd, "mul")
 
@@ -193,7 +235,7 @@ class Graph:
             out = 1.0 / (1.0 + np.exp(-a.value))
 
         def bwd(g, grads):
-            grads[a.idx] += g * out * (1.0 - out)
+            grads.accumulate(a.idx, g * out * (1.0 - out))
 
         return self._record(out, (a,), bwd, "sigmoid")
 
@@ -202,7 +244,7 @@ class Graph:
         out = np.tanh(a.value)
 
         def bwd(g, grads):
-            grads[a.idx] += g * (1.0 - out * out)
+            grads.accumulate(a.idx, g * (1.0 - out * out))
 
         return self._record(out, (a,), bwd, "tanh")
 
@@ -211,7 +253,7 @@ class Graph:
         out = np.maximum(a.value, 0.0)
 
         def bwd(g, grads):
-            grads[a.idx] += g * (a.value > 0.0)
+            grads.accumulate(a.idx, g * (a.value > 0.0))
 
         return self._record(out, (a,), bwd, "relu")
 
@@ -242,7 +284,7 @@ class Graph:
             if mask is not None:
                 d *= mask
             d *= a.value > 0.0
-            grads[a.idx] += d
+            grads.accumulate(a.idx, d)
 
         return self._record(out, (a,), bwd, "swish_gate")
 
@@ -253,7 +295,7 @@ class Graph:
 
         def bwd(g, grads):
             with np.errstate(over="ignore"):
-                grads[a.idx] += g * (1.0 / (1.0 + np.exp(-a.value)))
+                grads.accumulate(a.idx, g * (1.0 / (1.0 + np.exp(-a.value))))
 
         return self._record(out, (a,), bwd, "softplus")
 
@@ -275,9 +317,9 @@ class Graph:
         def bwd(g, grads):
             g = g.reshape(-1, m)
             if a.active:
-                grads[a.idx] += (g @ bv.T).reshape(av.shape)
+                grads.accumulate(a.idx, (g @ bv.T).reshape(av.shape))
             if b.active:
-                grads[b.idx] += rows.T @ g
+                grads.accumulate(b.idx, rows.T @ g)
 
         return self._record(out, (a, b), bwd, "matmul")
 
@@ -305,13 +347,13 @@ class Graph:
         def bwd(g, grads):
             gh = split(g)
             if v.active:
-                grads[v.idx] += merge(np.swapaxes(p, -1, -2) @ gh)
+                grads.accumulate(v.idx, merge(np.swapaxes(p, -1, -2) @ gh))
             dp = gh @ np.swapaxes(vh, -1, -2)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
             if q.active:
-                grads[q.idx] += merge(ds @ kh)
+                grads.accumulate(q.idx, merge(ds @ kh))
             if k.active:
-                grads[k.idx] += merge(np.swapaxes(ds, -1, -2) @ qh)
+                grads.accumulate(k.idx, merge(np.swapaxes(ds, -1, -2) @ qh))
 
         return self._record(merge(p @ vh), (q, k, v), bwd, "attention")
 
@@ -322,7 +364,7 @@ class Graph:
         out = a.value.reshape(shape)
 
         def bwd(g, grads):
-            grads[a.idx] += g.reshape(a.shape)
+            grads.accumulate(a.idx, g.reshape(a.shape))
 
         return self._record(out, (a,), bwd, "reshape")
 
@@ -337,7 +379,7 @@ class Graph:
                     continue
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                grads[p.idx] += g[tuple(sl)]
+                grads.accumulate(p.idx, g[tuple(sl)])
 
         return self._record(out, tuple(parts), bwd, "concat")
 
@@ -349,7 +391,7 @@ class Graph:
         out = a.value[sl].copy()
 
         def bwd(g, grads):
-            grads[a.idx][sl] += g
+            grads.writable(a.idx)[sl] += g
 
         return self._record(out, (a,), bwd, "narrow")
 
@@ -365,7 +407,7 @@ class Graph:
         kept = tuple(1 if i in reduced else n for i, n in enumerate(a.shape))
 
         def bwd(g, grads):
-            grads[a.idx] += g.reshape(kept)
+            grads.accumulate(a.idx, g.reshape(kept))
 
         return self._record(out, (a,), bwd, "sum")
 
@@ -383,9 +425,10 @@ class Graph:
         `mean_var(a.value, axes)`, for a caller that reads them too."""
         a = self._coerce(a)
         mean, var = mean_var(a.value, axes) if moments is None else moments
-        n = a.value - mean
+        rows, tile = _row_view(a.shape, axes)
+        n = rows(a.value) - tile(mean)
         rstd = 1.0 / np.sqrt(var + NORM_EPS)
-        n *= rstd
+        n *= tile(rstd)
         parents, out = (a,), n
         if affine is not None:
             gamma, beta = (self._coerce(p) for p in affine)
@@ -395,28 +438,29 @@ class Graph:
             if rstd.shape[-1] != C:
                 raise ShapeError(f"a per-channel affine needs axes {axes} to keep the last axis")
             parents = (a, gamma, beta)
-            out = n * gamma.value
-            out += beta.value
+            out = n * tile(gamma.value)
+            out += tile(beta.value)
         count = n.size // rstd.size
 
         def bwd(g, grads):
             # with gamma constant over each slice:
             # dx = gamma * rstd * (g - mean(g) - n * mean(g * n))
-            sum_g = _sum(g, axes)
+            g = rows(g)
+            sum_g = _sum(g.reshape(a.shape), axes)
             gn = g * n
-            sum_gn = _sum(gn, axes)
+            sum_gn = _sum(gn.reshape(a.shape), axes)
             if a.active:
-                np.multiply(n, sum_gn / count, out=gn)
-                dx = g - sum_g / count
+                np.multiply(n, tile(sum_gn / count), out=gn)
+                dx = g - tile(sum_g / count)
                 dx -= gn
-                dx *= rstd if affine is None else rstd * gamma.value
-                grads[a.idx] += dx
+                dx *= tile(rstd if affine is None else rstd * gamma.value)
+                grads.accumulate(a.idx, dx.reshape(a.shape))
             if affine is not None and gamma.active:
-                grads[gamma.idx] += sum_gn.reshape(-1, C).sum(axis=0)
+                grads.accumulate(gamma.idx, sum_gn.reshape(-1, C).sum(axis=0))
             if affine is not None and beta.active:
-                grads[beta.idx] += sum_g.reshape(-1, C).sum(axis=0)
+                grads.accumulate(beta.idx, sum_g.reshape(-1, C).sum(axis=0))
 
-        return self._record(out, parents, bwd, "standardize")
+        return self._record(out.reshape(a.shape), parents, bwd, "standardize")
 
     # ---- neural primitives -------------------------------------------
 
@@ -466,7 +510,7 @@ class Graph:
         def bwd(g, grads):
             safe = np.where(out == 0.0, 1.0, out)
             gc = np.where(out == 0.0, 0.0, g / safe) * X
-            grads[x.idx] += np.real(np.fft.ifft2(gc, axes=(-3, -2))) * (H * W)
+            grads.accumulate(x.idx, np.real(np.fft.ifft2(gc, axes=(-3, -2))) * (H * W))
 
         return self._record(out, (x,), bwd, "fft2d_mag")
 
@@ -496,22 +540,60 @@ class Graph:
                 hit &= free
                 np.multiply(g, hit, out=dx[..., i::2, j::2, :])
                 free ^= hit
-            grads[x.idx] += dx
+            grads.accumulate(x.idx, dx)
 
         return self._record(out, (x,), bwd, "maxpool2")
 
-    def upsample2(self, x) -> Node:
-        """Nearest-neighbor x2 upsampling of (..., H, W, C); gradient sums replicated cells."""
-        x = self._coerce(x)
-        if x.value.ndim < 3:
-            raise ShapeError(f"upsample2 expects (...,H,W,C), got {x.shape}")
-        out = np.repeat(np.repeat(x.value, 2, axis=-3), 2, axis=-2)
+    def upsample_conv2d(self, x, kernel) -> Node:
+        """conv2d(u, kernel) for a 3x3 kernel, u being x upsampled x2 by
+        nearest neighbour (each value repeated over a 2x2 block), computed
+        on x's own grid.
+
+        x: (..., H, W, C), kernel: (3, 3, C, C_out); output (..., 2H, 2W, C_out).
+        Output pixel (2p + a, 2q + b) reads rows p + a + d - 1 and columns
+        q + b + e - 1 of x for d, e in {0, 1}, each through the sum of the
+        3x3 taps that land there: one 2x2 conv of x per output parity (a, b),
+        the sub-pixel convolution of Shi et al. 2016, 4/9 of the multiplies.
+        The folded kernels are `_UPSAMPLE_FOLD @ kernel`; its backward is
+        `_UPSAMPLE_FOLD.T @ dkeff`."""
+        x, kernel = self._coerce(x), self._coerce(kernel)
+        if x.value.ndim < 3 or kernel.value.ndim != 4 or kernel.shape[:3] != (3, 3, x.shape[-1]):
+            raise ShapeError(f"upsample_conv2d expects (...,H,W,C) and (3,3,C,Cout), "
+                             f"got {x.shape}, {kernel.shape}")
         *lead, H, W, C = x.shape
+        lead = tuple(lead)
+        n, c_out = len(lead), kernel.shape[3]
+        rows = math.prod(lead) * H * W
+        xp = np.zeros(lead + (H + 2, W + 2, C))
+        xp[..., 1:H + 1, 1:W + 1, :] = x.value
+        # (16, C*C_out) -> (parity ab, taps de and channel c, C_out)
+        keff = (_UPSAMPLE_FOLD @ kernel.value.reshape(9, C * c_out)).reshape(4, 4 * C, c_out)
+        # (ab, lead, H, W, C_out) <-> (lead, H, a, W, b, C_out), the output's layout
+        to_out = (*range(2, n + 2), n + 2, 0, n + 3, 1, n + 4)
+        from_out = (n + 1, n + 3, *range(n), n, n + 2, n + 4)
+
+        # (a, b, lead, p, q, d, e, c) -> xp[lead, p + a + d, q + b + e, c]
+        sh, sw, sc = xp.strides[-3:]
+        windows = as_strided(xp, (2, 2) + lead + (H, W, 2, 2, C),
+                             (sh, sw) + xp.strides[:-3] + (sh, sw, sh, sw, sc), writeable=False)
+        im2col = lambda: windows.reshape(4, rows, 4 * C)  # copies: the windows overlap
+
+        out = np.matmul(im2col(), keff).reshape((2, 2) + lead + (H, W, c_out))
+        out = out.transpose(to_out).reshape(lead + (2 * H, 2 * W, c_out))
 
         def bwd(g, grads):
-            grads[x.idx] += g.reshape(tuple(lead) + (H, 2, W, 2, C)).sum(axis=(-4, -2))
+            gm = g.reshape(lead + (H, 2, W, 2, c_out)).transpose(from_out).reshape(4, rows, c_out)
+            if kernel.active:
+                dkeff = np.matmul(im2col().transpose(0, 2, 1), gm).reshape(16, C * c_out)
+                grads.accumulate(kernel.idx, (_UPSAMPLE_FOLD.T @ dkeff).reshape(kernel.shape))
+            if x.active:
+                dcols = np.matmul(gm, keff.transpose(0, 2, 1)).reshape((2, 2) + lead + (H, W, 2, 2, C))
+                dxp = np.zeros_like(xp)
+                for a, b, d, e in itertools.product((0, 1), repeat=4):
+                    dxp[..., a + d:a + d + H, b + e:b + e + W, :] += dcols[a, b, ..., d, e, :]
+                grads.accumulate(x.idx, dxp[..., 1:H + 1, 1:W + 1, :])
 
-        return self._record(out, (x,), bwd, "upsample2")
+        return self._record(out, (x, kernel), bwd, "conv2d")
 
     # ---- backward -----------------------------------------------------
 
@@ -522,17 +604,20 @@ class Graph:
         ParamStore entry.  Each gradient is freed once its rule has run, so
         afterwards only the `keep` nodes and the nodes without a rule that
         the loss reaches hold `.grad`: watched leaves, and the loss itself
-        when it is inactive.  A kept node always gets a gradient, zeros
-        where the loss does not reach it."""
+        when it is inactive.  A kept node always gets a gradient of its own,
+        zeros where the loss does not reach it; a leaf's may share memory
+        with another node's."""
         if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different graph")
         if loss.value.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
         kept = {self._coerce(n).idx for n in keep}
-        grads = _LazyGrads(self.nodes)
+        grads = _Grads(self.nodes)
+        for idx in kept:
+            grads.writable(idx)
         grads[loss.idx] = np.ones_like(loss.value)
         for node in reversed(self.nodes[:loss.idx + 1]):
-            g = grads[node.idx] if node.idx in kept else grads.pop(node.idx, None)
+            g = grads[node.idx] if node.idx in kept else grads.take(node.idx)
             node.grad = g if node.bwd is None or node.idx in kept else None
             if g is not None and node.bwd is not None:
                 node.bwd(g, grads)
@@ -541,12 +626,30 @@ class Graph:
 # ---- normalization moments -------------------------------------------
 
 
+def _spatial(nd: int, axes) -> bool:
+    """axes are the H and W axes of a (..., H, W, C) array of rank nd."""
+    axes = axes if isinstance(axes, (tuple, list)) else (axes,)
+    return nd >= 3 and sorted(ax % nd for ax in axes) == [nd - 3, nd - 2]
+
+
+def _row_view(shape: tuple, axes):
+    """(rows, tile) for elementwise work against statistics over axes of an
+    array of this shape.  Over the spatial axes of (..., H, W, C), rows
+    views the array as (nb, H, W*C) and tile widens a (..., 1, 1, C) or
+    (C,) statistic to (nb or 1, 1, W*C), so that numpy's inner loops run
+    along whole rows, not along C; the values are those of the broadcast.
+    Over other axes both return their argument."""
+    if not _spatial(len(shape), axes):
+        return (lambda v: v), (lambda s: s)
+    *_, H, W, C = shape
+    return (lambda v: v.reshape(-1, H, W * C)), (lambda s: np.tile(s.reshape(-1, 1, C), (1, 1, W)))
+
+
 def _sum(v: np.ndarray, axes) -> np.ndarray:
     """Sum of v over axes, with keepdims.  Over the spatial axes of
     (..., H, W, C) it is one gemv, ones(H*W) @ v as (nb, H*W, C): numpy's
     strided reduction over those axes is several times slower."""
-    nd = v.ndim
-    if nd >= 3 and sorted(ax % nd for ax in np.atleast_1d(axes)) == [nd - 3, nd - 2]:
+    if _spatial(v.ndim, axes):
         *lead, H, W, C = v.shape
         return np.matmul(np.ones(H * W), v.reshape(-1, H * W, C)).reshape(tuple(lead) + (1, 1, C))
     return v.sum(axis=axes, keepdims=True)
@@ -557,12 +660,21 @@ def mean_var(v: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
     sums = _sum(v, axes)
     count = v.size // sums.size
     mean = sums / count
-    centered = v - mean
+    rows, tile = _row_view(v.shape, axes)
+    centered = rows(v) - tile(mean)
     centered *= centered
-    return mean, _sum(centered, axes) / count
+    return mean, _sum(centered.reshape(v.shape), axes) / count
 
 
 # ---- conv2d kernels -------------------------------------------------
+
+# (a, d) x i: 1 where row i of a 3x3 kernel, at output row 2p + a of a x2
+# nearest-upsampled map, reads row p + a + d - 1 of the small map
+_FOLD_ROWS = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=np.float64).reshape(2, 2, 3)
+# (16, 9): rows (a, b, d, e), columns (i, j); folds a 3x3 kernel into the
+# four 2x2 kernels of Graph.upsample_conv2d
+_UPSAMPLE_FOLD = np.einsum("adi,bej->abdeij", _FOLD_ROWS, _FOLD_ROWS).reshape(16, 9)
+
 # Each takes conv2d's checked operands and returns the output value and the
 # backward rule.
 
@@ -596,7 +708,7 @@ def _conv_im2col(x: Node, kernel: Node, groups: int, s: int):
         gm = g.reshape(rows, groups, cog).transpose(1, 0, 2)
         if kernel.active:
             dk = np.matmul(im2col().transpose(0, 2, 1), gm)
-            grads[kernel.idx] += dk.transpose(1, 0, 2).reshape(kernel.shape)
+            grads.accumulate(kernel.idx, dk.transpose(1, 0, 2).reshape(kernel.shape))
         if x.active:  # not so for the raw image batch
             # one (groups, rows, cg) block per tap, each added whole
             taps = np.matmul(gm, kernel.value.reshape(K * K, cg, groups, cog).transpose(0, 2, 3, 1))
@@ -606,7 +718,7 @@ def _conv_im2col(x: Node, kernel: Node, groups: int, s: int):
                 i, j = divmod(t, K)
                 dxp_g[..., i:i + H:s, j:j + W:s, :, :] += np.moveaxis(
                     block.reshape((groups,) + lead + (Ho, Wo, cg)), 0, -2)
-            grads[x.idx] += dxp[..., P:P + H, P:P + W, :]
+            grads.accumulate(x.idx, dxp[..., P:P + H, P:P + W, :])
 
     return out, bwd
 
@@ -651,9 +763,9 @@ def _conv_dense(x: Node, kernel: Node, groups: int, s: int):
             dD = dD.transpose(1, 3, 2, 0, 4).reshape(HW * HoWo, cg * c_out)
             # one-hot of t without the zero tap's row
             onehot = (np.arange(K * K)[:, None] == t.reshape(1, -1)).astype(np.float64)
-            grads[kernel.idx] += (onehot @ dD).reshape(kernel.shape)
+            grads.accumulate(kernel.idx, (onehot @ dD).reshape(kernel.shape))
         if x.active:
             dx = np.matmul(gm, D.transpose(0, 2, 1)).reshape(groups, nb, HW, cg).transpose(1, 2, 0, 3)
-            grads[x.idx] += dx.reshape(x.shape)
+            grads.accumulate(x.idx, dx.reshape(x.shape))
 
     return out, bwd

@@ -9,6 +9,7 @@ Maps are (H, W, C), or (B, H, W, C) for a batch.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class DropoutMasks:
 
 def _gated_conv_sizes(cfg: ModelConfig, h: int, w: int) -> int:
     """Per-sample entries of the gated blocks' conv outputs: the encoder
-    halves the extents, every decoder stage upsamples its input x2 first."""
+    halves the extents, every decoder stage's conv doubles them."""
     n = 0
     for c in cfg.encoder_plan:
         n += h * w * c
@@ -55,11 +56,12 @@ def gated_downsample_block(
     c_out: int,
     train: bool,
     masks: DropoutMasks | None,
+    conv: Callable | None = None,
 ) -> Node:
     """3x3 conv to c_out channels -> relu(G * sigmoid(G)), times the next
     dropout mask when masks are given, as one swish_gate node -> batchnorm
-    -> maxpool."""
-    conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
+    -> maxpool.  conv is the Graph op that convolves, g.conv2d when None."""
+    conv = (conv or g.conv2d)(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
     act = g.swish_gate(conv, None if masks is None else masks.take(conv.shape))
     normed = batch_norm(g, act, store, f"{name}.bn", train)
     return g.maxpool2(normed)
@@ -103,8 +105,10 @@ def feature_enhancement(
     train: bool,
     masks: DropoutMasks | None,
 ) -> Node:
-    """Upsample x2 then gated block; net spatial extent is preserved."""
-    return gated_downsample_block(g, store, name, g.upsample2(x), c_out, train, masks)
+    """Upsample x2 then gated block; net spatial extent is preserved.  The
+    upsampling and the block's conv are one upsample_conv2d node, which
+    convolves on x's own grid."""
+    return gated_downsample_block(g, store, name, x, c_out, train, masks, g.upsample_conv2d)
 
 
 def decoder_cascade(

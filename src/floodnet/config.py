@@ -115,6 +115,12 @@ class ModelConfig:
             raise ConfigError(f"d_se must be divisible by 2*h={2 * self.h}, got d_se={self.d_se}")
         if self.n_t < 1 or self.n_t > 512:
             raise ConfigError(f"n_t must be in [1, 512], got n_t={self.n_t}")
+        # the divisors below
+        for name, value in (("grid[0]", self.grid[0]), ("grid[1]", self.grid[1]),
+                            ("hren_groups", self.hren_groups),
+                            ("transformer_heads", self.transformer_heads)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {name}={value}")
         for name, (img, cell) in (
             ("image_size[0]/grid[0]", (self.image_size[0], self.grid[0])),
             ("image_size[1]/grid[1]", (self.image_size[1], self.grid[1])),

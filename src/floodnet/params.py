@@ -106,7 +106,15 @@ class ParamStore:
 
 
 def adamw_step(store: ParamStore, config: AdamWConfig) -> None:
-    """One decoupled-weight-decay Adam update; zeroes gradients afterwards."""
+    """One decoupled-weight-decay Adam update; zeroes gradients afterwards.
+
+    value * (1 - lr*wd) - lr * m_hat / (sqrt(v_hat) + eps), with
+    m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, each in that order.
+    Moments and gradients are updated in place.  The value is a new array,
+    so a tape recorded before the step keeps the values it read; allocated
+    while the step's tape is still alive, the new arrays also keep the
+    allocator from handing the tape's memory back between steps, which
+    the next forward would fault in again."""
     lr, b1, b2, eps, wd = (
         config.learning_rate,
         config.beta1,
@@ -118,10 +126,21 @@ def adamw_step(store: ParamStore, config: AdamWConfig) -> None:
         e = store.entries[name]
         e.step += 1
         # decay decoupled from the adaptive update
-        e.value = e.value * (1.0 - lr * wd)
-        e.m = b1 * e.m + (1.0 - b1) * e.grad
-        e.v = b2 * e.v + (1.0 - b2) * e.grad * e.grad
-        m_hat = e.m / (1.0 - b1 ** e.step)
-        v_hat = e.v / (1.0 - b2 ** e.step)
-        e.value = e.value - lr * m_hat / (np.sqrt(v_hat) + eps)
-        e.grad = np.zeros_like(e.grad)
+        value = e.value * (1.0 - lr * wd)
+        u = e.grad * (1.0 - b1)
+        e.m *= b1
+        e.m += u
+        np.multiply(e.grad, 1.0 - b2, out=u)
+        u *= e.grad
+        e.v *= b2
+        e.v += u
+        # u = lr * m_hat, then over sqrt(v_hat) + eps
+        np.divide(e.m, 1.0 - b1 ** e.step, out=u)
+        u *= lr
+        denom = e.v / (1.0 - b2 ** e.step)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        u /= denom
+        value -= u
+        e.value = value
+        e.grad.fill(0.0)

@@ -8,11 +8,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from floodnet import autodiff, layers
-from floodnet.autodiff import ContractError, Graph, ShapeError, _LazyGrads
+from floodnet.autodiff import ContractError, Graph, ShapeError, _Grads
+from floodnet.data import generate_synthetic_dataset
 from floodnet.gradcheck import check_gradients
 from floodnet.layers import batch_norm, layer_norm
+from floodnet.model import FloodNet
 from floodnet.params import ParamStore
 
+from conftest import make_tiny_config
 from oracles import (
     attention_loops,
     attention_rows,
@@ -343,11 +346,6 @@ def test_conv2d_batched_matches_per_sample(case, B, seed):
 @given(batches(max_extent=8, step=2))
 def test_maxpool2_batched_matches_per_sample(xs):
     _check_batched(lambda g, x: g.maxpool2(x), [xs], exact=True)
-
-
-@given(batches(max_extent=4))
-def test_upsample2_batched_matches_per_sample(xs):
-    _check_batched(lambda g, x: g.upsample2(x), [xs], exact=True)
 
 
 @given(batches(max_extent=6))
@@ -721,28 +719,67 @@ def test_maxpool2_gradient_goes_to_the_first_maximum(xs, seed):
     np.testing.assert_array_equal(x.grad, np.stack([maxpool2_grad_scan(xi, gi) for xi, gi in zip(xs, gs)]))
 
 
-def test_upsample_replicates_single_value():
-    g = Graph()
-    out = g.upsample2(g.constant(np.full((1, 1, 1), 3.0)))
+def _upsampled(x):
+    """Nearest-neighbour x2 upsampling of (..., H, W, C)."""
+    return np.repeat(np.repeat(x, 2, -3), 2, -2)
+
+
+def _centre_tap(c):
+    """3x3 kernel whose only nonzero tap, the centre, is the identity on c
+    channels: upsample_conv2d with it upsamples."""
+    kernel = np.zeros((3, 3, c, c))
+    kernel[1, 1] = np.eye(c)
+    return kernel
+
+
+def test_upsample_conv2d_centre_tap_replicates_each_value():
+    x = np.random.default_rng(10).standard_normal((3, 4, 2))
+    np.testing.assert_array_equal(Graph().upsample_conv2d(x, _centre_tap(2)).value, _upsampled(x))
+    out = Graph().upsample_conv2d(np.full((1, 1, 1), 3.0), _centre_tap(1))
     np.testing.assert_array_equal(out.value, np.full((2, 2, 1), 3.0))
 
 
-def test_upsample_gradient_counts_replicas():
+def test_upsample_conv2d_centre_tap_gradient_counts_replicas():
     g = Graph()
-    x = g.constant(np.zeros((2, 2, 1)))
-    g.watch(x)
-    loss = g.reduce_sum(g.upsample2(x))
-    g.backward(loss)
+    x = g.watch(g.constant(np.zeros((2, 2, 1))))
+    g.backward(g.reduce_sum(g.upsample_conv2d(x, g.constant(_centre_tap(1)))))
     np.testing.assert_array_equal(x.grad, np.full((2, 2, 1), 4.0))
 
 
-def test_upsample_avgpool_round_trip():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((3, 4, 2))
+@st.composite
+def upsample_conv_cases(draw):
+    """upsample_conv2d operands: x of (H, W, C) or (B, H, W, C) with extents
+    1-4, and a 3x3 kernel."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
+    H, W, c_in, c_out = (draw(st.integers(1, 4)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.standard_normal((3, 3, c_in, c_out)) / (3.0 * np.sqrt(c_in))
+    return rng.standard_normal(lead + (H, W, c_in)), kernel
+
+
+@given(upsample_conv_cases())
+def test_upsample_conv2d_property_gradcheck(case):
+    """upsample_conv2d is conv2d of the x2 upsampled map: each map matches
+    the loop oracle, a batch equals its samples one at a time, and
+    check_gradients passes on x and on the kernel."""
+    x, kernel = case
+    op = lambda g, xn, kn: g.upsample_conv2d(xn, kn)
+    out = op(Graph(), x, kernel)
+    assert out.shape == x.shape[:-3] + (2 * x.shape[-3], 2 * x.shape[-2], kernel.shape[3])
+    maps = x.reshape((-1,) + x.shape[-3:])
+    want = np.stack([conv2d_loops(_upsampled(xi), kernel) for xi in maps])
+    assert rel_close(out.value, want.reshape(out.shape), 1e-12)
+    if x.ndim == 4:
+        per_sample = np.stack([op(Graph(), xi, kernel).value for xi in x])
+        assert np.abs(out.value - per_sample).max() <= 1e-12
+    _gradcheck_every_operand(op, [x, kernel])
+
+
+def test_upsample_conv2d_rejects_other_kernels():
     g = Graph()
-    up = g.upsample2(g.constant(x)).value
-    back = up.reshape(3, 2, 4, 2, 2).mean(axis=(1, 3))
-    np.testing.assert_allclose(back, x, atol=1e-15)
+    for x, kernel in (((4, 4, 2), (5, 5, 2, 3)), ((4, 4, 2), (3, 3, 3, 3)), ((4, 2), (3, 3, 2, 3))):
+        with pytest.raises(ShapeError):
+            g.upsample_conv2d(np.ones(x), np.ones(kernel))
 
 
 # ---- backward --------------------------------------------------------
@@ -793,6 +830,84 @@ def test_backward_keeps_only_constant_and_requested_grads():
     np.testing.assert_array_equal(h.grad, hc.grad)
     with pytest.raises(ContractError):
         g.backward(g.reduce_sum(h), keep=(hc,))
+
+
+class _ZeroFill(dict):
+    """The reference accumulator: each gradient a zero array on first use,
+    every contribution added into it."""
+
+    def __init__(self, nodes):
+        super().__init__()
+        self.nodes = nodes
+
+    def writable(self, idx):
+        if idx not in self:
+            self[idx] = np.zeros_like(self.nodes[idx].value)
+        return self[idx]
+
+    def accumulate(self, idx, value):
+        self.writable(idx)[...] += value
+
+
+def _hand_graph():
+    """add(x, x), read by a tanh and by a reshape; a narrow of the tanh whose
+    first gradient is a reshape's view; a broadcast contribution from a
+    reduce_sum; a kept node."""
+    rng = np.random.default_rng(3)
+    g = Graph()
+    x = g.watch(g.constant(rng.standard_normal((3, 4))))
+    y = g.add(x, x)
+    t = g.tanh(y)
+    flat = g.reshape(y, (12,))
+    terms = [g.mul(flat, rng.standard_normal(12)), g.narrow(t, 1, 1, 2),
+             g.mul(g.reshape(t, (12,)), rng.standard_normal(12)),
+             g.mul(g.reduce_sum(x, axes=0), rng.standard_normal(4))]
+    loss = g.reduce_sum(terms[0])
+    for term in terms[1:]:
+        loss = g.add(loss, g.reduce_sum(term))
+    return g, loss, (flat,)
+
+
+def _model_graph():
+    cfg = make_tiny_config(dropout=0.2)
+    g = Graph()
+    batch = generate_synthetic_dataset(2, 0, 0.0, cfg.image_size, cfg.n_t)
+    _, logit = FloodNet(cfg).forward(g, batch, train=True, dropout_rng=np.random.default_rng(0))
+    return g, g.reduce_sum(logit), ()
+
+
+@pytest.mark.parametrize("build", [_hand_graph, _model_graph])
+def test_backward_stores_each_gradient_at_its_first_write(build):
+    """Every rule gets the g that zero-filled accumulation gives, bit for
+    bit, and no rule or later write changes a g it was handed."""
+    g, loss, keep = build()
+    rules = {n.idx: n.bwd for n in g.nodes if n.bwd is not None}
+    seen = {}
+
+    def spy(idx, rule):
+        def bwd(grad, grads):
+            seen[idx] = (grad, grad.copy())
+            rule(grad, grads)
+        return bwd
+
+    for idx, rule in rules.items():
+        g.nodes[idx].bwd = spy(idx, rule)
+    g.backward(loss, keep=keep)
+    leaves = {n.idx: n.grad for n in g.nodes if n.grad is not None}
+    for grad, at_call in seen.values():
+        np.testing.assert_array_equal(grad, at_call)
+
+    want = _ZeroFill(g.nodes)
+    want[loss.idx] = np.ones_like(loss.value)
+    for node in reversed(g.nodes[:loss.idx + 1]):
+        if node.idx in want and node.idx in rules:
+            rules[node.idx](want[node.idx], want)
+    assert sorted(seen) == sorted(i for i in rules if i in want)
+    for idx, (grad, _) in seen.items():
+        np.testing.assert_array_equal(grad, want[idx])
+    assert sorted(leaves) == sorted(i for i in want if i not in rules or g.nodes[i] in keep)
+    for idx, grad in leaves.items():
+        np.testing.assert_array_equal(grad, want[idx])
 
 
 def test_dropped_tape_is_freed_without_the_cycle_collector():
@@ -999,6 +1114,9 @@ def rule_cases(draw, name):
         x, kernel, groups, stride = draw(conv_cases())
         operands = [x, kernel]
         op = lambda g, a, b: g.conv2d(a, b, groups=groups, stride=stride)
+    elif name == "upsample_conv2d":
+        operands = list(draw(upsample_conv_cases()))
+        op = lambda g, a, b: g.upsample_conv2d(a, b)
     elif name == "maxpool2":
         operands = [draw(batches(max_extent=6, step=2))]
         op = lambda g, a: g.maxpool2(a)
@@ -1013,7 +1131,7 @@ def rule_cases(draw, name):
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "attention", "concat", "conv2d", "tanh",
-                                  "maxpool2", "standardize", "swish_gate"])
+                                  "maxpool2", "standardize", "swish_gate", "upsample_conv2d"])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
     op, operands = data.draw(rule_cases(name))
@@ -1025,7 +1143,7 @@ def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed)
             if w:
                 g.watch(leaf)
         out = op(g, *leaves)
-        written = _LazyGrads(g.nodes)
+        written = _Grads(g.nodes)
         if out.bwd is not None:
             out.bwd(np.random.default_rng(seed).standard_normal(out.shape), written)
         return out, [leaf.idx for leaf, w in zip(leaves, watched) if w], written
@@ -1089,7 +1207,7 @@ GRADCHECK_PROPERTIES = {
     "conv2d": test_conv2d_property_gradcheck,
     "fft2d_magnitude": test_fft2d_magnitude_batched_matches_per_sample,
     "maxpool2": test_maxpool2_batched_matches_per_sample,
-    "upsample2": test_upsample2_batched_matches_per_sample,
+    "upsample_conv2d": test_upsample_conv2d_property_gradcheck,
     "watch": test_watch_property_gradcheck,
 }
 

@@ -191,9 +191,15 @@ def test_transformer_zero_weights_is_residual_only():
 
 
 def test_transformer_attention_rows_sum_to_one():
-    rng = np.random.default_rng(8)
-    z = rng.standard_normal((5, 5))
-    assert np.abs(softmax_rows(z).sum(axis=1) - 1.0).max() < 1e-9
+    """Each head's weights over the transformer's tokens sum to one: with v
+    all ones, every output entry of Graph.attention is a row sum."""
+    cfg = make_tiny_config()
+    hh, ww = cfg.encoder_out_spatial()
+    n, d = hh * ww, cfg.d_model
+    q, k = np.random.default_rng(8).standard_normal((2, 3, n, d)) * 3.0
+    out = Graph().attention(q, k, np.ones((3, n, d)), cfg.transformer_heads)
+    assert out.shape == (3, n, d)
+    assert np.abs(out.value - 1.0).max() < 1e-9
 
 
 def test_transformer_depth_one_matches_layer_oracle():

@@ -87,6 +87,10 @@ def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
     pytest.param("5", "config must be a JSON object", id="top_level_number"),
     pytest.param('{"optimizer": {"learning_rate": "x"}}',
                  'optimizer.learning_rate must be float, got "x"', id="learning_rate_string"),
+    pytest.param('{"grid": [0, 4]}', "grid[0] must be >= 1, got grid[0]=0", id="grid_zero"),
+    pytest.param('{"hren_groups": 0}', "hren_groups must be >= 1, got hren_groups=0", id="hren_groups_zero"),
+    pytest.param('{"transformer_heads": 0}', "transformer_heads must be >= 1, got transformer_heads=0",
+                 id="transformer_heads_zero"),
 ])
 def test_invalid_config_exits_one(tmp_path, capsys, text, needle):
     path = tmp_path / "bad.json"
