@@ -732,11 +732,17 @@ def _centre_tap(c):
     return kernel
 
 
-def test_upsample_conv2d_centre_tap_replicates_each_value():
-    x = np.random.default_rng(10).standard_normal((3, 4, 2))
-    np.testing.assert_array_equal(Graph().upsample_conv2d(x, _centre_tap(2)).value, _upsampled(x))
+def test_upsample_replicates_single_value():
     out = Graph().upsample_conv2d(np.full((1, 1, 1), 3.0), _centre_tap(1))
     np.testing.assert_array_equal(out.value, np.full((2, 2, 1), 3.0))
+
+
+def test_upsample_avgpool_round_trip():
+    x = np.random.default_rng(10).standard_normal((3, 4, 2))
+    up = Graph().upsample_conv2d(x, _centre_tap(2)).value
+    np.testing.assert_array_equal(up, _upsampled(x))
+    back = up.reshape(3, 2, 4, 2, 2).mean(axis=(1, 3))
+    np.testing.assert_allclose(back, x, atol=1e-15)
 
 
 def test_upsample_conv2d_centre_tap_gradient_counts_replicas():
