@@ -28,6 +28,9 @@ the kernel, or the input times the dense matrix of the whole map, whichever
 matrix holds fewer entries.  With nb the product of the leading extents,
 that is the dense one when H*W*C_out/groups <= nb*K*K: a batch of small
 maps read by a wide kernel, where most im2col entries are zero padding.
+im2col runs over chunks of the leading indices, each chunk's columns and
+padded input within IM2COL_CHUNK_BYTES, in the forward and again in the
+backward; the tape keeps neither the columns nor a padded copy of x.
 upsample_conv2d, a 3x3 conv of a x2 nearest-upsampled map, records a
 `conv2d` node too; it never builds the upsampled map.
 """
@@ -39,7 +42,7 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 NORM_EPS = 1e-5  # added to every variance a normalization divides by
 
@@ -257,11 +260,13 @@ class Graph:
 
         return self._record(out, (a,), bwd, "relu")
 
-    def swish_gate(self, a, mask=None) -> Node:
-        """relu(a * sigmoid(a)), times mask when one is given: the values of
-        relu(mul(a, sigmoid(a))) and then mul by mask, bit for bit, in one
-        node.  mask is a plain array that broadcasts to a's shape, such as
-        a dropout mask."""
+    def swish_gate(self, a, mask=None, scale: float = 1.0) -> Node:
+        """relu(a * sigmoid(a)), times mask and then scale when a mask is
+        given: the values of relu(mul(a, sigmoid(a))) and then mul by mask
+        and by scale, bit for bit, in one node.  mask is a plain array that
+        broadcasts to a's shape, such as a bool dropout mask u >= rate with
+        scale 1 / (1 - rate), which gives the values and gradient of the
+        float mask (u >= rate) / (1 - rate) bit for bit."""
         a = self._coerce(a)
         # the steps of Graph.sigmoid, 1 / (1 + exp(-a)), each in place
         s = np.negative(a.value)
@@ -273,9 +278,10 @@ class Graph:
         np.maximum(out, 0.0, out=out)
         if mask is not None:
             out *= mask
+            out *= scale
 
         def bwd(g, grads):
-            # g * mask * (a > 0) * s * (1 + a * (1 - s))
+            # g * mask * scale * (a > 0) * s * (1 + a * (1 - s))
             d = 1.0 - s
             d *= a.value
             d += 1.0
@@ -283,6 +289,7 @@ class Graph:
             d *= g
             if mask is not None:
                 d *= mask
+                d *= scale
             d *= a.value > 0.0
             grads.accumulate(a.idx, d)
 
@@ -675,6 +682,8 @@ _FOLD_ROWS = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=np.flo
 # four 2x2 kernels of Graph.upsample_conv2d
 _UPSAMPLE_FOLD = np.einsum("adi,bej->abdeij", _FOLD_ROWS, _FOLD_ROWS).reshape(16, 9)
 
+IM2COL_CHUNK_BYTES = 1 << 20  # one chunk's columns and padded input in _conv_im2col
+
 # Each takes conv2d's checked operands and returns the output value and the
 # backward rule.
 
@@ -682,45 +691,74 @@ _UPSAMPLE_FOLD = np.einsum("adi,bej->abdeij", _FOLD_ROWS, _FOLD_ROWS).reshape(16
 def _conv_im2col(x: Node, kernel: Node, groups: int, s: int):
     """An im2col matrix with columns ordered (i, j, c), one row per output
     pixel of every leading index, times the kernel viewed as
-    (groups, K*K*C_in/groups, C_out/groups)."""
+    (groups, K*K*C_in/groups, C_out/groups).
+
+    The columns are built and consumed a chunk of leading indices at a
+    time, as many as fit IM2COL_CHUNK_BYTES (at least one), from a padded
+    copy of just that chunk; bwd builds them again the same way.  So
+    neither pass holds more than one chunk's columns, and the tape keeps no
+    padded copy of x."""
     *lead, H, W, c_in = x.shape
-    lead = tuple(lead)
-    n = len(lead)
     K, _, cg, c_out = kernel.shape
     P, Ho, Wo, cog = K // 2, H // s, W // s, c_out // groups
-    rows = math.prod(lead) * Ho * Wo
-    # bwd rebuilds the columns: keeping them on the tape would hold
-    # K*K copies of every conv input until the sweep ends
-    xp = np.zeros(lead + (H + 2 * P, W + 2 * P, c_in))  # np.pad costs several times this
-    xp[..., P:P + H, P:P + W, :] = x.value
-    kmat = kernel.value.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
-    # (lead, Ho, Wo, groups, cg, K, K) -> (groups, lead, Ho, Wo, K, K, cg)
-    to_cols = (n + 2, *range(n + 2), n + 4, n + 5, n + 3)
+    nb, HoWo, width = math.prod(lead), Ho * Wo, K * K * cg
+    xb = x.value.reshape(nb, H, W, c_in)
+    per_sample = (HoWo * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8  # columns, padded input
+    chunk = min(nb, max(1, IM2COL_CHUNK_BYTES // per_sample))
+    spans = [(b, min(b + chunk, nb)) for b in range(0, nb, chunk)]
+    kmat = kernel.value.reshape(width, groups, cog).transpose(1, 0, 2)
+    chunk_entries = chunk * HoWo * K * K * c_in  # of the columns, and of the taps in bwd
 
-    def im2col():
-        win = sliding_window_view(xp, (K, K), axis=(n, n + 1))[..., ::s, ::s, :, :, :]
-        win = win.reshape(lead + (Ho, Wo, groups, cg, K, K)).transpose(to_cols)
-        return win.reshape(groups, rows, K * K * cg)
+    def chunks(buf):
+        """Each chunk's (groups, rows, width) columns, in buf and valid
+        until the next."""
+        xp = np.zeros((chunk, H + 2 * P, W + 2 * P, c_in))  # the border stays zero
+        cols = buf.reshape(groups, chunk, Ho, Wo, K, K, cg)
+        sb, sh, sw, sc = xp.strides
+        for b0, b1 in spans:
+            m = b1 - b0
+            xp[:m, P:P + H, P:P + W] = xb[b0:b1]
+            # (groups, m, Ho, Wo, K, K, cg) -> xp[b, s*p + i, s*q + j, group*cg + c]
+            windows = as_strided(xp, (groups, m, Ho, Wo, K, K, cg),
+                                 (cg * sc, sb, s * sh, s * sw, sh, sw, sc), writeable=False)
+            np.copyto(cols[:, :m], windows)
+            yield cols[:, :m].reshape(groups, m * HoWo, width)
 
-    out = np.matmul(im2col(), kmat).transpose(1, 0, 2).reshape(lead + (Ho, Wo, c_out))
+    out = np.empty((nb * HoWo, groups, cog))
+    for (b0, b1), cols in zip(spans, chunks(np.empty(chunk_entries))):
+        np.matmul(cols, kmat, out=out[b0 * HoWo:b1 * HoWo].transpose(1, 0, 2))
 
     def bwd(g, grads):
-        gm = g.reshape(rows, groups, cog).transpose(1, 0, 2)
-        if kernel.active:
-            dk = np.matmul(im2col().transpose(0, 2, 1), gm)
-            grads.accumulate(kernel.idx, dk.transpose(1, 0, 2).reshape(kernel.shape))
+        gm = g.reshape(nb * HoWo, groups, cog).transpose(1, 0, 2)
+        dk = np.zeros((groups, width, cog))
         if x.active:  # not so for the raw image batch
-            # one (groups, rows, cg) block per tap, each added whole
-            taps = np.matmul(gm, kernel.value.reshape(K * K, cg, groups, cog).transpose(0, 2, 3, 1))
-            dxp = np.zeros_like(xp)
-            dxp_g = dxp.reshape(lead + (H + 2 * P, W + 2 * P, groups, cg))
-            for t, block in enumerate(taps):
-                i, j = divmod(t, K)
-                dxp_g[..., i:i + H:s, j:j + W:s, :, :] += np.moveaxis(
-                    block.reshape((groups,) + lead + (Ho, Wo, cg)), 0, -2)
-            grads.accumulate(x.idx, dxp[..., P:P + H, P:P + W, :])
+            dx = np.empty((nb, H, W, c_in))
+            dxp = np.empty((chunk, H + 2 * P, W + 2 * P, groups, cg))
+            kt = kernel.value.reshape(K * K, cg, groups, cog).transpose(0, 2, 3, 1)
+        # a chunk's taps overwrite its columns once dk has read them
+        buf = np.empty(chunk_entries)
+        taps = buf.reshape(K * K, groups, chunk * HoWo, cg)
+        for (b0, b1), cols in zip(spans, chunks(buf) if kernel.active else itertools.repeat(None)):
+            gc = gm[:, b0 * HoWo:b1 * HoWo]
+            if kernel.active:
+                dk += np.matmul(cols.transpose(0, 2, 1), gc)
+            if x.active:
+                # one (groups, rows, cg) block per tap, each added whole
+                m = b1 - b0
+                block = taps[:, :, :m * HoWo]
+                np.matmul(gc, kt, out=block)
+                dxp[:m] = 0.0
+                for t in range(K * K):
+                    i, j = divmod(t, K)
+                    dxp[:m, i:i + H:s, j:j + W:s] += np.moveaxis(
+                        block[t].reshape(groups, m, Ho, Wo, cg), 0, -2)
+                dx[b0:b1] = dxp[:m, P:P + H, P:P + W].reshape(m, H, W, c_in)
+        if kernel.active:
+            grads.accumulate(kernel.idx, dk.transpose(1, 0, 2).reshape(kernel.shape))
+        if x.active:
+            grads.accumulate(x.idx, dx.reshape(x.shape))
 
-    return out, bwd
+    return out.reshape(x.shape[:-3] + (Ho, Wo, c_out)), bwd
 
 
 @functools.lru_cache(maxsize=64)

@@ -20,22 +20,25 @@ from .params import ParamStore
 
 
 class DropoutMasks:
-    """The inverted-dropout masks (u >= rate) / (1 - rate) of one forward
-    pass's gated blocks.  The uniforms u are one (..., n) block, n being what
-    one sample's blocks use; each mask takes the next slice, so every sample
-    of a batch gets the masks it gets when run alone."""
+    """The inverted-dropout masks of one forward pass's gated blocks: each
+    is the bool u >= rate, one byte an entry, and the activation it keeps
+    is scaled by `scale`, 1 / (1 - rate).  The uniforms u are one (..., n)
+    block, n being what one sample's blocks use; each mask takes the next
+    slice, so every sample of a batch gets the masks it gets when run
+    alone."""
 
     def __init__(self, rng: np.random.Generator, rate: float, shape: tuple):
         self.uniforms = rng.random(shape)
         self.rate = rate
+        self.scale = 1.0 / (1.0 - rate)
         self.used = 0
 
     def take(self, shape: tuple) -> np.ndarray:
-        """The mask of the next block's activation, of this shape."""
+        """The bool mask of the next block's activation, of this shape."""
         n = math.prod(shape[self.uniforms.ndim - 1:])
         u = self.uniforms[..., self.used:self.used + n].reshape(shape)
         self.used += n
-        return (u >= self.rate) / (1.0 - self.rate)
+        return u >= self.rate
 
 
 def _gated_conv_sizes(cfg: ModelConfig, h: int, w: int) -> int:
@@ -59,10 +62,12 @@ def gated_downsample_block(
     conv: Callable | None = None,
 ) -> Node:
     """3x3 conv to c_out channels -> relu(G * sigmoid(G)), times the next
-    dropout mask when masks are given, as one swish_gate node -> batchnorm
-    -> maxpool.  conv is the Graph op that convolves, g.conv2d when None."""
+    dropout mask and its scale when masks are given, as one swish_gate node
+    -> batchnorm -> maxpool.  conv is the Graph op that convolves, g.conv2d
+    when None."""
     conv = (conv or g.conv2d)(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
-    act = g.swish_gate(conv, None if masks is None else masks.take(conv.shape))
+    act = (g.swish_gate(conv) if masks is None
+           else g.swish_gate(conv, masks.take(conv.shape), masks.scale))
     normed = batch_norm(g, act, store, f"{name}.bn", train)
     return g.maxpool2(normed)
 

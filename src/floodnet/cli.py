@@ -121,6 +121,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.coords < 1:
+        raise ConfigError(f"--coords must be >= 1, got {args.coords}")
     cfg = _load_config(args)
     model = FloodNet(cfg)
     sample = _dataset(cfg, None)[0]

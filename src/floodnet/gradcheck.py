@@ -36,8 +36,11 @@ def check_gradients(
     parameter of the store after the first build.
 
     Returns per-coordinate results and the max relative error; raises
-    AssertionError if any coordinate exceeds TOL.
+    AssertionError if any coordinate exceeds TOL, and ValueError before any
+    build when n_coords < 1.
     """
+    if n_coords < 1:
+        raise ValueError(f"n_coords must be >= 1, got {n_coords}")
     store.zero_grad()
     g = Graph()
     loss = build(g)  # adds the parameters an empty store lacks

@@ -48,7 +48,7 @@ def compute_metrics(
     check_labels("y_true", y_true, y_true.shape)
     check_labels("y_pred", y_pred, y_true.shape)
     if probs is not None and np.shape(probs) != y_true.shape:
-        raise ValueError(f"{np.size(probs)} probs for {y_true.size} labels")
+        raise ValueError(f"probs has shape {np.shape(probs)}, the labels {y_true.shape}")
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -264,6 +265,67 @@ def test_conv2d_batch_that_crosses_the_rule_matches_per_sample(monkeypatch):
     assert ran == ["dense", "im2col", "im2col", "im2col"]
     assert rel_close(batched, per_sample, 1e-12)
     _check_batched(lambda g, xn: g.conv2d(xn, g.constant(kernel)), [xs], exact=False)
+
+
+# ---- im2col chunks ------------------------------------------------------
+
+
+def _im2col_maps_per_chunk(H, W, c_in, K, stride):
+    """How many maps of (H, W, c_in) one im2col chunk takes: its columns
+    and its padded input, in f64, within IM2COL_CHUNK_BYTES."""
+    P = K // 2
+    per_map = ((H // stride) * (W // stride) * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8
+    return max(1, autodiff.IM2COL_CHUNK_BYTES // per_map)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("groups", [1, 2])
+def test_conv2d_im2col_over_several_chunks(groups, stride, monkeypatch):
+    """A batch of two full im2col chunks and a ragged third: each map
+    matches the loop oracle and the map run alone, and check_gradients
+    passes on x and on the kernel."""
+    H = W = 16 * stride
+    c_in, c_out, K = 4, 2 * groups, 3  # 2 * groups keeps the batch off the dense kernel
+    chunk = _im2col_maps_per_chunk(H, W, c_in, K, stride)
+    assert chunk >= 2
+    nb = 2 * chunk + chunk // 2
+    rng = np.random.default_rng(groups * 10 + stride)
+    x = rng.standard_normal((nb, H, W, c_in))
+    kernel = rng.standard_normal((K, K, c_in // groups, c_out)) / np.sqrt(K * K * c_in // groups)
+    ran = _kernels_run(monkeypatch)
+    op = lambda g, xn, kn: g.conv2d(xn, kn, groups=groups, stride=stride)
+
+    batched = op(Graph(), x, kernel).value
+    alone = np.stack([op(Graph(), xi, kernel).value for xi in x])
+    assert ran == ["im2col"] * (nb + 1)
+    assert np.abs(batched - alone).max() <= 1e-12
+    for got, xi in zip(batched, x):
+        assert np.abs(got - conv2d_loops(xi, kernel, groups)[::stride, ::stride]).max() <= 1e-12
+    _gradcheck_every_operand(op, [x, kernel])
+
+
+def test_conv2d_im2col_holds_one_chunk_of_columns():
+    """Forward and backward of a conv whose full column matrix is 6.75 MiB
+    allocate no more than the output, its gradient, dx and two chunk
+    budgets: one for a chunk's columns (which its tap products reuse) and
+    padded input, one for its padded dx."""
+    rng = np.random.default_rng(8)
+    x, kernel = rng.standard_normal((8, 64, 64, 3)), rng.standard_normal((3, 3, 3, 8))
+    full_columns = 8 * 64 * 64 * 3 * 3 * 3 * 8
+    assert full_columns >= 6 * 2**20
+    g = Graph()
+    xn, kn = g.watch(g.constant(x)), g.watch(g.constant(kernel))
+    tracemalloc.start()
+    try:
+        out = g.conv2d(xn, kn)
+        g.backward(g.reduce_sum(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert xn.grad.shape == x.shape and kn.grad.shape == kernel.shape
+    bound = 2 * out.value.nbytes + x.nbytes + 2 * autodiff.IM2COL_CHUNK_BYTES
+    assert bound < full_columns + 2 * out.value.nbytes
+    assert peak <= bound, (peak, bound)
 
 
 # ---- batched ops -------------------------------------------------------
@@ -597,6 +659,26 @@ def test_swish_gate_property_gradcheck(case):
         return g.reduce_sum(g.mul(g.tanh(gated), g.constant(weights)))
 
     check_gradients(build, store, n_coords=8)
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.5])
+def test_swish_gate_bool_mask_and_scale_equal_the_float_mask(rate):
+    """A bool mask with scale 1 / (1 - rate) gives the values and gradient
+    of the float mask (u >= rate) / (1 - rate), bit for bit."""
+    rng = np.random.default_rng(int(rate * 10))
+    x, weights = rng.standard_normal((2, 5, 6, 3)) * 3.0, rng.standard_normal((2, 5, 6, 3))
+    keep = rng.random(x.shape) >= rate
+    runs = []
+    for mask, scale in ((keep, 1.0 / (1.0 - rate)), (keep / (1.0 - rate), 1.0)):
+        g = Graph()
+        xn = g.watch(g.constant(x))
+        out = g.swish_gate(xn, mask, scale)
+        g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
+        runs.append((out.value, xn.grad))
+    (bool_out, bool_dx), (float_out, float_dx) = runs
+    assert not keep.all() and keep.any()
+    np.testing.assert_array_equal(bool_out, float_out)
+    np.testing.assert_array_equal(bool_dx, float_dx)
 
 
 # ---- batch norm ------------------------------------------------------
@@ -960,6 +1042,15 @@ def test_gradcheck_negative_control():
 
     with pytest.raises(AssertionError):
         check_gradients(build, store, n_coords=20, seed=2)
+
+
+def test_gradcheck_needs_a_coordinate_before_it_builds():
+    def build(g):
+        raise AssertionError("built")
+
+    for n_coords in (0, -2):
+        with pytest.raises(ValueError, match=f"n_coords must be >= 1, got {n_coords}"):
+            check_gradients(build, ParamStore(0), n_coords=n_coords)
 
 
 # ---- gradcheck properties of the remaining ops -------------------------

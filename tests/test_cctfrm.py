@@ -101,7 +101,8 @@ def test_gated_block_equals_the_chain_of_single_ops(train, with_mask):
         return DropoutMasks(np.random.default_rng(7), 0.3, (3, 8 * 8 * 8)) if with_mask else None
 
     out, dx, grads = _gated_block_run(gated_downsample_block, store, x, train, masks())
-    mask = masks().take((3, 8, 8, 8)) if with_mask else None
+    # the chain multiplies by the float mask: the bool mask times its scale
+    mask = masks().take((3, 8, 8, 8)) * masks().scale if with_mask else None
     c_out, c_dx, c_grads = _gated_block_run(gated_block_chain, chain_store, x, train, mask)
     if not train:
         np.testing.assert_array_equal(out, c_out)
@@ -366,9 +367,9 @@ def test_eval_forward_ignores_the_dropout_generator():
 
 
 def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
-    """Each mask is (u >= rate) / (1 - rate) for the next slice u of one
-    (B, n) uniform block, in block order enc0 .. dec_last; row b serves
-    sample b."""
+    """Each mask is the bool u >= rate for the next slice u of one (B, n)
+    uniform block, in block order enc0 .. dec_last, and its scale is
+    1 / (1 - rate); row b serves sample b."""
     cfg = make_tiny_config(dropout=0.5)
     model = FloodNet(cfg)
     blocks, handed = [], []
@@ -381,7 +382,7 @@ def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
     class Recording(DropoutMasks):
         def take(self, shape):
             mask = super().take(shape)
-            handed.append((blocks[-1], mask))
+            handed.append((blocks[-1], mask, self.scale))
             return mask
 
     monkeypatch.setattr(cctfrm, "gated_downsample_block", block)
@@ -391,17 +392,37 @@ def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
     # the activation of each gated block of the tiny config, per sample
     shapes = {"cctfrm.enc0": (16, 16, 4), "cctfrm.enc1": (8, 8, 8),
               "cctfrm.dec0": (8, 8, 8), "cctfrm.dec1": (8, 8, 4)}
-    assert [name for name, _ in handed] == list(shapes)
+    assert [name for name, _, _ in handed] == list(shapes)
     u = np.random.default_rng(9).random((2, sum(np.prod(s) for s in shapes.values())))
     used = 0
-    for name, mask in handed:
+    for name, mask, scale in handed:
         size = np.prod(shapes[name])
         assert mask.shape == (2,) + shapes[name]
+        assert mask.dtype == bool and scale == 1.0 / 0.5
         for b in range(2):
             want = (u[b, used:used + size].reshape(shapes[name]) >= 0.5) / 0.5
-            np.testing.assert_array_equal(mask[b], want)
+            np.testing.assert_array_equal(mask[b] * scale, want)
         used += size
     assert used == u.shape[1]
+
+
+def test_a_training_forward_hands_swish_gate_bool_masks(monkeypatch):
+    """Every gated block's dropout mask is one byte an entry, with the
+    scale 1 / (1 - rate)."""
+    cfg = make_tiny_config(dropout=0.5)
+    model = FloodNet(cfg)  # before the patch: building runs an eval forward
+    handed = []
+    real_gate = Graph.swish_gate
+
+    def swish_gate(self, a, mask=None, scale=1.0):
+        handed.append((a.shape, mask, scale))
+        return real_gate(self, a, mask, scale)
+
+    monkeypatch.setattr(Graph, "swish_gate", swish_gate)
+    model.forward(Graph(), _samples(cfg, 2), train=True, dropout_rng=np.random.default_rng(3))
+    assert len(handed) == len(cfg.encoder_plan) + len(cfg.decoder_plan)
+    for shape, mask, scale in handed:
+        assert mask.dtype == bool and mask.shape == shape and scale == 1.0 / 0.5
 
 
 def test_a_training_forward_without_its_generator_raises_before_recording():

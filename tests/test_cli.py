@@ -106,6 +106,14 @@ def test_gradcheck_command(tmp_path, capsys):
     assert out["max_rel_err"] <= 1e-4
 
 
+@pytest.mark.parametrize("coords", ["0", "-2"])
+def test_gradcheck_with_no_coordinates_exits_one_before_building(tmp_path, capsys, monkeypatch, coords):
+    _, cfg_path = _write_tiny_config(tmp_path)
+    monkeypatch.setattr(cli, "FloodNet", None)  # building a model would raise TypeError
+    assert main(["gradcheck", "--config", cfg_path, "--coords", coords]) == 1
+    _assert_one_line_error(capsys, f"--coords must be >= 1, got {coords}")
+
+
 def test_train_eval_explain_round_trip(tmp_path, capsys):
     _, cfg_path = _write_tiny_config(tmp_path, n_samples=10)
     out_dir = tmp_path / "run"
@@ -254,9 +262,10 @@ def test_metrics_rejects_empty_or_non_finite_input(tmp_path, capsys, data):
 @pytest.mark.parametrize("data,needle", [
     ({"y_true": [2, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9, 0.1, 0.8]}, "y_true[0] is 2"),
     ({"y_true": [1, 0, 1], "y_pred": [1, 0, -1]}, "y_pred[2] is -1"),
-    ({"y_true": [1, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9]}, "1 probs for 3 labels"),
+    ({"y_true": [1, 0, 1], "y_pred": [1, 0, 1], "probs": [0.9]}, "probs has shape (1,), the labels (3,)"),
     ([1, 0, 1], "preds.json: not a JSON object holding 'y_true'"),
     ({"y_pred": [1, 0, 1]}, "preds.json: not a JSON object holding 'y_true'"),
+    ({"y_true": [1, 0], "y_pred": [1, 0], "probs": [[0.2, 0.3]]}, "probs has shape (1, 2), the labels (2,)"),
 ])
 def test_metrics_rejects_bad_labels_or_probs(tmp_path, capsys, data, needle):
     preds = tmp_path / "preds.json"
