@@ -20,8 +20,9 @@ rule that adds into a gradient in place takes it from `grads.writable`.
 
 The image ops take (..., H, W, C), matmul takes (..., k) @ (k, m) and
 attention takes (..., rows, width), so one graph can carry a whole batch on
-a leading axis; without one, an op does exactly the unbatched work.  maxpool2 needs
-even H and W, as conv2d needs extents divisible by its stride.
+a leading axis; without one, an op does exactly the unbatched work.  maxpool2
+and gated_norm_pool need even H and W, as conv2d needs extents divisible by
+its stride.
 
 conv2d has two kernels and picks one from the operand shapes: im2col times
 the kernel, or the input times the dense matrix of the whole map, whichever
@@ -33,6 +34,11 @@ padded input within IM2COL_CHUNK_BYTES, in the forward and again in the
 backward; the tape keeps neither the columns nor a padded copy of x.
 upsample_conv2d, a 3x3 conv of a x2 nearest-upsampled map, records a
 `conv2d` node too; it never builds the upsampled map.
+
+gated_norm_pool is a gated block's swish gate, dropout mask, normalization,
+affine and 2x2 max pool as one node, run a chunk of leading indices at a
+time within the same budget; its tape keeps neither the gated map nor the
+normalized map before the pool.
 """
 
 from __future__ import annotations
@@ -260,41 +266,6 @@ class Graph:
 
         return self._record(out, (a,), bwd, "relu")
 
-    def swish_gate(self, a, mask=None, scale: float = 1.0) -> Node:
-        """relu(a * sigmoid(a)), times mask and then scale when a mask is
-        given: the values of relu(mul(a, sigmoid(a))) and then mul by mask
-        and by scale, bit for bit, in one node.  mask is a plain array that
-        broadcasts to a's shape, such as a bool dropout mask u >= rate with
-        scale 1 / (1 - rate), which gives the values and gradient of the
-        float mask (u >= rate) / (1 - rate) bit for bit."""
-        a = self._coerce(a)
-        # the steps of Graph.sigmoid, 1 / (1 + exp(-a)), each in place
-        s = np.negative(a.value)
-        with np.errstate(over="ignore"):
-            np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        out = a.value * s
-        np.maximum(out, 0.0, out=out)
-        if mask is not None:
-            out *= mask
-            out *= scale
-
-        def bwd(g, grads):
-            # g * mask * scale * (a > 0) * s * (1 + a * (1 - s))
-            d = 1.0 - s
-            d *= a.value
-            d += 1.0
-            d *= s
-            d *= g
-            if mask is not None:
-                d *= mask
-                d *= scale
-            d *= a.value > 0.0
-            grads.accumulate(a.idx, d)
-
-        return self._record(out, (a,), bwd, "swish_gate")
-
     def softplus(self, a) -> Node:
         """log(1 + exp(a)) without overflow or cancellation."""
         a = self._coerce(a)
@@ -432,42 +403,45 @@ class Graph:
         `mean_var(a.value, axes)`, for a caller that reads them too."""
         a = self._coerce(a)
         mean, var = mean_var(a.value, axes) if moments is None else moments
-        rows, tile = _row_view(a.shape, axes)
-        n = rows(a.value) - tile(mean)
+        n = a.value - mean
         rstd = 1.0 / np.sqrt(var + NORM_EPS)
-        n *= tile(rstd)
+        n *= rstd
         parents, out = (a,), n
         if affine is not None:
-            gamma, beta = (self._coerce(p) for p in affine)
-            C = a.shape[-1]
-            if gamma.shape != (C,) or beta.shape != (C,):
-                raise ShapeError(f"affine of {gamma.shape} and {beta.shape} for {a.shape}: want ({C},)")
-            if rstd.shape[-1] != C:
+            gamma, beta = self._affine(affine, a.shape)
+            if rstd.shape[-1] != a.shape[-1]:
                 raise ShapeError(f"a per-channel affine needs axes {axes} to keep the last axis")
             parents = (a, gamma, beta)
-            out = n * tile(gamma.value)
-            out += tile(beta.value)
+            out = n * gamma.value
+            out += beta.value
         count = n.size // rstd.size
 
         def bwd(g, grads):
             # with gamma constant over each slice:
             # dx = gamma * rstd * (g - mean(g) - n * mean(g * n))
-            g = rows(g)
-            sum_g = _sum(g.reshape(a.shape), axes)
+            sum_g = _sum(g, axes)
             gn = g * n
-            sum_gn = _sum(gn.reshape(a.shape), axes)
+            sum_gn = _sum(gn, axes)
             if a.active:
-                np.multiply(n, tile(sum_gn / count), out=gn)
-                dx = g - tile(sum_g / count)
+                np.multiply(n, sum_gn / count, out=gn)
+                dx = g - sum_g / count
                 dx -= gn
-                dx *= tile(rstd if affine is None else rstd * gamma.value)
-                grads.accumulate(a.idx, dx.reshape(a.shape))
+                dx *= rstd if affine is None else rstd * gamma.value
+                grads.accumulate(a.idx, dx)
             if affine is not None and gamma.active:
-                grads.accumulate(gamma.idx, sum_gn.reshape(-1, C).sum(axis=0))
+                grads.accumulate(gamma.idx, _per_channel(sum_gn))
             if affine is not None and beta.active:
-                grads.accumulate(beta.idx, sum_g.reshape(-1, C).sum(axis=0))
+                grads.accumulate(beta.idx, _per_channel(sum_g))
 
-        return self._record(out.reshape(a.shape), parents, bwd, "standardize")
+        return self._record(out, parents, bwd, "standardize")
+
+    def _affine(self, affine, shape) -> tuple[Node, Node]:
+        """affine = (gamma, beta) as nodes, checked to be (C,) for a map of shape (..., C)."""
+        gamma, beta = (self._coerce(p) for p in affine)
+        C = shape[-1]
+        if gamma.shape != (C,) or beta.shape != (C,):
+            raise ShapeError(f"affine of {gamma.shape} and {beta.shape} for {shape}: want ({C},)")
+        return gamma, beta
 
     # ---- neural primitives -------------------------------------------
 
@@ -526,13 +500,8 @@ class Graph:
         the four strided views x[..., i::2, j::2, :].  A window's gradient
         goes to its first maximum in row order."""
         x = self._coerce(x)
-        if x.value.ndim < 3:
-            raise ShapeError(f"maxpool2 expects (...,H,W,C), got {x.shape}")
-        H, W = x.shape[-3:-1]
-        if H % 2 or W % 2:
-            raise ShapeError(f"maxpool2 needs even extents, got {H}x{W}")
-        offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
-        views = [x.value[..., i::2, j::2, :] for i, j in offsets]
+        _check_poolable(x.shape)
+        views = [x.value[..., i::2, j::2, :] for i, j in _WINDOW]
         out = views[0]
         for v in views[1:]:
             out = np.maximum(out, v)
@@ -542,7 +511,7 @@ class Graph:
             dx = np.empty(x.shape)
             free = np.ones(out.shape, dtype=bool)
             hit = np.empty(out.shape, dtype=bool)
-            for (i, j), v in zip(offsets, views):
+            for (i, j), v in zip(_WINDOW, views):
                 np.equal(v, out, out=hit)
                 hit &= free
                 np.multiply(g, hit, out=dx[..., i::2, j::2, :])
@@ -550,6 +519,125 @@ class Graph:
             grads.accumulate(x.idx, dx)
 
         return self._record(out, (x,), bwd, "maxpool2")
+
+    def gated_norm_pool(self, a, affine, mask=None, scale: float = 1.0, stats=None):
+        """maxpool2(n * gamma + beta) in one node, for a of (..., H, W, C)
+        with H and W even and affine = (gamma, beta), each (C,).  n is the
+        swish gate t = relu(a * sigmoid(a)), times the bool mask and then
+        scale when a mask of a's shape is given, normalized per (H, W) map:
+        n = (t - mean) / sqrt(var + NORM_EPS), by each map's own mean and
+        biased variance when stats is None, else by the per-channel
+        stats = (mean, var), such as a batch norm's running buffers.  The
+        values are bit for bit those of relu(mul(a, sigmoid(a))), mul by
+        the mask and by scale, standardize (or sub, mul, for stats), mul by
+        gamma, add beta and maxpool2.
+
+        Returns the node and, when stats is None, each map's (mean, var)
+        with keepdims, as mean_var gives them; else None.  Both passes run
+        a chunk of leading indices at a time, within IM2COL_CHUNK_BYTES.
+        The rule keeps sigmoid(a), the bool mask & (a > 0), n, each map's
+        1 / sqrt(var + NORM_EPS) and the uint8 index of each window's first
+        maximum in row order, where the window's gradient goes."""
+        a = self._coerce(a)
+        gamma, beta = self._affine(affine, a.shape)
+        _check_poolable(a.shape)
+        if mask is not None and (mask.shape != a.shape or mask.dtype != bool):
+            raise ShapeError(f"the dropout mask must be bool of {a.shape}, got {mask.dtype} of {mask.shape}")
+        *lead, H, W, C = a.shape
+        lead, nb, count = tuple(lead), math.prod(lead), H * W
+        # each map is worked on as H rows of W*C against statistics widened
+        # to one row, so that numpy's inner loops run along rows, not along C
+        rows = (nb, H, W * C)
+        maps = lambda v: v.reshape(-1, H, W, C)
+        wide = lambda stat: np.tile(stat.reshape(-1, 1, C), (1, 1, W))
+        av = a.value.reshape(rows)
+        mask = None if mask is None else mask.reshape(rows)
+        s, n, keep = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+        out = np.empty((nb, H // 2, W // 2, C))
+        first = np.empty(out.shape, dtype=np.uint8)
+        gamma_w, beta_w = wide(gamma.value), wide(beta.value)
+        if stats is None:
+            mean, var, rstd = (np.empty((nb, 1, 1, C)) for _ in range(3))
+        else:
+            mean_w, rstd_w = wide(stats[0]), wide(1.0 / np.sqrt(stats[1] + NORM_EPS))
+        # per sample: a map's gate, its normalization and the gradient's temporaries
+        chunk = min(nb, max(1, IM2COL_CHUNK_BYTES // (4 * H * W * C * 8)))
+        spans = [(b, min(b + chunk, nb)) for b in range(0, nb, chunk)]
+        work = (chunk, H, W * C)
+        t = np.empty(work)
+        for b0, b1 in spans:
+            ac, sc, tc, nc, kc = av[b0:b1], s[b0:b1], t[:b1 - b0], n[b0:b1], keep[b0:b1]
+            # the steps of Graph.sigmoid, 1 / (1 + exp(-a)), each in place
+            np.negative(ac, out=sc)
+            with np.errstate(over="ignore"):
+                np.exp(sc, out=sc)
+            sc += 1.0
+            np.divide(1.0, sc, out=sc)
+            np.multiply(ac, sc, out=tc)
+            np.maximum(tc, 0.0, out=tc)
+            np.greater(ac, 0.0, out=kc)
+            if mask is not None:
+                tc *= mask[b0:b1]
+                tc *= scale
+                kc &= mask[b0:b1]
+            if stats is None:
+                # mean_var's steps; its centred map is n's first step
+                mean[b0:b1] = _sum(maps(tc), (-3, -2)) / count
+                np.subtract(tc, wide(mean[b0:b1]), out=nc)
+                np.multiply(nc, nc, out=tc)
+                var[b0:b1] = _sum(maps(tc), (-3, -2)) / count
+                rstd[b0:b1] = 1.0 / np.sqrt(var[b0:b1] + NORM_EPS)
+                nc *= wide(rstd[b0:b1])
+            else:
+                np.subtract(tc, mean_w, out=nc)
+                nc *= rstd_w
+            np.multiply(nc, gamma_w, out=tc)
+            tc += beta_w
+            _maxpool2_first(maps(tc), out[b0:b1], first[b0:b1])
+
+        def bwd(g, grads):
+            g = g.reshape(out.shape)
+            da = np.empty(rows) if a.active else None
+            sum_g, sum_gn = np.empty((nb, 1, 1, C)), np.empty((nb, 1, 1, C))
+            dy, gn = np.empty(work), np.empty(work)
+            for b0, b1 in spans:
+                dc, gc, nc = dy[:b1 - b0], gn[:b1 - b0], n[b0:b1]
+                for k, (i, j) in enumerate(_WINDOW):
+                    np.multiply(g[b0:b1], first[b0:b1] == k, out=maps(dc)[:, i::2, j::2])
+                np.multiply(dc, nc, out=gc)
+                sum_g[b0:b1], sum_gn[b0:b1] = _sum(maps(dc), (-3, -2)), _sum(maps(gc), (-3, -2))
+                if not a.active:
+                    continue
+                if stats is None:
+                    # as standardize's rule: rstd * gamma * (dy - mean(dy) - n * mean(dy * n))
+                    np.multiply(nc, wide(sum_gn[b0:b1] / count), out=gc)
+                    dc -= wide(sum_g[b0:b1] / count)
+                    dc -= gc
+                    dc *= wide(rstd[b0:b1] * gamma.value)
+                else:
+                    dc *= gamma_w
+                    dc *= rstd_w
+                # da = dt * mask * scale * (a > 0) * s * (1 + a * (1 - s))
+                ac, sc, d = av[b0:b1], s[b0:b1], da[b0:b1]
+                np.subtract(1.0, sc, out=d)
+                d *= ac
+                d += 1.0
+                d *= sc
+                d *= dc
+                d *= keep[b0:b1]
+                if mask is not None:
+                    d *= scale
+            if a.active:
+                grads.accumulate(a.idx, da.reshape(a.shape))
+            if gamma.active:
+                grads.accumulate(gamma.idx, _per_channel(sum_gn))
+            if beta.active:
+                grads.accumulate(beta.idx, _per_channel(sum_g))
+
+        node = self._record(out.reshape(lead + out.shape[1:]), (a, gamma, beta), bwd, "gated_norm_pool")
+        if stats is not None:
+            return node, None
+        return node, (mean.reshape(lead + (1, 1, C)), var.reshape(lead + (1, 1, C)))
 
     def upsample_conv2d(self, x, kernel) -> Node:
         """conv2d(u, kernel) for a 3x3 kernel, u being x upsampled x2 by
@@ -639,19 +727,6 @@ def _spatial(nd: int, axes) -> bool:
     return nd >= 3 and sorted(ax % nd for ax in axes) == [nd - 3, nd - 2]
 
 
-def _row_view(shape: tuple, axes):
-    """(rows, tile) for elementwise work against statistics over axes of an
-    array of this shape.  Over the spatial axes of (..., H, W, C), rows
-    views the array as (nb, H, W*C) and tile widens a (..., 1, 1, C) or
-    (C,) statistic to (nb or 1, 1, W*C), so that numpy's inner loops run
-    along whole rows, not along C; the values are those of the broadcast.
-    Over other axes both return their argument."""
-    if not _spatial(len(shape), axes):
-        return (lambda v: v), (lambda s: s)
-    *_, H, W, C = shape
-    return (lambda v: v.reshape(-1, H, W * C)), (lambda s: np.tile(s.reshape(-1, 1, C), (1, 1, W)))
-
-
 def _sum(v: np.ndarray, axes) -> np.ndarray:
     """Sum of v over axes, with keepdims.  Over the spatial axes of
     (..., H, W, C) it is one gemv, ones(H*W) @ v as (nb, H*W, C): numpy's
@@ -667,10 +742,42 @@ def mean_var(v: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
     sums = _sum(v, axes)
     count = v.size // sums.size
     mean = sums / count
-    rows, tile = _row_view(v.shape, axes)
-    centered = rows(v) - tile(mean)
+    centered = v - mean
     centered *= centered
-    return mean, _sum(centered.reshape(v.shape), axes) / count
+    return mean, _sum(centered, axes) / count
+
+
+def _per_channel(stat: np.ndarray) -> np.ndarray:
+    """The sum over every map of a (..., C) statistic, a (C,) gradient."""
+    return stat.reshape(-1, stat.shape[-1]).sum(axis=0)
+
+
+# ---- 2x2 max pooling ---------------------------------------------------
+
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))  # a pooling window's entries in row order
+
+
+def _check_poolable(shape: tuple) -> None:
+    if len(shape) < 3:
+        raise ShapeError(f"2x2 max pooling expects (...,H,W,C), got {shape}")
+    H, W = shape[-3:-1]
+    if H % 2 or W % 2:
+        raise ShapeError(f"2x2 max pooling needs even extents, got {H}x{W}")
+
+
+def _maxpool2_first(y: np.ndarray, out: np.ndarray, first: np.ndarray) -> None:
+    """Writes maxpool2's value of y into out, and into first the index in
+    _WINDOW of each window's first maximum."""
+    views = [y[..., i::2, j::2, :] for i, j in _WINDOW]
+    np.greater(views[1], views[0], out=first)
+    np.maximum(views[0], views[1], out=out)
+    hit = np.empty(first.shape, dtype=np.uint8)
+    for k in (2, 3):
+        # a view that exceeds the running maximum is the first maximum so far
+        np.greater(views[k], out, out=hit)
+        hit *= k
+        np.maximum(first, hit, out=first)
+        np.maximum(out, views[k], out=out)
 
 
 # ---- conv2d kernels -------------------------------------------------
@@ -682,7 +789,8 @@ _FOLD_ROWS = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=np.flo
 # four 2x2 kernels of Graph.upsample_conv2d
 _UPSAMPLE_FOLD = np.einsum("adi,bej->abdeij", _FOLD_ROWS, _FOLD_ROWS).reshape(16, 9)
 
-IM2COL_CHUNK_BYTES = 1 << 20  # one chunk's columns and padded input in _conv_im2col
+# one chunk's columns and padded input in _conv_im2col, or its maps in gated_norm_pool
+IM2COL_CHUNK_BYTES = 1 << 20
 
 # Each takes conv2d's checked operands and returns the output value and the
 # backward rule.

@@ -15,7 +15,8 @@ import numpy as np
 
 from .autodiff import Graph, Node
 from .config import ModelConfig
-from .layers import batch_norm, layer_norm, mlp, self_attention, sinusoidal_positions
+from .layers import (batch_norm, batch_norm_state, fold_running_stats, layer_norm, mlp, self_attention,
+                     sinusoidal_positions)
 from .params import ParamStore
 
 
@@ -62,14 +63,18 @@ def gated_downsample_block(
     conv: Callable | None = None,
 ) -> Node:
     """3x3 conv to c_out channels -> relu(G * sigmoid(G)), times the next
-    dropout mask and its scale when masks are given, as one swish_gate node
-    -> batchnorm -> maxpool.  conv is the Graph op that convolves, g.conv2d
-    when None."""
+    dropout mask and its scale when masks are given -> batch norm ->
+    maxpool, the last three as one gated_norm_pool node.  Train mode
+    normalizes each map by its own moments and folds them into the running
+    buffers; eval mode normalizes by the buffers.  conv is the Graph op
+    that convolves, g.conv2d when None."""
     conv = (conv or g.conv2d)(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
-    act = (g.swish_gate(conv) if masks is None
-           else g.swish_gate(conv, masks.take(conv.shape), masks.scale))
-    normed = batch_norm(g, act, store, f"{name}.bn", train)
-    return g.maxpool2(normed)
+    affine, running = batch_norm_state(g, store, f"{name}.bn", c_out)
+    mask, scale = (None, 1.0) if masks is None else (masks.take(conv.shape), masks.scale)
+    pooled, moments = g.gated_norm_pool(conv, affine, mask, scale, None if train else running)
+    if train:
+        fold_running_stats(store, f"{name}.bn", *moments)
+    return pooled
 
 
 def encoder(

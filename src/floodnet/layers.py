@@ -57,6 +57,28 @@ def mlp(g: Graph, store, prefix: str, x: Node, d_hidden: int, d_out: int) -> Nod
     return g.add(g.matmul(g.relu(g.add(g.matmul(x, w1), b1)), w2), b2)
 
 
+def batch_norm_state(g: Graph, store, name: str, C: int):
+    """The batch norm `name`'s (gamma, beta) parameter leaves and its
+    (running_mean, running_var) buffers, each (C,), read in that order."""
+    gamma = g.param(store, name + ".gamma", (C,), "ones")
+    beta = g.param(store, name + ".beta", (C,), "zeros")
+    return (gamma, beta), (store.buffer(name + ".running_mean", np.zeros(C)),
+                           store.buffer(name + ".running_var", np.ones(C)))
+
+
+def fold_running_stats(store, name: str, mean: np.ndarray, var: np.ndarray) -> None:
+    """Folds each map's moments, (..., C) arrays, into the batch norm
+    `name`'s running buffers at BN_MOMENTUM, one map at a time in batch
+    order."""
+    C = mean.shape[-1]
+    rm, rv = store.buffers[name + ".running_mean"], store.buffers[name + ".running_var"]
+    for m, v in zip(mean.reshape(-1, C), var.reshape(-1, C)):
+        rm = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * m
+        rv = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * v
+    store.buffers[name + ".running_mean"] = rm
+    store.buffers[name + ".running_var"] = rv
+
+
 def batch_norm(
     g: Graph,
     x: Node,
@@ -68,21 +90,13 @@ def batch_norm(
 
     Train mode is one `standardize` node with the affine: each map is
     normalized by its own statistics, and the same moments are folded into
-    the running buffers one map at a time, in batch order.  Eval mode uses
-    the buffers (init 0 mean / 1 var).
+    the running buffers (`fold_running_stats`).  Eval mode uses the buffers
+    (init 0 mean / 1 var).
     """
-    C = x.shape[-1]
-    gamma = g.param(store, name + ".gamma", (C,), "ones")
-    beta = g.param(store, name + ".beta", (C,), "zeros")
-    rm = store.buffer(name + ".running_mean", np.zeros(C))
-    rv = store.buffer(name + ".running_var", np.ones(C))
+    (gamma, beta), (rm, rv) = batch_norm_state(g, store, name, x.shape[-1])
     if train:
-        mean, var = moments = mean_var(x.value, (-3, -2))
-        for m, v in zip(mean.reshape(-1, C), var.reshape(-1, C)):
-            rm = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * m
-            rv = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * v
-        store.buffers[name + ".running_mean"] = rm
-        store.buffers[name + ".running_var"] = rv
+        moments = mean_var(x.value, (-3, -2))
+        fold_running_stats(store, name, *moments)
         return g.standardize(x, (-3, -2), (gamma, beta), moments)
     norm = g.mul(g.sub(x, g.constant(rm)), g.constant(1.0 / np.sqrt(rv + NORM_EPS)))
     return g.add(g.mul(norm, gamma), beta)

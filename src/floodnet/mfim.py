@@ -70,7 +70,8 @@ def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) ->
     if h_img % H or w_img % W:
         raise InputError(f"image extents {(h_img, w_img)} not divisible by grid {grid}")
     ph, pw = h_img // H, w_img // W
-    patches = img.reshape(tuple(lead) + (H, ph, W, pw, 3)).mean(axis=(-4, -2))
+    # two single-axis sums: numpy's mean over both axes at once is several times slower
+    patches = img.reshape(tuple(lead) + (H, ph, W, pw, 3)).sum(axis=-4).sum(axis=-2) / (ph * pw)
     rng = np.random.default_rng([seed, 0x1147])
     proj = rng.standard_normal((3, d_i))
     return patches @ proj

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from floodnet.layers import batch_norm
-
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, k = a.shape
@@ -47,26 +45,41 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, groups: int = 1) -> np.ndarr
     return out
 
 
-def gated_block_chain(g, store, name: str, x, c_out: int, train: bool, mask):
-    """The gated block as the chain of single ops it was built from: conv2d,
-    relu(mul(G, sigmoid(G))), mul by the dropout mask, then in train mode
-    standardize, mul by gamma and add beta, with each map's np.mean and
-    np.var folded into the store's running buffers in batch order (eval
-    mode: layers.batch_norm), and maxpool2."""
-    conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
-    act = g.relu(g.mul(conv, g.sigmoid(conv)))
+def gated_norm_pool_chain(g, a, affine, mask, stats):
+    """Graph.gated_norm_pool as the chain of single ops it replaces:
+    relu(mul(a, sigmoid(a))), mul by the float dropout mask when given, then
+    standardize over (H, W) when stats is None, else sub stats[0] and mul by
+    1 / sqrt(stats[1] + 1e-5), mul by gamma, add beta, and maxpool2.
+    Returns the pooled node and the gated one."""
+    act = g.relu(g.mul(a, g.sigmoid(a)))
     if mask is not None:
         act = g.mul(act, g.constant(mask))
-    if not train:
-        return g.maxpool2(batch_norm(g, act, store, f"{name}.bn", False))
+    if stats is None:
+        normed = g.standardize(act, (-3, -2))
+    else:
+        normed = g.mul(g.sub(act, g.constant(stats[0])), g.constant(1.0 / np.sqrt(stats[1] + 1e-5)))
+    gamma, beta = affine
+    return g.maxpool2(g.add(g.mul(normed, gamma), beta)), act
+
+
+def gated_block_chain(g, store, name: str, x, c_out: int, train: bool, mask):
+    """The gated block as the chain of single ops it was built from: conv2d
+    and gated_norm_pool_chain, which in train mode normalizes by each map's
+    moments, folding each map's np.mean and np.var into the store's running
+    buffers in batch order, and in eval mode by those buffers."""
+    conv = g.conv2d(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
     gamma = g.param(store, f"{name}.bn.gamma", (c_out,), "ones")
     beta = g.param(store, f"{name}.bn.beta", (c_out,), "zeros")
-    for key, stat in (("running_mean", np.mean), ("running_var", np.var)):
-        buf = store.buffers[f"{name}.bn.{key}"]
-        for per_map in stat(act.value, axis=(-3, -2)).reshape(-1, c_out):
-            buf = 0.9 * buf + 0.1 * per_map
-        store.buffers[f"{name}.bn.{key}"] = buf
-    return g.maxpool2(g.add(g.mul(g.standardize(act, (-3, -2)), gamma), beta))
+    keys = [f"{name}.bn.running_mean", f"{name}.bn.running_var"]
+    stats = None if train else tuple(store.buffers[k] for k in keys)
+    out, act = gated_norm_pool_chain(g, conv, (gamma, beta), mask, stats)
+    if train:
+        for key, stat in zip(keys, (np.mean, np.var)):
+            buf = store.buffers[key]
+            for per_map in stat(act.value, axis=(-3, -2)).reshape(-1, c_out):
+                buf = 0.9 * buf + 0.1 * per_map
+            store.buffers[key] = buf
+    return out
 
 
 def dft2_magnitude_quadratic(x: np.ndarray) -> np.ndarray:

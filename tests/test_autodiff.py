@@ -23,6 +23,7 @@ from oracles import (
     conv2d_loops,
     dft2_magnitude_quadratic,
     matmul_loops,
+    gated_norm_pool_chain,
     maxpool2_grad_scan,
     maxpool2_scan,
 )
@@ -610,52 +611,88 @@ def test_standardize_affine_rejects_what_is_not_per_channel():
         g.standardize(x, (-3, -2), (ones, g.constant(np.ones(3))))
 
 
-# ---- swish gate --------------------------------------------------------
+# ---- gated normalization and pooling ------------------------------------
+
+
+def _identity_stats(C):
+    """Running statistics whose 1 / sqrt(var + NORM_EPS) is exactly 1: with
+    them, gamma 1 and beta 0, gated_norm_pool pools the swish gate alone."""
+    return np.zeros(C), np.full(C, 1.0 - autodiff.NORM_EPS)
+
+
+def _gate_pool(g, x, mask=None, scale=1.0):
+    """gated_norm_pool of x under _identity_stats: maxpool2 of the gate."""
+    C = x.shape[-1]
+    return g.gated_norm_pool(x, (np.ones(C), np.zeros(C)), mask, scale, _identity_stats(C))[0]
+
+
+def _first_max_scatter(y, g):
+    """maxpool2_grad_scan over every (H, W, C) map of y."""
+    maps, gs = y.reshape((-1,) + y.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+    return np.stack([maxpool2_grad_scan(m, gi) for m, gi in zip(maps, gs)]).reshape(y.shape)
+
+
+def _gate_grad(x, dy, float_mask):
+    """The swish gate's gradient in closed form, dy * s * (1 + x * (1 - s))
+    times the float mask and (x > 0), s = sigmoid(x)."""
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    d = ((1.0 - s) * x + 1.0) * s * dy
+    return (d if float_mask is None else d * float_mask) * (x > 0.0)
 
 
 @st.composite
 def gate_cases(draw):
-    """(x, mask): x at three scales; mask None or an inverted-dropout mask
-    (u >= rate) / (1 - rate), which holds zeros."""
-    shape = draw(shapes())
+    """(x, mask, scale): x of (H, W, C) or (B, H, W, C) with even extents,
+    at three scales; mask None, or the bool dropout mask u >= rate, which
+    holds zeros, with scale 1 / (1 - rate)."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
+    shape = lead + (2 * draw(st.integers(1, 3)), 2 * draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     x = _draw_array(draw, shape, draw(st.sampled_from([0.5, 3.0, 30.0])))
     if draw(st.booleans()):
-        return x, None
+        return x, None, 1.0
     rate = draw(st.sampled_from([0.2, 0.5]))
-    return x, (np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) >= rate) / (1.0 - rate)
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    return x, u >= rate, 1.0 / (1.0 - rate)
 
 
 @given(gate_cases())
-@example(case=(np.zeros((2, 3)), None))  # the kink: the gradient there is 0, as relu's
-@example(case=(np.array([-800.0, -30.0, 0.5, 800.0]), None))  # exp(800) overflows: s = 0
-@example(case=(np.array([[1.5, -0.7], [2.0, 0.3]]), np.array([[0.0, 2.0], [2.0, 0.0]])))
+@example(case=(np.zeros((2, 2, 3)), None, 1.0))  # the kink: the gradient there is 0, as relu's
+@example(case=(np.array([-800.0, -30.0, 0.5, 800.0]).reshape(2, 2, 1), None, 1.0))  # exp(800) overflows: s = 0
+@example(case=(np.array([1.5, -0.7, 2.0, 0.3]).reshape(2, 2, 1),
+               np.array([False, True, True, False]).reshape(2, 2, 1), 2.0))
 def test_swish_gate_property_gradcheck(case):
-    """swish_gate's value is relu(mul(x, sigmoid(x))) times the mask bit
-    for bit; its gradient is the closed form, with no NaN and no floating
-    point error; check_gradients passes off the kink at 0."""
-    x, mask = case
-    weights = np.random.default_rng([2, 0x5D]).standard_normal(x.shape)
+    """The swish gate inside gated_norm_pool: under statistics whose rstd
+    is 1, gamma 1 and beta 0, the value is maxpool2 of relu(mul(x,
+    sigmoid(x))) times the float mask bit for bit; the gradient is the
+    closed form, with no NaN and no floating point error; check_gradients
+    passes off the kink at 0."""
+    x, mask, scale = case
+    float_mask = None if mask is None else mask * scale
+    weights = np.random.default_rng([2, 0x5D]).standard_normal(x[..., ::2, ::2, :].shape)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         g = Graph()
         xn = g.watch(g.constant(x))
-        out = g.swish_gate(xn, mask)
+        out = _gate_pool(g, xn, mask, scale)
         g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
     g = Graph()
     chain = g.relu(g.mul(x, g.sigmoid(x)))
-    np.testing.assert_array_equal(out.value, chain.value if mask is None else g.mul(chain, mask).value)
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x))
-    want = weights * (1.0 if mask is None else mask) * (x > 0) * s * (1.0 + x * (1.0 - s))
+    if float_mask is not None:
+        chain = g.mul(chain, float_mask)
+    np.testing.assert_array_equal(out.value, g.maxpool2(chain).value)
+    want = _gate_grad(x, _first_max_scatter(chain.value, weights), float_mask)
     assert np.isfinite(xn.grad).all()
     assert np.abs(xn.grad - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
-    off_kink = np.where(x < 0.0, x - 0.1, x + 0.1)
+    # off the kink, and with no two positive entries tied in a window
+    spread = 1e-3 * np.arange(x.size).reshape(x.shape)
+    off_kink = np.where(x < 0.0, x - 0.1, x + 0.1 + spread)
     store = ParamStore(0)
     store.add("x", x.shape)
     store.entries["x"].value[...] = off_kink
 
     def build(g):
-        gated = g.swish_gate(g.param(store, "x", x.shape), mask)
+        gated = _gate_pool(g, g.param(store, "x", x.shape), mask, scale)
         return g.reduce_sum(g.mul(g.tanh(gated), g.constant(weights)))
 
     check_gradients(build, store, n_coords=8)
@@ -663,22 +700,148 @@ def test_swish_gate_property_gradcheck(case):
 
 @pytest.mark.parametrize("rate", [0.2, 0.3, 0.5])
 def test_swish_gate_bool_mask_and_scale_equal_the_float_mask(rate):
-    """A bool mask with scale 1 / (1 - rate) gives the values and gradient
-    of the float mask (u >= rate) / (1 - rate), bit for bit."""
+    """gated_norm_pool with the bool mask and scale 1 / (1 - rate) gives
+    the values and gradient of the gate times the float mask
+    (u >= rate) / (1 - rate), bit for bit: under statistics whose rstd is
+    1, maxpool2 of the chain of single ops, and the closed form."""
     rng = np.random.default_rng(int(rate * 10))
-    x, weights = rng.standard_normal((2, 5, 6, 3)) * 3.0, rng.standard_normal((2, 5, 6, 3))
+    x, weights = rng.standard_normal((2, 6, 6, 3)) * 3.0, rng.standard_normal((2, 3, 3, 3))
     keep = rng.random(x.shape) >= rate
-    runs = []
-    for mask, scale in ((keep, 1.0 / (1.0 - rate)), (keep / (1.0 - rate), 1.0)):
-        g = Graph()
-        xn = g.watch(g.constant(x))
-        out = g.swish_gate(xn, mask, scale)
-        g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
-        runs.append((out.value, xn.grad))
-    (bool_out, bool_dx), (float_out, float_dx) = runs
+    float_mask = keep / (1.0 - rate)
+    g = Graph()
+    xn = g.watch(g.constant(x))
+    out = _gate_pool(g, xn, keep, 1.0 / (1.0 - rate))
+    g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
+    c = Graph()
+    chain = c.mul(c.relu(c.mul(x, c.sigmoid(x))), float_mask)
     assert not keep.all() and keep.any()
-    np.testing.assert_array_equal(bool_out, float_out)
-    np.testing.assert_array_equal(bool_dx, float_dx)
+    np.testing.assert_array_equal(out.value, c.maxpool2(chain).value)
+    np.testing.assert_array_equal(xn.grad, _gate_grad(x, _first_max_scatter(chain.value, weights), float_mask))
+
+
+@st.composite
+def gated_norm_pool_cases(draw):
+    """(a, gamma, beta, mask, scale, stats): a of (H, W, C) or (B, H, W, C)
+    with even extents and C of 1-5, gamma of either sign; mask None or a
+    bool dropout mask with its scale; stats None (train mode) or
+    per-channel running statistics (eval mode)."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
+    C = draw(st.integers(1, 5))
+    shape = lead + (2 * draw(st.integers(1, 3)), 2 * draw(st.integers(1, 3)), C)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(shape) * draw(st.sampled_from([0.5, 3.0]))
+    gamma = rng.uniform(0.5, 1.5, C) * rng.choice([-1.0, 1.0], C)
+    beta = rng.standard_normal(C)
+    mask, scale = None, 1.0
+    if draw(st.booleans()):
+        rate = draw(st.sampled_from([0.2, 0.5]))
+        mask, scale = rng.random(shape) >= rate, 1.0 / (1.0 - rate)
+    stats = None if draw(st.booleans()) else (rng.standard_normal(C), rng.uniform(0.5, 2.0, C))
+    return a, gamma, beta, mask, scale, stats
+
+
+def _gated_norm_pool_runs(a, gamma, beta, mask, scale, stats, weights):
+    """(value, [grad of a, gamma, beta], moments) of gated_norm_pool, and
+    (value, grads, gated map) of the oracle chain fed the float mask,
+    through tanh and fixed weights."""
+    runs = []
+    for fused in (True, False):
+        g = Graph()
+        an, gn, bn = (g.watch(g.constant(v)) for v in (a, gamma, beta))
+        if fused:
+            out, extra = g.gated_norm_pool(an, (gn, bn), mask, scale, stats)
+        else:
+            out, act = gated_norm_pool_chain(g, an, (gn, bn), None if mask is None else mask * scale, stats)
+            extra = act.value
+        g.backward(g.reduce_sum(g.mul(g.tanh(out), g.constant(weights))))
+        runs.append((out.value, [an.grad, gn.grad, bn.grad], extra))
+    return runs
+
+
+@given(gated_norm_pool_cases())
+def test_gated_norm_pool_property_gradcheck(case):
+    """gated_norm_pool matches the chain of single ops it replaces: the
+    value and the gradients of a, gamma and beta to 1e-12, and in train
+    mode the moments it hands back are mean_var of the gated map, bit for
+    bit.  A batch equals its samples run one at a time, and
+    check_gradients passes on a, gamma and beta."""
+    a, gamma, beta, mask, scale, stats = case
+    weights = np.random.default_rng([3, 0x5D]).standard_normal(a[..., ::2, ::2, :].shape)
+    (out, grads, moments), (c_out, c_grads, gated) = _gated_norm_pool_runs(
+        a, gamma, beta, mask, scale, stats, weights)
+    for got, want in [(out, c_out)] + list(zip(grads, c_grads)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    if stats is None:
+        for got, want in zip(moments, autodiff.mean_var(gated, (-3, -2))):
+            np.testing.assert_array_equal(got, want)
+    else:
+        assert moments is None
+    op = lambda g, an, gn, bn: g.gated_norm_pool(an, (gn, bn), mask, scale, stats)[0]
+    if a.ndim == 4:
+        alone = [Graph().gated_norm_pool(a[i], (gamma, beta), None if mask is None else mask[i], scale, stats)[0]
+                 for i in range(len(a))]
+        np.testing.assert_array_equal(out, np.stack([n.value for n in alone]))
+    _gradcheck_every_operand(op, [a, gamma, beta])
+
+
+def test_gated_norm_pool_over_several_chunks():
+    """A train-mode batch with a mask, of two full chunks and a ragged
+    third: each map equals the map run alone, the value and the gradients
+    of a, gamma and beta match the chain to 1e-12, and check_gradients
+    passes on a, gamma and beta."""
+    H, W, C = 16, 16, 4
+    chunk = max(1, autodiff.IM2COL_CHUNK_BYTES // (4 * H * W * C * 8))
+    assert chunk >= 2
+    nb = 2 * chunk + chunk // 2
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((nb, H, W, C))
+    gamma, beta = rng.uniform(0.5, 1.5, C), rng.standard_normal(C)
+    mask = rng.random(a.shape) >= 0.3
+    weights = rng.standard_normal((nb, H // 2, W // 2, C))
+    (out, grads, moments), (c_out, c_grads, _) = _gated_norm_pool_runs(
+        a, gamma, beta, mask, 1.0 / 0.7, None, weights)
+    for got, want in [(out, c_out)] + list(zip(grads, c_grads)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    alone = [Graph().gated_norm_pool(ai, (gamma, beta), mi, 1.0 / 0.7) for ai, mi in zip(a, mask)]
+    np.testing.assert_array_equal(out, np.stack([node.value for node, _ in alone]))
+    np.testing.assert_array_equal(moments[0], np.stack([m[0] for _, m in alone]))
+    op = lambda g, an, gn, bn: g.gated_norm_pool(an, (gn, bn), mask, 1.0 / 0.7)[0]
+    _gradcheck_every_operand(op, [a, gamma, beta])
+
+
+def test_gated_norm_pool_sends_a_tied_window_to_its_first_maximum():
+    """On whole-valued maps windows tie, at 0 wherever relu zeroes a whole
+    window: the value is maxpool2 of the gate, and each window's gradient
+    lands on its first maximum in row order, bit for bit."""
+    rng = np.random.default_rng(12)
+    x = rng.integers(-2, 3, (3, 6, 6, 2)).astype(np.float64)
+    x[0, :2, :2] = 1.0  # a four-way tie
+    x[0, 2:4, :2] = -1.0  # a window relu zeroes
+    weights = rng.standard_normal((3, 3, 3, 2))
+    g = Graph()
+    xn = g.watch(g.constant(x))
+    out = _gate_pool(g, xn)
+    g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
+    c = Graph()
+    chain = c.relu(c.mul(x, c.sigmoid(x)))
+    np.testing.assert_array_equal(out.value, c.maxpool2(chain).value)
+    np.testing.assert_array_equal(xn.grad, _gate_grad(x, _first_max_scatter(chain.value, weights), None))
+    assert (xn.grad[0, 0, 0] != 0.0).all()
+    assert (xn.grad[0, :2, :2].reshape(4, 2)[1:] == 0.0).all()
+    assert (xn.grad[0, 2:4, :2] == 0.0).all()
+
+
+def test_gated_norm_pool_rejects_what_it_cannot_pool_or_mask():
+    g = Graph()
+    ones = np.ones(2)
+    with pytest.raises(ShapeError, match="even"):
+        g.gated_norm_pool(np.ones((3, 4, 2)), (ones, ones))
+    with pytest.raises(ShapeError, match="want"):
+        g.gated_norm_pool(np.ones((4, 4, 2)), (ones, np.ones(3)))
+    with pytest.raises(ShapeError, match="bool"):
+        g.gated_norm_pool(np.ones((4, 4, 2)), (ones, ones), np.ones((4, 4, 2)), 2.0)
+    with pytest.raises(ShapeError, match="bool"):
+        g.gated_norm_pool(np.ones((4, 4, 2)), (ones, ones), np.ones((4, 4, 1), dtype=bool), 2.0)
 
 
 # ---- batch norm ------------------------------------------------------
@@ -1217,6 +1380,10 @@ def rule_cases(draw, name):
     elif name == "maxpool2":
         operands = [draw(batches(max_extent=6, step=2))]
         op = lambda g, a: g.maxpool2(a)
+    elif name == "gated_norm_pool":
+        a, gamma, beta, mask, scale, stats = draw(gated_norm_pool_cases())
+        operands = [a, gamma, beta]
+        op = lambda g, a, gamma, beta: g.gated_norm_pool(a, (gamma, beta), mask, scale, stats)[0]
     elif name == "standardize":
         x = draw(batches())
         operands = [x, _draw_array(draw, x.shape[-1:]), _draw_array(draw, x.shape[-1:])]
@@ -1228,7 +1395,7 @@ def rule_cases(draw, name):
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "attention", "concat", "conv2d", "tanh",
-                                  "maxpool2", "standardize", "swish_gate", "upsample_conv2d"])
+                                  "maxpool2", "standardize", "gated_norm_pool", "upsample_conv2d"])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
     op, operands = data.draw(rule_cases(name))
@@ -1300,7 +1467,7 @@ GRADCHECK_PROPERTIES = {
     "reduce_sum": test_reduce_property_gradcheck,
     "reduce_mean": test_reduce_property_gradcheck,
     "standardize": test_standardize_property_gradcheck,
-    "swish_gate": test_swish_gate_property_gradcheck,
+    "gated_norm_pool": test_gated_norm_pool_property_gradcheck,
     "conv2d": test_conv2d_property_gradcheck,
     "fft2d_magnitude": test_fft2d_magnitude_batched_matches_per_sample,
     "maxpool2": test_maxpool2_batched_matches_per_sample,

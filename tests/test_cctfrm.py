@@ -1,11 +1,12 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from floodnet import cctfrm
+from floodnet import autodiff, cctfrm
 from floodnet.autodiff import ContractError, Graph
 from floodnet.cctfrm import (
     DropoutMasks,
@@ -82,8 +83,7 @@ def _gated_block_run(block, store, x, train, mask):
 
 @pytest.mark.parametrize("train, with_mask", [(True, False), (True, True), (False, False)])
 def test_gated_block_equals_the_chain_of_single_ops(train, with_mask):
-    """The fused block (one swish_gate node, one affine standardize node)
-    gives the chain's values and gradients of x, kernel, gamma and beta to
+    """The fused block (one gated_norm_pool node after the conv) gives the chain's values and gradients of x, kernel, gamma and beta to
     1e-12 relative, and the same running buffers; in eval mode its forward
     is the chain's bit for bit."""
     rng = np.random.default_rng(6)
@@ -115,15 +115,49 @@ def test_gated_block_equals_the_chain_of_single_ops(train, with_mask):
 
 def test_a_training_gated_block_records_conv_gate_normalization_and_pool():
     """Apart from its parameter leaves, a train-mode gated block with a
-    dropout mask records exactly four nodes."""
+    dropout mask records exactly two nodes: the conv, and the gate,
+    normalization and pool as one."""
     store = ParamStore(0)
     masks = DropoutMasks(np.random.default_rng(0), 0.5, (2, 8 * 8 * 4))
     g = Graph()
     gated_downsample_block(g, store, "blk", g.constant(np.ones((2, 8, 8, 3))), 4, True, masks)
     tags = [n.tag for n in g.nodes[1:]]
-    assert [t for t in tags if not t.startswith("param:")] == ["conv2d", "swish_gate", "standardize", "maxpool2"]
+    assert [t for t in tags if not t.startswith("param:")] == ["conv2d", "gated_norm_pool"]
     assert sorted(t for t in tags if t.startswith("param:")) == [
         "param:blk.bn.beta", "param:blk.bn.gamma", "param:blk.kernel"]
+
+
+def test_a_training_gated_block_holds_neither_the_gated_nor_the_pre_pool_map():
+    """After a train-mode block's forward, the tape holds the conv output
+    and what gated_norm_pool's rule reads: sigmoid of the conv output, the
+    normalized map, the bool mask and keep-mask, and the pooled map with
+    its uint8 index.  The gated map or the pre-pool map would add a whole
+    f64 map.  Forward plus backward peaks within that, the input gradient
+    of the gate, the loss gradient and one chunk budget for the conv's."""
+    B, H, W, C = 8, 64, 64, 8
+    x = np.random.default_rng(14).standard_normal((B, H, W, 3))
+    store = ParamStore(0)
+
+    def run():
+        masks = DropoutMasks(np.random.default_rng(1), 0.3, (B, H * W * C))
+        g = Graph()
+        xn = g.constant(x)
+        tracemalloc.start()
+        try:
+            out = gated_downsample_block(g, store, "blk", xn, C, True, masks)
+            held, _ = tracemalloc.get_traced_memory()
+            g.backward(g.reduce_sum(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held, peak
+
+    run()  # adds the parameters and buffers
+    held, peak = run()
+    f64_map, pooled = B * H * W * C * 8, B * H * W * C * 8 // 4
+    tape = 3 * f64_map + 2 * (f64_map // 8) + pooled + pooled // 8
+    assert tape <= held <= tape + 2**16 < tape + f64_map, (held, tape)
+    assert peak <= held + f64_map + pooled + autodiff.IM2COL_CHUNK_BYTES, (peak, held)
 
 
 # ---- encoder ---------------------------------------------------------
@@ -407,18 +441,19 @@ def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
 
 
 def test_a_training_forward_hands_swish_gate_bool_masks(monkeypatch):
-    """Every gated block's dropout mask is one byte an entry, with the
-    scale 1 / (1 - rate)."""
+    """Every gated block's dropout mask, which gated_norm_pool applies
+    after the swish gate, is one byte an entry, with the scale
+    1 / (1 - rate)."""
     cfg = make_tiny_config(dropout=0.5)
     model = FloodNet(cfg)  # before the patch: building runs an eval forward
     handed = []
-    real_gate = Graph.swish_gate
+    real_op = Graph.gated_norm_pool
 
-    def swish_gate(self, a, mask=None, scale=1.0):
+    def gated_norm_pool(self, a, affine, mask=None, scale=1.0, stats=None):
         handed.append((a.shape, mask, scale))
-        return real_gate(self, a, mask, scale)
+        return real_op(self, a, affine, mask, scale, stats)
 
-    monkeypatch.setattr(Graph, "swish_gate", swish_gate)
+    monkeypatch.setattr(Graph, "gated_norm_pool", gated_norm_pool)
     model.forward(Graph(), _samples(cfg, 2), train=True, dropout_rng=np.random.default_rng(3))
     assert len(handed) == len(cfg.encoder_plan) + len(cfg.decoder_plan)
     for shape, mask, scale in handed:

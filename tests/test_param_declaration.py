@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import floodnet
-from floodnet import cctfrm, hcamam
+from floodnet import cctfrm, layers
 from floodnet.autodiff import Graph
 from floodnet.config import ConfigError
 from floodnet.data import generate_synthetic_dataset
-from floodnet.layers import batch_norm
+from floodnet.layers import batch_norm_state
 from floodnet.model import FloodNet
 
 from conftest import make_tiny_config
@@ -27,12 +27,13 @@ def test_store_holds_exactly_what_a_training_forward_reads(monkeypatch, off):
     model = FloodNet(cfg)
     bn_names = []
 
-    def recording_batch_norm(g, x, store, name, train):
+    def recording_batch_norm_state(g, store, name, C):
         bn_names.append(name)
-        return batch_norm(g, x, store, name, train)
+        return batch_norm_state(g, store, name, C)
 
-    for module in (hcamam, cctfrm):
-        monkeypatch.setattr(module, "batch_norm", recording_batch_norm)
+    # batch_norm reads its state through layers, the gated blocks through cctfrm
+    for module in (layers, cctfrm):
+        monkeypatch.setattr(module, "batch_norm_state", recording_batch_norm_state)
     batch = generate_synthetic_dataset(2, 0, 0.0, cfg.image_size, cfg.n_t)
     g = Graph()
     model.forward(g, batch, train=True, dropout_rng=np.random.default_rng(0))
