@@ -21,19 +21,23 @@ rule that adds into a gradient in place takes it from `grads.writable`.
 The image ops take (..., H, W, C), matmul takes (..., k) @ (k, m) and
 attention takes (..., rows, width), so one graph can carry a whole batch on
 a leading axis; without one, an op does exactly the unbatched work.  maxpool2
-and gated_norm_pool need even H and W, as conv2d needs extents divisible by
-its stride.
+and gated_norm_pool need even H and W.
 
-conv2d has two kernels and picks one from the operand shapes: im2col times
-the kernel, or the input times the dense matrix of the whole map, whichever
-matrix holds fewer entries.  With nb the product of the leading extents,
-that is the dense one when H*W*C_out/groups <= nb*K*K: a batch of small
-maps read by a wide kernel, where most im2col entries are zero padding.
-im2col runs over chunks of the leading indices, each chunk's columns and
-padded input within IM2COL_CHUNK_BYTES, in the forward and again in the
-backward; the tape keeps neither the columns nor a padded copy of x.
-upsample_conv2d, a 3x3 conv of a x2 nearest-upsampled map, records a
-`conv2d` node too; it never builds the upsampled map.
+conv2d is a stride-1 same-padded conv with two kernels, picked from the
+operand shapes: im2col times the kernel, or the input times the dense
+matrix of the whole map, whichever matrix holds fewer entries.  With nb the
+product of the leading extents, that is the dense one when
+H*W*C_out/groups <= nb*K*K: a batch of small maps read by a wide kernel,
+where most im2col entries are zero padding.  im2col runs over chunks of the
+leading indices, each chunk's columns and padded input within
+IM2COL_CHUNK_BYTES.  Its backward builds x's columns again for dk and runs
+the same chunked conv on g for dx: a stride-1 same-padded conv's input
+gradient is the conv of g by the kernel flipped in space, each group's
+C_in and C_out swapped, k'[i, j, o, c] = k[K-1-i, K-1-j, c, o] (Dumoulin &
+Visin 2016, arXiv:1603.07285, Sec. 4).  The tape keeps neither the columns
+nor a padded copy of x.  upsample_conv2d, a 3x3 conv of a x2
+nearest-upsampled map, records a `conv2d` node too; it never builds the
+upsampled map.
 
 gated_norm_pool is a gated block's swish gate, dropout mask, normalization,
 affine and 2x2 max pool as one node, run a chunk of leading indices at a
@@ -445,19 +449,14 @@ class Graph:
 
     # ---- neural primitives -------------------------------------------
 
-    def conv2d(self, x, kernel, groups: int = 1, stride: int = 1) -> Node:
-        """Grouped same-padded cross-correlation kept at rows and columns
-        0, stride, 2*stride, ...
-
-        x: (..., H, W, C_in) with H and W multiples of stride,
-        kernel: (K, K, C_in // groups, C_out); output (..., H/stride, W/stride, C_out).
+    def conv2d(self, x, kernel, groups: int = 1) -> Node:
+        """Grouped same-padded stride-1 cross-correlation of x (..., H, W, C_in)
+        by kernel (K, K, C_in // groups, C_out), to (..., H, W, C_out).
         Either kernel is one matmul batched over groups.  Per group, the
         dense matrix of the map (`_conv_dense`) has H*W*C_in/groups x
-        Ho*Wo*C_out/groups entries and the im2col matrix (`_conv_im2col`)
-        nb*Ho*Wo x K*K*C_in/groups, nb the product of the leading extents;
-        the dense kernel runs when its matrix is no larger, that is when
-        H*W*C_out/groups <= nb*K*K.
-        """
+        H*W*C_out/groups entries and the im2col matrix (`_conv_im2col`)
+        nb*H*W x K*K*C_in/groups, nb the product of the leading extents; the
+        dense kernel runs when its matrix is no larger."""
         x, kernel = self._coerce(x), self._coerce(kernel)
         if x.value.ndim < 3 or kernel.value.ndim != 4:
             raise ShapeError(f"conv2d expects (...,H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
@@ -469,10 +468,8 @@ class Graph:
             raise ShapeError(f"channels ({c_in} in, {c_out} out) not divisible by groups={groups}")
         if cg != c_in // groups:
             raise ShapeError(f"kernel input slice {cg} != C_in/groups = {c_in // groups}")
-        if stride < 1 or H % stride or W % stride:
-            raise ShapeError(f"extents {H}x{W} not divisible by stride {stride}")
         dense = H * W * (c_out // groups) <= math.prod(lead) * K * K
-        out, bwd = (_conv_dense if dense else _conv_im2col)(x, kernel, groups, stride)
+        out, bwd = (_conv_dense if dense else _conv_im2col)(x, kernel, groups)
         return self._record(out, (x, kernel), bwd, "conv2d")
 
     def fft2d_magnitude(self, x) -> Node:
@@ -561,8 +558,7 @@ class Graph:
         else:
             mean_w, rstd_w = wide(stats[0]), wide(1.0 / np.sqrt(stats[1] + NORM_EPS))
         # per sample: a map's gate, its normalization and the gradient's temporaries
-        chunk = min(nb, max(1, IM2COL_CHUNK_BYTES // (4 * H * W * C * 8)))
-        spans = [(b, min(b + chunk, nb)) for b in range(0, nb, chunk)]
+        chunk, spans = _spans(nb, 4 * H * W * C * 8)
         work = (chunk, H, W * C)
         t = np.empty(work)
         for b0, b1 in spans:
@@ -789,124 +785,114 @@ _FOLD_ROWS = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=np.flo
 # four 2x2 kernels of Graph.upsample_conv2d
 _UPSAMPLE_FOLD = np.einsum("adi,bej->abdeij", _FOLD_ROWS, _FOLD_ROWS).reshape(16, 9)
 
-# one chunk's columns and padded input in _conv_im2col, or its maps in gated_norm_pool
+# one chunk's columns and padded input in _im2col, or its maps in gated_norm_pool
 IM2COL_CHUNK_BYTES = 1 << 20
+
+
+def _spans(nb: int, bytes_per_sample: int) -> tuple[int, list[tuple[int, int]]]:
+    """The chunk of leading indices that fits IM2COL_CHUNK_BYTES, at least
+    one, and the (start, stop) of each chunk of nb."""
+    chunk = min(nb, max(1, IM2COL_CHUNK_BYTES // bytes_per_sample))
+    return chunk, [(b, min(b + chunk, nb)) for b in range(0, nb, chunk)]
+
+
+def _columns(xb: np.ndarray, K: int, groups: int):
+    """Yields (b0, b1, cols) for each chunk of xb's (nb, H, W, C) maps: the
+    chunk's (groups, pixels, K*K*C/groups) im2col matrix, columns ordered
+    (i, j, c), built from a padded copy of the chunk, valid until the next."""
+    nb, H, W, c_in = xb.shape
+    P, cg = K // 2, c_in // groups
+    chunk, spans = _spans(nb, (H * W * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8)  # columns, padded input
+    xp = np.zeros((chunk, H + 2 * P, W + 2 * P, c_in))  # the border stays zero
+    cols = np.empty((groups, chunk, H, W, K, K, cg))
+    sb, sh, sw, sc = xp.strides
+    for b0, b1 in spans:
+        m = b1 - b0
+        xp[:m, P:P + H, P:P + W] = xb[b0:b1]
+        # (groups, m, H, W, K, K, cg) -> xp[b, p + i, q + j, group*cg + c]
+        windows = as_strided(xp, (groups, m, H, W, K, K, cg), (cg * sc, sb, sh, sw, sh, sw, sc), writeable=False)
+        np.copyto(cols[:, :m], windows)
+        yield b0, b1, cols[:, :m].reshape(groups, m * H * W, K * K * cg)
+
+
+def _im2col(xb: np.ndarray, kernel: np.ndarray, groups: int) -> np.ndarray:
+    """The conv of xb's (nb, H, W, C_in) maps by kernel (K, K, C_in/groups,
+    C_out), as (nb, H, W, C_out): each chunk's columns times the kernel
+    viewed as (groups, K*K*C_in/groups, C_out/groups)."""
+    nb, H, W, _ = xb.shape
+    K, _, cg, c_out = kernel.shape
+    HW, cog = H * W, c_out // groups
+    kmat = kernel.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
+    out = np.empty((nb * HW, groups, cog))
+    for b0, b1, cols in _columns(xb, K, groups):
+        np.matmul(cols, kmat, out=out[b0 * HW:b1 * HW].transpose(1, 0, 2))
+    return out.reshape(nb, H, W, c_out)
+
 
 # Each takes conv2d's checked operands and returns the output value and the
 # backward rule.
 
 
-def _conv_im2col(x: Node, kernel: Node, groups: int, s: int):
-    """An im2col matrix with columns ordered (i, j, c), one row per output
-    pixel of every leading index, times the kernel viewed as
-    (groups, K*K*C_in/groups, C_out/groups).
-
-    The columns are built and consumed a chunk of leading indices at a
-    time, as many as fit IM2COL_CHUNK_BYTES (at least one), from a padded
-    copy of just that chunk; bwd builds them again the same way.  So
-    neither pass holds more than one chunk's columns, and the tape keeps no
-    padded copy of x."""
-    *lead, H, W, c_in = x.shape
+def _conv_im2col(x: Node, kernel: Node, groups: int):
+    """_im2col of x's maps; bwd rebuilds x's columns for dk and gets dx as
+    the _im2col of g by the flipped kernel (see the module docstring)."""
+    H, W, c_in = x.shape[-3:]
     K, _, cg, c_out = kernel.shape
-    P, Ho, Wo, cog = K // 2, H // s, W // s, c_out // groups
-    nb, HoWo, width = math.prod(lead), Ho * Wo, K * K * cg
-    xb = x.value.reshape(nb, H, W, c_in)
-    per_sample = (HoWo * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8  # columns, padded input
-    chunk = min(nb, max(1, IM2COL_CHUNK_BYTES // per_sample))
-    spans = [(b, min(b + chunk, nb)) for b in range(0, nb, chunk)]
-    kmat = kernel.value.reshape(width, groups, cog).transpose(1, 0, 2)
-    chunk_entries = chunk * HoWo * K * K * c_in  # of the columns, and of the taps in bwd
-
-    def chunks(buf):
-        """Each chunk's (groups, rows, width) columns, in buf and valid
-        until the next."""
-        xp = np.zeros((chunk, H + 2 * P, W + 2 * P, c_in))  # the border stays zero
-        cols = buf.reshape(groups, chunk, Ho, Wo, K, K, cg)
-        sb, sh, sw, sc = xp.strides
-        for b0, b1 in spans:
-            m = b1 - b0
-            xp[:m, P:P + H, P:P + W] = xb[b0:b1]
-            # (groups, m, Ho, Wo, K, K, cg) -> xp[b, s*p + i, s*q + j, group*cg + c]
-            windows = as_strided(xp, (groups, m, Ho, Wo, K, K, cg),
-                                 (cg * sc, sb, s * sh, s * sw, sh, sw, sc), writeable=False)
-            np.copyto(cols[:, :m], windows)
-            yield cols[:, :m].reshape(groups, m * HoWo, width)
-
-    out = np.empty((nb * HoWo, groups, cog))
-    for (b0, b1), cols in zip(spans, chunks(np.empty(chunk_entries))):
-        np.matmul(cols, kmat, out=out[b0 * HoWo:b1 * HoWo].transpose(1, 0, 2))
+    HW, cog = H * W, c_out // groups
+    xb = x.value.reshape(-1, H, W, c_in)
 
     def bwd(g, grads):
-        gm = g.reshape(nb * HoWo, groups, cog).transpose(1, 0, 2)
-        dk = np.zeros((groups, width, cog))
-        if x.active:  # not so for the raw image batch
-            dx = np.empty((nb, H, W, c_in))
-            dxp = np.empty((chunk, H + 2 * P, W + 2 * P, groups, cg))
-            kt = kernel.value.reshape(K * K, cg, groups, cog).transpose(0, 2, 3, 1)
-        # a chunk's taps overwrite its columns once dk has read them
-        buf = np.empty(chunk_entries)
-        taps = buf.reshape(K * K, groups, chunk * HoWo, cg)
-        for (b0, b1), cols in zip(spans, chunks(buf) if kernel.active else itertools.repeat(None)):
-            gc = gm[:, b0 * HoWo:b1 * HoWo]
-            if kernel.active:
-                dk += np.matmul(cols.transpose(0, 2, 1), gc)
-            if x.active:
-                # one (groups, rows, cg) block per tap, each added whole
-                m = b1 - b0
-                block = taps[:, :, :m * HoWo]
-                np.matmul(gc, kt, out=block)
-                dxp[:m] = 0.0
-                for t in range(K * K):
-                    i, j = divmod(t, K)
-                    dxp[:m, i:i + H:s, j:j + W:s] += np.moveaxis(
-                        block[t].reshape(groups, m, Ho, Wo, cg), 0, -2)
-                dx[b0:b1] = dxp[:m, P:P + H, P:P + W].reshape(m, H, W, c_in)
         if kernel.active:
+            gm = g.reshape(-1, groups, cog).transpose(1, 0, 2)
+            # no name outlives the pass to keep its last chunk's columns
+            dk = sum(np.matmul(cols.transpose(0, 2, 1), gm[:, b0 * HW:b1 * HW])
+                     for b0, b1, cols in _columns(xb, K, groups))
             grads.accumulate(kernel.idx, dk.transpose(1, 0, 2).reshape(kernel.shape))
-        if x.active:
+        if x.active:  # not so for the raw image batch
+            flipped = kernel.value[::-1, ::-1].reshape(K, K, cg, groups, cog).transpose(0, 1, 4, 3, 2)
+            dx = _im2col(g.reshape(-1, H, W, c_out), flipped.reshape(K, K, cog, c_in), groups)
             grads.accumulate(x.idx, dx.reshape(x.shape))
 
-    return out.reshape(x.shape[:-3] + (Ho, Wo, c_out)), bwd
+    return _im2col(xb, kernel.value, groups).reshape(x.shape[:-1] + (c_out,)), bwd
 
 
 @functools.lru_cache(maxsize=64)
-def _tap_index(H: int, W: int, K: int, s: int) -> np.ndarray:
-    """(H*W, Ho*Wo) read-only: the tap ty*K + tx of a KxK same-padded kernel
-    at stride s that links each input pixel to each output pixel, or K*K
-    where that tap falls outside the kernel.  Cached: it costs more than a
-    small map's whole dense forward."""
+def _tap_index(H: int, W: int, K: int) -> np.ndarray:
+    """(H*W, H*W) read-only: the tap ty*K + tx of a KxK same-padded kernel
+    that links each input pixel to each output pixel, or K*K where that
+    tap falls outside the kernel.  Cached: it costs more than a small
+    map's whole dense forward."""
     P = K // 2
-    ty = (np.arange(H)[:, None] - s * np.arange(H // s) + P)[:, None, :, None]
-    tx = (np.arange(W)[:, None] - s * np.arange(W // s) + P)[None, :, None, :]
+    ty = (np.arange(H)[:, None] - np.arange(H) + P)[:, None, :, None]
+    tx = (np.arange(W)[:, None] - np.arange(W) + P)[None, :, None, :]
     inside = (0 <= ty) & (ty < K) & (0 <= tx) & (tx < K)
     t = np.where(inside, ty * K + tx, K * K).reshape(H * W, -1)
     t.flags.writeable = False
     return t
 
 
-def _conv_dense(x: Node, kernel: Node, groups: int, s: int):
+def _conv_dense(x: Node, kernel: Node, groups: int):
     """x as (groups, nb, H*W*cg) times the dense matrix D of the map,
-    (groups, H*W*cg, Ho*Wo*cog): D[(p, c), (q, o)] is the kernel entry of the
+    (groups, H*W*cg, H*W*cog): D[(p, c), (q, o)] is the kernel entry of the
     tap t[p, q] that links input pixel p to output pixel q, or zero where
     that tap falls outside the kernel."""
     *lead, H, W, c_in = x.shape
     K, _, cg, c_out = kernel.shape
-    Ho, Wo, cog = H // s, W // s, c_out // groups
-    nb, HW, HoWo = math.prod(lead), H * W, Ho * Wo
-    t = _tap_index(H, W, K, s)
+    cog, nb, HW = c_out // groups, math.prod(lead), H * W
+    t = _tap_index(H, W, K)
     taps = np.concatenate([kernel.value.reshape(K * K, cg, groups, cog), np.zeros((1, cg, groups, cog))])
     # bwd reads D: it is no larger than the im2col matrix, and rebuilding
     # it there measured slower than keeping it until the sweep
-    D = taps[t].transpose(3, 0, 2, 1, 4).reshape(groups, HW * cg, HoWo * cog)
+    D = taps[t].transpose(3, 0, 2, 1, 4).reshape(groups, HW * cg, HW * cog)
     xm = x.value.reshape(nb, HW, groups, cg).transpose(2, 0, 1, 3).reshape(groups, nb, HW * cg)
-    out = np.matmul(xm, D).reshape(groups, nb, HoWo, cog).transpose(1, 2, 0, 3)
-    out = out.reshape(tuple(lead) + (Ho, Wo, c_out))
+    out = np.matmul(xm, D).reshape(groups, nb, HW, cog).transpose(1, 2, 0, 3)
+    out = out.reshape(tuple(lead) + (H, W, c_out))
 
     def bwd(g, grads):
-        gm = g.reshape(nb, HoWo, groups, cog).transpose(2, 0, 1, 3).reshape(groups, nb, HoWo * cog)
+        gm = g.reshape(nb, HW, groups, cog).transpose(2, 0, 1, 3).reshape(groups, nb, HW * cog)
         if kernel.active:
-            dD = np.matmul(xm.transpose(0, 2, 1), gm).reshape(groups, HW, cg, HoWo, cog)
-            dD = dD.transpose(1, 3, 2, 0, 4).reshape(HW * HoWo, cg * c_out)
+            dD = np.matmul(xm.transpose(0, 2, 1), gm).reshape(groups, HW, cg, HW, cog)
+            dD = dD.transpose(1, 3, 2, 0, 4).reshape(HW * HW, cg * c_out)
             # one-hot of t without the zero tap's row
             onehot = (np.arange(K * K)[:, None] == t.reshape(1, -1)).astype(np.float64)
             grads.accumulate(kernel.idx, (onehot @ dD).reshape(kernel.shape))

@@ -141,11 +141,18 @@ def reverse_feature_harmonization(
     g: Graph, store: ParamStore, y_cascade: Node, x_img: Node, train: bool
 ) -> Node:
     """Gated subtraction and adaptive scaling of the cascade output against
-    batch-normalized adapted image features; result is flattened."""
+    batch-normalized adapted image features; result is flattened.  The
+    adapter is a 3x3 same-padded conv of the image kept at the cascade's grid."""
     *lead, H_t, W_t, C_t = y_cascade.shape
-    factor = x_img.shape[-3] // H_t
-    kernel = g.param(store, "cctfrm.adapter.kernel", (3, 3, x_img.shape[-1], C_t))
-    adapted = g.conv2d(x_img, kernel, stride=factor)
+    H, W, C = x_img.shape[-3:]
+    # the 3x3 windows about every (H / H_t)-th row and column, zero past the
+    # image's edges, ordered (i, j, c) as the kernel's rows
+    rows, cols = (n // m * np.arange(m)[:, None] + np.arange(3) - 1 for n, m in ((H, H_t), (W, W_t)))
+    windows = x_img.value[..., rows.clip(0, H - 1)[:, :, None, None], cols.clip(0, W - 1), :]
+    windows *= (((rows >= 0) & (rows < H))[:, :, None, None] & ((cols >= 0) & (cols < W)))[..., None]
+    windows = np.swapaxes(windows, -4, -3).reshape(tuple(lead) + (H_t, W_t, 9 * C))
+    kernel = g.param(store, "cctfrm.adapter.kernel", (3, 3, C, C_t))
+    adapted = g.matmul(windows, g.reshape(kernel, (9 * C, C_t)))
     x_n = batch_norm(g, adapted, store, "cctfrm.harm.bn_img", train)
     y_n = batch_norm(g, y_cascade, store, "cctfrm.harm.bn_cascade", train)
 

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -36,14 +37,17 @@ def _out_dir(args) -> str:
 
 def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     if path:
-        z = np.load(path)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise InputError(f"{path}: not an npz archive")
-        with z:
-            missing = [name for name in ("tokens", "images", "labels") if name not in z.files]
-            if missing:
-                raise InputError(f"{path}: lacks the array {missing[0]!r}")
-            tokens, images, labels = z["tokens"], z["images"], z["labels"]
+        try:
+            z = np.load(path)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise InputError(f"{path}: not an npz archive")
+            with z:
+                missing = [name for name in ("tokens", "images", "labels") if name not in z.files]
+                if missing:
+                    raise InputError(f"{path}: lacks the array {missing[0]!r}")
+                tokens, images, labels = z["tokens"], z["images"], z["labels"]
+        except zipfile.BadZipFile as e:
+            raise InputError(f"{path}: not an npz archive: {e}") from None
         if labels.ndim != 1:
             raise InputError(f"{path}: labels has shape {labels.shape}, expected (N,)")
         n = len(labels)
@@ -53,6 +57,8 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
             raise InputError(f"{path}: images has shape {images.shape}, "
                              f"expected {(n, *cfg.image_size, 3)}")
         for name, arr in (("tokens", tokens), ("images", images), ("labels", labels)):
+            if arr.dtype.kind not in "biuf":
+                raise InputError(f"{path}: {name} has dtype {arr.dtype}, not a real number type")
             if not np.isfinite(arr).all():
                 raise InputError(f"{path}: {name} holds a non-finite value")
         check_labels(f"{path}: labels", labels, labels.shape)

@@ -115,87 +115,51 @@ def test_conv2d_matches_nested_loop_oracle():
 
 @st.composite
 def conv_cases(draw):
-    """Legal conv2d operands: K in {1,3,5,7}, groups in {1, 2, C_in},
-    stride in {1,2,4}; extents at stride 1 may be odd."""
+    """Legal conv2d operands: K in {1,3,5,7}, groups in {1, 2, C_in};
+    extents may be odd."""
     K = draw(st.sampled_from((1, 3, 5, 7)))
-    stride = draw(st.sampled_from((1, 2, 4)))
     c_in = draw(st.integers(1, 4))
     groups = draw(st.sampled_from(sorted({g for g in (1, 2, c_in) if c_in % g == 0})))
     c_out = groups * draw(st.integers(1, 2))
-    if stride == 1:
-        H, W = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    else:
-        H, W = stride * draw(st.integers(1, 2)), stride * draw(st.integers(1, 2))
+    H, W = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cig = c_in // groups
     kernel = rng.standard_normal((K, K, cig, c_out)) / np.sqrt(K * K * cig)
-    return rng.standard_normal((H, W, c_in)), kernel, groups, stride
+    return rng.standard_normal((H, W, c_in)), kernel, groups
 
 
 @given(conv_cases())
 def test_conv2d_property_matches_loop_oracle(case):
-    x, kernel, groups, stride = case
+    x, kernel, groups = case
     g = Graph()
-    out = g.conv2d(g.constant(x), g.constant(kernel), groups=groups, stride=stride)
-    assert np.abs(out.value - conv2d_loops(x, kernel, groups)[::stride, ::stride]).max() <= 1e-10
+    out = g.conv2d(g.constant(x), g.constant(kernel), groups=groups)
+    assert np.abs(out.value - conv2d_loops(x, kernel, groups)).max() <= 1e-10
 
 
 @given(conv_cases())
 def test_conv2d_property_gradcheck(case):
-    x, kernel, groups, stride = case
+    x, kernel, groups = case
     store = ParamStore(0)
     for name, value in (("x", x), ("kernel", kernel)):
         store.add(name, value.shape)
         store.entries[name].value[...] = value
 
     def build(g):
-        out = g.conv2d(g.param(store, "x", x.shape), g.param(store, "kernel", kernel.shape),
-                       groups=groups, stride=stride)
+        out = g.conv2d(g.param(store, "x", x.shape), g.param(store, "kernel", kernel.shape), groups=groups)
         return g.reduce_sum(g.tanh(out))
 
     for name in ("kernel", "x"):
         check_gradients(build, store, names=[name], n_coords=6)
 
 
-@given(conv_cases())
-def test_conv2d_property_stride_equals_conv_then_slice(case):
-    x, kernel, groups, stride = case
-    H, W, _ = x.shape
-    kept = np.random.default_rng(0).standard_normal((H // stride, W // stride, kernel.shape[3]))
-    scattered = np.zeros((H, W, kernel.shape[3]))
-    scattered[::stride, ::stride] = kept
-
-    def run(s, weights):
-        g = Graph()
-        xn, kn = g.constant(x), g.constant(kernel)
-        g.watch(xn)
-        g.watch(kn)
-        out = g.conv2d(xn, kn, groups=groups, stride=s)
-        g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
-        return out.value, xn.grad, kn.grad
-
-    strided, full = run(stride, kept), run(1, scattered)
-    assert rel_close(strided[0], full[0][::stride, ::stride], 1e-12)
-    assert rel_close(strided[1], full[1], 1e-12)
-    assert rel_close(strided[2], full[2], 1e-12)
-
-
-def test_conv2d_stride_must_divide_extents():
-    g = Graph()
-    kernel = g.constant(np.ones((3, 3, 2, 2)))
-    for shape in ((6, 8, 2), (8, 6, 2)):
-        with pytest.raises(ShapeError):
-            g.conv2d(g.constant(np.ones(shape)), kernel, stride=4)
-
-
 # Cases on each side of conv2d's kernel rule, H*W*C_out/groups <= nb*K*K:
-# (leading extents, H, W, C_in, C_out, K, groups, stride, dense)
+# (leading extents, H, W, C_in, C_out, K, groups, dense)
 RULE_CASES = {
-    "mfim_k7_batch2": ((2,), 4, 4, 64, 22, 7, 1, 1, False),
-    "groups2": ((4,), 4, 4, 4, 4, 3, 2, 1, True),
-    "depthwise": ((2,), 4, 4, 3, 3, 7, 3, 1, True),
-    "stride2": ((2,), 4, 4, 2, 2, 5, 1, 2, True),
-    "8x8_k3_batch1": ((1,), 8, 8, 3, 2, 3, 1, 1, False),
+    "mfim_k7_batch2": ((2,), 4, 4, 64, 22, 7, 1, False),
+    "groups2": ((4,), 4, 4, 4, 4, 3, 2, True),
+    "depthwise": ((2,), 4, 4, 3, 3, 7, 3, True),
+    "k5_batch2": ((2,), 4, 4, 2, 2, 5, 1, True),
+    "8x8_k3_batch1": ((1,), 8, 8, 3, 2, 3, 1, False),
 }
 CONV_KERNELS = {"dense": autodiff._conv_dense, "im2col": autodiff._conv_im2col}
 
@@ -209,30 +173,43 @@ def _kernels_run(monkeypatch):
 
 
 def _rule_case(name):
-    lead, H, W, c_in, c_out, K, groups, stride, dense = RULE_CASES[name]
+    lead, H, W, c_in, c_out, K, groups, dense = RULE_CASES[name]
     rng = np.random.default_rng(sorted(RULE_CASES).index(name))
     kernel = rng.standard_normal((K, K, c_in // groups, c_out)) / np.sqrt(K * K * c_in // groups)
-    return rng.standard_normal(lead + (H, W, c_in)), kernel, groups, stride, dense
+    return rng.standard_normal(lead + (H, W, c_in)), kernel, groups, dense
 
 
 @pytest.mark.parametrize("name", RULE_CASES)
 def test_conv2d_rule_picks_the_kernel_with_the_smaller_matrix(name, monkeypatch):
-    x, kernel, groups, stride, dense = _rule_case(name)
+    x, kernel, groups, dense = _rule_case(name)
     ran = _kernels_run(monkeypatch)
-    Graph().conv2d(x, kernel, groups=groups, stride=stride)
+    Graph().conv2d(x, kernel, groups=groups)
     assert ran == ["dense" if dense else "im2col"]
 
 
 @pytest.mark.parametrize("kind", CONV_KERNELS)
 @pytest.mark.parametrize("name", RULE_CASES)
 def test_conv2d_kernel_matches_loop_oracle_and_gradcheck(name, kind, monkeypatch):
-    """Each kernel, forced whichever the rule picks, on every case."""
-    x, kernel, groups, stride, _ = _rule_case(name)
-    monkeypatch.setattr(autodiff, "_conv_dense", CONV_KERNELS[kind])
-    monkeypatch.setattr(autodiff, "_conv_im2col", CONV_KERNELS[kind])
-    out = Graph().conv2d(x, kernel, groups=groups, stride=stride).value
+    """Each kernel, forced whichever the rule picks, on every case; the
+    other kernel, forced too, gives the same dx and dk to 1e-12, im2col's
+    dx being a conv of g and the dense kernel's g times the map's matrix."""
+    x, kernel, groups, _ = _rule_case(name)
+    weights = np.random.default_rng(1).standard_normal(x.shape[:-1] + kernel.shape[-1:])
+
+    def forced(k):
+        monkeypatch.setattr(autodiff, "_conv_dense", CONV_KERNELS[k])
+        monkeypatch.setattr(autodiff, "_conv_im2col", CONV_KERNELS[k])
+        g = Graph()
+        xn, kn = g.watch(g.constant(x)), g.watch(g.constant(kernel))
+        out = g.conv2d(xn, kn, groups=groups)
+        g.backward(g.reduce_sum(g.mul(out, g.constant(weights))))
+        return out.value, xn.grad, kn.grad
+
+    _, dx_other, dk_other = forced(next(k for k in CONV_KERNELS if k != kind))
+    out, dx, dk = forced(kind)
+    assert rel_close(dx, dx_other, 1e-12) and rel_close(dk, dk_other, 1e-12)
     H, W, c_in = x.shape[-3:]
-    want = [conv2d_loops(xi, kernel, groups)[::stride, ::stride] for xi in x.reshape(-1, H, W, c_in)]
+    want = [conv2d_loops(xi, kernel, groups) for xi in x.reshape(-1, H, W, c_in)]
     assert np.abs(out - np.reshape(want, out.shape)).max() <= 1e-10
     store = ParamStore(0)
     for pname, value in (("x", x), ("kernel", kernel)):
@@ -240,8 +217,7 @@ def test_conv2d_kernel_matches_loop_oracle_and_gradcheck(name, kind, monkeypatch
         store.entries[pname].value[...] = value
 
     def build(g):
-        out = g.conv2d(g.param(store, "x", x.shape), g.param(store, "kernel", kernel.shape),
-                       groups=groups, stride=stride)
+        out = g.conv2d(g.param(store, "x", x.shape), g.param(store, "kernel", kernel.shape), groups=groups)
         return g.reduce_sum(g.tanh(out))
 
     for pname in ("kernel", "x"):
@@ -271,45 +247,48 @@ def test_conv2d_batch_that_crosses_the_rule_matches_per_sample(monkeypatch):
 # ---- im2col chunks ------------------------------------------------------
 
 
-def _im2col_maps_per_chunk(H, W, c_in, K, stride):
+def _im2col_maps_per_chunk(H, W, c_in, K):
     """How many maps of (H, W, c_in) one im2col chunk takes: its columns
     and its padded input, in f64, within IM2COL_CHUNK_BYTES."""
     P = K // 2
-    per_map = ((H // stride) * (W // stride) * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8
+    per_map = (H * W * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8
     return max(1, autodiff.IM2COL_CHUNK_BYTES // per_map)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("groups", [1, 2])
-def test_conv2d_im2col_over_several_chunks(groups, stride, monkeypatch):
-    """A batch of two full im2col chunks and a ragged third: each map
+def test_conv2d_im2col_over_several_chunks(groups, monkeypatch):
+    """A batch of two full im2col chunks of x and a ragged third: each map
     matches the loop oracle and the map run alone, and check_gradients
-    passes on x and on the kernel."""
-    H = W = 16 * stride
+    passes on x and on the kernel.  dx, the conv of g, runs over two
+    chunks at groups 1 and three at groups 2."""
+    H = W = 16
     c_in, c_out, K = 4, 2 * groups, 3  # 2 * groups keeps the batch off the dense kernel
-    chunk = _im2col_maps_per_chunk(H, W, c_in, K, stride)
+    chunk = _im2col_maps_per_chunk(H, W, c_in, K)
     assert chunk >= 2
     nb = 2 * chunk + chunk // 2
-    rng = np.random.default_rng(groups * 10 + stride)
+    assert nb > _im2col_maps_per_chunk(H, W, c_out, K)
+    rng = np.random.default_rng(groups * 10 + 1)
     x = rng.standard_normal((nb, H, W, c_in))
     kernel = rng.standard_normal((K, K, c_in // groups, c_out)) / np.sqrt(K * K * c_in // groups)
     ran = _kernels_run(monkeypatch)
-    op = lambda g, xn, kn: g.conv2d(xn, kn, groups=groups, stride=stride)
+    op = lambda g, xn, kn: g.conv2d(xn, kn, groups=groups)
 
     batched = op(Graph(), x, kernel).value
     alone = np.stack([op(Graph(), xi, kernel).value for xi in x])
     assert ran == ["im2col"] * (nb + 1)
     assert np.abs(batched - alone).max() <= 1e-12
     for got, xi in zip(batched, x):
-        assert np.abs(got - conv2d_loops(xi, kernel, groups)[::stride, ::stride]).max() <= 1e-12
+        assert np.abs(got - conv2d_loops(xi, kernel, groups)).max() <= 1e-12
     _gradcheck_every_operand(op, [x, kernel])
 
 
 def test_conv2d_im2col_holds_one_chunk_of_columns():
     """Forward and backward of a conv whose full column matrix is 6.75 MiB
-    allocate no more than the output, its gradient, dx and two chunk
-    budgets: one for a chunk's columns (which its tap products reuse) and
-    padded input, one for its padded dx."""
+    allocate no more than the output, its gradient, dx, the largest chunk
+    that _spans plans for one of the three passes and 64 KiB of small
+    arrays.  The forward and dk build chunks of x's columns and padded
+    input; dx builds g's, and one sample of those over C_out = 8 channels
+    is 2.5 MiB, above the budget, so its chunk is the one-sample floor."""
     rng = np.random.default_rng(8)
     x, kernel = rng.standard_normal((8, 64, 64, 3)), rng.standard_normal((3, 3, 3, 8))
     full_columns = 8 * 64 * 64 * 3 * 3 * 3 * 8
@@ -324,7 +303,10 @@ def test_conv2d_im2col_holds_one_chunk_of_columns():
     finally:
         tracemalloc.stop()
     assert xn.grad.shape == x.shape and kn.grad.shape == kernel.shape
-    bound = 2 * out.value.nbytes + x.nbytes + 2 * autodiff.IM2COL_CHUNK_BYTES
+    per_sample = lambda c: (64 * 64 * 3 * 3 + 66 * 66) * c * 8  # one map's columns and padded input
+    passes = [autodiff._spans(8, per_sample(c))[0] * per_sample(c) for c in (3, 8)]  # x's, g's
+    assert passes[1] > autodiff.IM2COL_CHUNK_BYTES
+    bound = 2 * out.value.nbytes + x.nbytes + max(passes) + 64 * 2**10
     assert bound < full_columns + 2 * out.value.nbytes
     assert peak <= bound, (peak, bound)
 
@@ -387,21 +369,21 @@ def batches(draw, max_extent=7, step=1):
 
 @given(conv_cases(), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_conv2d_batched_matches_per_sample(case, B, seed):
-    x, kernel, groups, stride = case
+    x, kernel, groups = case
     xs = np.random.default_rng(seed).standard_normal((B,) + x.shape)
     # the kernel has rank 4, so the per-sample runs share it as a constant
-    op = lambda g, xn: g.conv2d(xn, g.constant(kernel), groups=groups, stride=stride)
+    op = lambda g, xn: g.conv2d(xn, g.constant(kernel), groups=groups)
     _check_batched(op, [xs], exact=False)
     g = Graph()
     kn = g.constant(kernel)
     g.watch(kn)
-    g.backward(g.reduce_sum(g.tanh(g.conv2d(g.constant(xs), kn, groups=groups, stride=stride))))
+    g.backward(g.reduce_sum(g.tanh(g.conv2d(g.constant(xs), kn, groups=groups))))
     per_sample = 0.0
     for xi in xs:
         gi = Graph()
         ki = gi.constant(kernel)
         gi.watch(ki)
-        gi.backward(gi.reduce_sum(gi.tanh(gi.conv2d(gi.constant(xi), ki, groups=groups, stride=stride))))
+        gi.backward(gi.reduce_sum(gi.tanh(gi.conv2d(gi.constant(xi), ki, groups=groups))))
         per_sample = per_sample + ki.grad
     assert rel_close(kn.grad, per_sample, 1e-12)
 
@@ -1335,15 +1317,14 @@ def test_watch_property_gradcheck(case):
     """A watched constant gets the gradient that check_gradients verifies
     for the same value held as a parameter, through a conv whose kernel is
     inactive."""
-    x, kernel, groups, stride = case
+    x, kernel, groups = case
     store = ParamStore(0)
     store.add("x", x.shape)
     store.entries["x"].value[...] = x
-    weights = np.random.default_rng(1).standard_normal(
-        Graph().conv2d(x, kernel, groups=groups, stride=stride).shape)
+    weights = np.random.default_rng(1).standard_normal(Graph().conv2d(x, kernel, groups=groups).shape)
 
     def build(g, leaf):
-        out = g.conv2d(leaf, g.constant(kernel), groups=groups, stride=stride)
+        out = g.conv2d(leaf, g.constant(kernel), groups=groups)
         return g.reduce_sum(g.mul(g.tanh(out), g.constant(weights)))
 
     check_gradients(lambda g: build(g, g.param(store, "x", x.shape)), store, n_coords=6)
@@ -1371,9 +1352,9 @@ def rule_cases(draw, name):
         operands = [_draw_array(draw, (2, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 3)))]
         op = lambda g, *ps: g.concat(ps, -1)
     elif name == "conv2d":
-        x, kernel, groups, stride = draw(conv_cases())
+        x, kernel, groups = draw(conv_cases())
         operands = [x, kernel]
-        op = lambda g, a, b: g.conv2d(a, b, groups=groups, stride=stride)
+        op = lambda g, a, b: g.conv2d(a, b, groups=groups)
     elif name == "upsample_conv2d":
         operands = list(draw(upsample_conv_cases()))
         op = lambda g, a, b: g.upsample_conv2d(a, b)

@@ -20,7 +20,8 @@ from floodnet.cctfrm import (
 )
 from floodnet.config import ConfigError, ModelConfig
 from floodnet.data import generate_synthetic_dataset
-from floodnet.layers import sinusoidal_positions
+from floodnet.gradcheck import check_gradients
+from floodnet.layers import batch_norm, sinusoidal_positions
 from floodnet.model import FloodNet
 from floodnet.params import ParamStore
 
@@ -367,6 +368,40 @@ def test_harmonizer_matches_scripted_oracle():
     gate = _sigmoid(1.3 * y_n + (-0.4) * x_n)
     expected = gate * (0.9 * y_n + 1.1 * y_sub)
     assert np.abs(out.value - expected.reshape(-1)).max() < 1e-10
+
+
+@pytest.mark.parametrize("factor, image_shape", [(16, (2, 64, 64, 3)), (2, (2, 8, 12, 3)), (1, (5, 7, 3))],
+                         ids=["default", "non_square", "unbatched"])
+def test_harmonizer_adapts_the_image_by_a_conv_kept_at_its_grid(factor, image_shape, monkeypatch):
+    """The adapted features that the harmonizer normalizes are the 3x3
+    same-padded conv of the image kept at every factor-th row and column,
+    16 being the default config's; the windows at the image's edges
+    included.  check_gradients passes on the adapter's kernel."""
+    rng = np.random.default_rng(factor)
+    H, W = image_shape[-3:-1]
+    image = rng.random(image_shape)
+    y = rng.standard_normal(image_shape[:-3] + (H // factor, W // factor, 4))
+    weights = rng.standard_normal(y.shape).reshape(y.shape[:-3] + (-1,))  # the output is flattened
+    store = ParamStore(factor)
+    adapted = []
+
+    def recording_batch_norm(g, x, store, name, train):
+        if name == "cctfrm.harm.bn_img":
+            adapted.append(x.value)
+        return batch_norm(g, x, store, name, train)
+
+    monkeypatch.setattr(cctfrm, "batch_norm", recording_batch_norm)
+
+    def build(g):
+        out = reverse_feature_harmonization(g, store, g.constant(y), g.constant(image), train=True)
+        return g.reduce_sum(g.mul(g.tanh(out), g.constant(weights)))
+
+    build(Graph())
+    kernel = store.entries["cctfrm.adapter.kernel"].value
+    want = [conv2d_loops(im, kernel)[::factor, ::factor] for im in image.reshape(-1, H, W, 3)]
+    assert adapted[0].shape == y.shape
+    assert np.abs(adapted[0] - np.reshape(want, y.shape)).max() <= 1e-12
+    check_gradients(build, store, names=["cctfrm.adapter.kernel"], n_coords=8)
 
 
 def test_cctfrm_forward_shape_and_gate_range(tiny_config):

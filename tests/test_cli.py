@@ -191,17 +191,26 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
     pytest.param(lambda a: {"images": a["images"], "labels": a["labels"]},
                  ("dataset.npz: lacks the array 'tokens'",), id="no_tokens"),
     pytest.param(lambda a: a["images"], ("dataset.npz: not an npz archive",), id="npy"),
+    pytest.param(lambda a: b"PK\x03\x04 cut short", ("dataset.npz: not an npz archive", "not a zip file"),
+                 id="not_a_zip"),
+    pytest.param(lambda a: {**a, "tokens": a["tokens"].astype(str)},
+                 ("tokens has dtype <U", "not a real number type"), id="str_tokens"),
+    pytest.param(lambda a: {**a, "images": a["images"] + 0.5j},
+                 ("images has dtype complex128", "not a real number type"), id="complex_images"),
 ])
 def test_malformed_data_file_exits_one(tmp_path, capsys, command, edit, needles):
     """edit maps the arrays of a good file to what the --data file holds
-    instead: arrays for an npz, or one array written as .npy."""
+    instead: arrays for an npz, one array written as .npy, or raw bytes."""
     cfg, cfg_path = _write_tiny_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
     path = json.loads(capsys.readouterr().out)["path"]
     with np.load(path) as z:
         saved = edit(dict(z))
     with open(path, "wb") as f:
-        np.savez(f, **saved) if isinstance(saved, dict) else np.save(f, saved)
+        if isinstance(saved, bytes):
+            f.write(saved)
+        else:
+            np.savez(f, **saved) if isinstance(saved, dict) else np.save(f, saved)
     ckpt = str(tmp_path / "fresh.ckpt")
     save_checkpoint(ckpt, FloodNet(cfg).store)
     args = [command, "--config", cfg_path, "--data", path, *_out_args(command, tmp_path)]
