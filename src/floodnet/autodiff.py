@@ -43,6 +43,14 @@ gated_norm_pool is a gated block's swish gate, dropout mask, normalization,
 affine and 2x2 max pool as one node, run a chunk of leading indices at a
 time within the same budget; its tape keeps neither the gated map nor the
 normalized map before the pool.
+
+lstm is one LSTM direction's whole recurrence as one node, over the rows
+of xw = x @ W.  Its tape keeps the gate activations, c and tanh(c).  Its
+rule is backpropagation through time, from the last step run to the
+first: dh_t = g_t + dz_{t+1} @ u^T, dc_t = dh_t * o * (1 - tanh(c_t)^2)
++ dc_{t+1} * f_{t+1}, and dz_t the gates' derivatives times dc_t (i, f, g)
+or dh_t (o).  dxw is dz as one array, du = sum_t h_{t-1}^T dz_t is one
+gemm over every row and step, and db sums dz over them.
 """
 
 from __future__ import annotations
@@ -338,6 +346,75 @@ class Graph:
                 grads.accumulate(k.idx, merge(np.swapaxes(ds, -1, -2) @ qh))
 
         return self._record(merge(p @ vh), (q, k, v), bwd, "attention")
+
+    def lstm(self, xw, u, b, reverse: bool = False) -> Node:
+        """The hidden states h of one LSTM direction, (..., n, hid) in input
+        order.  The rows of xw (..., n, 4*hid) are x_t @ W, the gates side
+        by side in the order i, f, g, o, as in u (hid, 4*hid) and b (4*hid,).
+        From h = c = 0, each step, from the first row to the last, or from
+        the last to the first when reverse, computes
+        z = (xw_t + h @ u) + b, sigmoid(z) = 1 / (1 + exp(-z)) for i, f and
+        o, tanh(z) for g, c = f * c + i * g and h = o * tanh(c).  Only
+        h @ u runs step by step, as one matmul of the whole batch; the
+        module docstring gives the rule."""
+        xw, u, b = self._coerce(xw), self._coerce(u), self._coerce(b)
+        hid = u.shape[0]
+        if xw.value.ndim < 2 or u.shape != (hid, 4 * hid) or b.shape != (4 * hid,) or xw.shape[-1] != 4 * hid:
+            raise ShapeError(f"lstm needs (...,n,4*hid), (hid,4*hid) and (4*hid,), "
+                             f"got {xw.shape}, {u.shape} and {b.shape}")
+        n = xw.shape[-2]
+        nb, uv, bv = math.prod(xw.shape[:-2]), u.value, b.value
+        # arrays are time-major, in the order the steps run
+        run = slice(None, None, -1 if reverse else 1)
+        to_run = lambda v, width: v.reshape(nb, n, width).transpose(1, 0, 2)[run]
+        xs = to_run(xw.value, 4 * hid)
+        act = np.empty((n, nb, 4 * hid))  # sigmoid(z) of i, f and o, tanh(z) of g
+        i, f, gt, o = (act.reshape(n, nb, 4, hid)[:, :, k] for k in range(4))
+        hs, cs = np.zeros((n + 1, nb, hid)), np.zeros((n + 1, nb, hid))  # the zero state, then each step's
+        tc = np.empty((n, nb, hid))
+        z = np.empty((nb, 4 * hid))
+        with np.errstate(over="ignore"):
+            for t in range(n):
+                a, c = act[t], cs[t + 1]
+                np.matmul(hs[t], uv, out=z)
+                z += xs[t]
+                z += bv
+                np.negative(z, out=a)
+                np.exp(a, out=a)
+                a += 1.0
+                np.divide(1.0, a, out=a)
+                np.tanh(z[:, 2 * hid:3 * hid], out=gt[t])
+                np.multiply(f[t], cs[t], out=c)
+                c += i[t] * gt[t]
+                np.tanh(c, out=tc[t])
+                np.multiply(o[t], tc[t], out=hs[t + 1])
+        from_run = lambda v: v[run].transpose(1, 0, 2).reshape(xw.shape[:-1] + (v.shape[-1],))
+
+        def bwd(g, grads):
+            # each gate's dz over dc (i, f and g) or over dh (o)
+            fac = np.stack([gt * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - gt * gt),
+                            tc * o * (1.0 - o)], axis=-2)
+            dc_dh = o * (1.0 - tc * tc)  # a step's dc over its dh, before the later step's dc
+            gh = to_run(g, hid)
+            dz = np.empty(act.shape)
+            dz4 = dz.reshape(n, nb, 4, hid)
+            # dh and dc start each step as what the later step sends back
+            dh, dc = np.zeros((nb, hid)), np.zeros((nb, hid))
+            for t in range(n - 1, -1, -1):
+                dh += gh[t]
+                dc += dh * dc_dh[t]
+                np.multiply(dc[:, None], fac[t, :, :3], out=dz4[t, :, :3])
+                np.multiply(dh, fac[t, :, 3], out=dz4[t, :, 3])
+                dc *= f[t]
+                np.matmul(dz[t], uv.T, out=dh)
+            if xw.active:
+                grads.accumulate(xw.idx, from_run(dz))
+            if u.active:
+                grads.accumulate(u.idx, hs[:-1].reshape(-1, hid).T @ dz.reshape(-1, 4 * hid))
+            if b.active:
+                grads.accumulate(b.idx, dz.reshape(-1, 4 * hid).sum(axis=0))
+
+        return self._record(from_run(hs[1:]), (xw, u, b), bwd, "lstm")
 
     # ---- shape surgery ------------------------------------------------
 

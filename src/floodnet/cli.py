@@ -39,15 +39,24 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     if path:
         try:
             z = np.load(path)
-            if not isinstance(z, np.lib.npyio.NpzFile):
-                raise InputError(f"{path}: not an npz archive")
-            with z:
-                missing = [name for name in ("tokens", "images", "labels") if name not in z.files]
-                if missing:
-                    raise InputError(f"{path}: lacks the array {missing[0]!r}")
-                tokens, images, labels = z["tokens"], z["images"], z["labels"]
+        except EOFError:
+            raise InputError(f"{path}: not an npz archive: the file is empty") from None
         except zipfile.BadZipFile as e:
             raise InputError(f"{path}: not an npz archive: {e}") from None
+        except ValueError:  # numpy's message advises unpickling the file
+            raise InputError(f"{path}: not an npz archive") from None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise InputError(f"{path}: not an npz archive")
+        arrays = {}
+        with z:
+            for name in ("tokens", "images", "labels"):
+                if name not in z.files:
+                    raise InputError(f"{path}: lacks the array {name!r}")
+                try:
+                    arrays[name] = z[name]
+                except (ValueError, zipfile.BadZipFile) as e:  # such as an object array
+                    raise InputError(f"{path}: {name} cannot be read: {e}") from None
+        tokens, images, labels = arrays["tokens"], arrays["images"], arrays["labels"]
         if labels.ndim != 1:
             raise InputError(f"{path}: labels has shape {labels.shape}, expected (N,)")
         n = len(labels)

@@ -94,25 +94,16 @@ def _channel_split(d_se: int) -> tuple[int, int, int]:
 # forward pieces
 # ---------------------------------------------------------------------
 
-def _lstm_direction(g: Graph, store: ParamStore, prefix: str, rows: list[Node], hid: int) -> list[Node]:
-    # the named i/f/g/o weights side by side: one matmul pair per step
-    decls = {"w": ((rows[0].shape[-1], hid), "fanin"), "u": ((hid, hid), "fanin"),
+def _lstm_direction(g: Graph, store: ParamStore, prefix: str, x: Node, hid: int, reverse: bool) -> Node:
+    """One LSTM direction over the rows of x (..., n, d): the named i/f/g/o
+    weights side by side, x @ W for every row in one matmul, and the
+    recurrence in one `Graph.lstm` node."""
+    decls = {"w": ((x.shape[-1], hid), "fanin"), "u": ((hid, hid), "fanin"),
              "b": ((hid,), "zeros")}
     w, u, b = (g.concat([g.param(store, f"{prefix}.{kind}{gate}", *decls[kind]) for gate in "ifgo"],
                         axis=-1)
                for kind in "wub")
-    h_prev = g.constant(np.zeros((1, hid)))
-    c_prev = g.constant(np.zeros((1, hid)))
-    outputs = []
-    for x_t in rows:
-        z = g.add(g.add(g.matmul(x_t, w), g.matmul(h_prev, u)), b)
-        gates = g.sigmoid(z)
-        i_t, f_t, o_t = (g.narrow(gates, -1, k * hid, hid) for k in (0, 1, 3))
-        g_t = g.tanh(g.narrow(z, -1, 2 * hid, hid))
-        c_prev = g.add(g.mul(f_t, c_prev), g.mul(i_t, g_t))
-        h_prev = g.mul(o_t, g.tanh(c_prev))
-        outputs.append(h_prev)
-    return outputs
+    return g.lstm(g.matmul(x, w), u, b, reverse)
 
 
 def prepare_local_features(
@@ -129,10 +120,8 @@ def prepare_local_features(
     d_se = cfg.d_se
     hid = d_se // 2
     ht = linear(g, store, "mfim.text_proj", g.constant(tokens), d_se)
-    rows = [g.narrow(ht, -2, k, 1) for k in range(ht.shape[-2])]
-    fwd = _lstm_direction(g, store, "mfim.bilstm.fwd", rows, hid)
-    bwd = _lstm_direction(g, store, "mfim.bilstm.bwd", rows[::-1], hid)[::-1]
-    ht_basis = g.concat([g.concat(fwd, axis=-2), g.concat(bwd, axis=-2)], axis=-1)
+    ht_basis = g.concat([_lstm_direction(g, store, f"mfim.bilstm.{d}", ht, hid, d == "bwd")
+                         for d in ("fwd", "bwd")], axis=-1)
 
     *lead, H, W, d_i = grid.shape
     lead = tuple(lead)

@@ -121,14 +121,12 @@ def test_criterion_2_oracle_suite():
     hid = cfg.d_se // 2
     xs = rng.standard_normal((3, cfg.d_se))
     g = Graph()
-    outs = _lstm_direction(
-        g, store, "mfim.bilstm.fwd", [g.constant(x[None, :]) for x in xs], hid
-    )
+    out = _lstm_direction(g, store, "mfim.bilstm.fwd", g.constant(xs), hid, False)
     w = {c: store.entries[f"mfim.bilstm.fwd.w{c}"].value for c in "ifgo"}
     u = {c: store.entries[f"mfim.bilstm.fwd.u{c}"].value for c in "ifgo"}
     bb = {c: store.entries[f"mfim.bilstm.fwd.b{c}"].value for c in "ifgo"}
-    for got_h, exp_h in zip(outs, lstm_unrolled(list(xs), w, u, bb, hid)):
-        assert np.abs(got_h.value[0] - exp_h).max() < 1e-10
+    for got_h, exp_h in zip(out.value, lstm_unrolled(list(xs), w, u, bb, hid)):
+        assert np.abs(got_h - exp_h).max() < 1e-10
 
     # each attention level against explicit QK^T/softmax/V loops
     for level, scale in (("coarse", np.sqrt(2.0 * cfg.d_se / cfg.h)),

@@ -24,6 +24,7 @@ from oracles import (
     dft2_magnitude_quadratic,
     matmul_loops,
     gated_norm_pool_chain,
+    lstm_unrolled,
     maxpool2_grad_scan,
     maxpool2_scan,
 )
@@ -1285,6 +1286,40 @@ def test_attention_property_gradcheck(case):
         _gradcheck_every_operand(op, [q, k, v])
 
 
+@st.composite
+def lstm_cases(draw):
+    """(xw, u, b, reverse): leading axes () or (B,), 1-4 rows, hid of 1-3,
+    xw at two scales, either direction."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
+    n, hid = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    xw = _draw_array(draw, lead + (n, 4 * hid), draw(st.sampled_from([0.5, 2.0])))
+    return xw, _draw_array(draw, (hid, 4 * hid)), _draw_array(draw, (4 * hid,)), draw(st.booleans())
+
+
+@given(lstm_cases())
+def test_lstm_property_gradcheck(case):
+    """lstm equals the unrolled per-gate oracle over its rows, taken from
+    the last when reverse, a batch equals its samples one at a time within
+    1e-12, and check_gradients passes on xw, u and b.  Not bit for bit: a
+    batch's h @ u is one gemm per step, and numpy runs a single sample's
+    as a gemv, which rounds differently."""
+    xw, u, b, reverse = case
+    op = lambda g, x, uu, bb: g.lstm(x, uu, bb, reverse)
+    out = op(Graph(), xw, u, b).value
+    hid = u.shape[0]
+    gates = lambda m: {gate: m[..., k * hid:(k + 1) * hid] for k, gate in enumerate("ifgo")}
+    # xw's rows are already x @ W: the oracle's W is the identity, split by gate
+    w = gates(np.eye(4 * hid))
+    order = slice(None, None, -1 if reverse else 1)
+    for i in np.ndindex(xw.shape[:-2]):
+        want = np.array(lstm_unrolled(list(xw[i][order]), w, gates(u), gates(b), hid))[order]
+        assert rel_close(out[i], want, 1e-12)
+    if xw.ndim == 3:
+        _check_batched(op, [xw, u, b], exact=False)
+    else:
+        _gradcheck_every_operand(op, [xw, u, b])
+
+
 @given(shapes(), st.integers(1, 3), st.data())
 def test_concat_property_gradcheck(shape, n_parts, data):
     axis = data.draw(st.integers(-len(shape), len(shape) - 1))
@@ -1348,6 +1383,9 @@ def rule_cases(draw, name):
     elif name == "attention":
         *operands, heads = draw(attention_cases())
         op = lambda g, q, k, v: g.attention(q, k, v, heads)
+    elif name == "lstm":
+        *operands, reverse = draw(lstm_cases())
+        op = lambda g, xw, u, b: g.lstm(xw, u, b, reverse)
     elif name == "concat":
         operands = [_draw_array(draw, (2, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 3)))]
         op = lambda g, *ps: g.concat(ps, -1)
@@ -1375,7 +1413,7 @@ def rule_cases(draw, name):
     return op, operands
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "attention", "concat", "conv2d", "tanh",
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "attention", "lstm", "concat", "conv2d", "tanh",
                                   "maxpool2", "standardize", "gated_norm_pool", "upsample_conv2d"])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
@@ -1442,6 +1480,7 @@ GRADCHECK_PROPERTIES = {
     "softplus": test_unary_elementwise_property_gradcheck,
     "matmul": test_matmul_rank3_forms_match_per_sample,
     "attention": test_attention_property_gradcheck,
+    "lstm": test_lstm_property_gradcheck,
     "reshape": test_reshape_property_gradcheck,
     "concat": test_concat_property_gradcheck,
     "narrow": test_narrow_property_gradcheck,

@@ -197,6 +197,10 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
                  ("tokens has dtype <U", "not a real number type"), id="str_tokens"),
     pytest.param(lambda a: {**a, "images": a["images"] + 0.5j},
                  ("images has dtype complex128", "not a real number type"), id="complex_images"),
+    pytest.param(lambda a: b"", ("dataset.npz: not an npz archive", "empty"), id="empty"),
+    pytest.param(lambda a: b"hello\n", ("dataset.npz: not an npz archive",), id="text"),
+    pytest.param(lambda a: {**a, "labels": a["labels"].astype(object)},
+                 ("dataset.npz: labels cannot be read",), id="object_labels"),
 ])
 def test_malformed_data_file_exits_one(tmp_path, capsys, command, edit, needles):
     """edit maps the arrays of a good file to what the --data file holds

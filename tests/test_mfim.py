@@ -14,6 +14,7 @@ from floodnet.mfim import (
     joint_fusion,
     level_heads,
     mfim_forward,
+    prepare_local_features,
     self_gate,
     stub_image_encoder,
     stub_text_encoder,
@@ -124,10 +125,8 @@ def test_lstm_zero_inputs_zero_weights():
         if name.startswith("mfim.bilstm"):
             store.entries[name].value[:] = 0.0
     g = Graph()
-    rows = [g.constant(np.zeros((1, cfg.d_se))) for _ in range(3)]
-    outs = _lstm_direction(g, store, "mfim.bilstm.fwd", rows, cfg.d_se // 2)
-    for o in outs:
-        np.testing.assert_array_equal(o.value, np.zeros((1, cfg.d_se // 2)))
+    out = _lstm_direction(g, store, "mfim.bilstm.fwd", g.constant(np.zeros((3, cfg.d_se))), cfg.d_se // 2, False)
+    np.testing.assert_array_equal(out.value, np.zeros((3, cfg.d_se // 2)))
 
 
 def test_lstm_length_one_equals_single_step():
@@ -137,25 +136,60 @@ def test_lstm_length_one_equals_single_step():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, cfg.d_se))
     g = Graph()
-    out = _lstm_direction(g, store, "mfim.bilstm.fwd", [g.constant(x)], hid)
+    out = _lstm_direction(g, store, "mfim.bilstm.fwd", g.constant(x), hid, False)
     w, u, b = _gate_dicts(store, "mfim.bilstm.fwd")
     expected = lstm_unrolled([x[0]], w, u, b, hid)[0]
-    assert np.abs(out[0].value[0] - expected).max() < 1e-10
+    assert np.abs(out.value[0] - expected).max() < 1e-10
 
 
 def test_lstm_length_three_matches_unrolled_oracle():
+    """The backward direction runs from the last row to the first and hands
+    its states back in input order."""
     cfg = make_tiny_config()
     store = _lstm_store(cfg, seed=4)
     hid = cfg.d_se // 2
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((3, cfg.d_se))
     g = Graph()
-    rows = [g.constant(x[None, :]) for x in xs]
-    outs = _lstm_direction(g, store, "mfim.bilstm.bwd", rows, hid)
+    out = _lstm_direction(g, store, "mfim.bilstm.bwd", g.constant(xs), hid, True)
     w, u, b = _gate_dicts(store, "mfim.bilstm.bwd")
-    expected = lstm_unrolled(list(xs), w, u, b, hid)
-    for got, exp in zip(outs, expected):
-        assert np.abs(got.value[0] - exp).max() < 1e-10
+    expected = lstm_unrolled(list(xs[::-1]), w, u, b, hid)[::-1]
+    for got, exp in zip(out.value, expected):
+        assert np.abs(got - exp).max() < 1e-10
+
+
+def test_bilstm_reads_the_tokens_forwards_and_backwards():
+    """The text rows are each token's forward state beside its backward
+    state, the backward direction starting from the last token."""
+    cfg = make_tiny_config()
+    store = _lstm_store(cfg, seed=17)
+    hid = cfg.d_se // 2
+    rng = np.random.default_rng(17)
+    tokens = rng.standard_normal((cfg.n_t, cfg.d_t))
+    g = Graph()
+    ht, _ = prepare_local_features(g, store, cfg, tokens, rng.standard_normal(cfg.grid + (cfg.d_i,)))
+    x = tokens @ store.entries["mfim.text_proj.w"].value + store.entries["mfim.text_proj.b"].value
+    fwd = lstm_unrolled(list(x), *_gate_dicts(store, "mfim.bilstm.fwd"), hid)
+    bwd = lstm_unrolled(list(x[::-1]), *_gate_dicts(store, "mfim.bilstm.bwd"), hid)[::-1]
+    assert np.abs(ht.value - np.concatenate([fwd, bwd], axis=-1)).max() < 1e-10
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_mfim_records_one_lstm_node_per_direction_whatever_the_token_count(batch):
+    """The BiLSTM records no node per token: one `lstm` node per direction,
+    no `narrow`, and as many nodes for 3 tokens as for 6."""
+    counts = []
+    for n_t in (3, 6):
+        cfg = make_tiny_config(n_t=n_t)
+        store = _lstm_store(cfg, seed=16)
+        rng = np.random.default_rng(16)
+        g = Graph()
+        mfim_forward(g, store, cfg, rng.standard_normal(batch + (n_t, cfg.d_t)),
+                     rng.standard_normal(batch + cfg.grid + (cfg.d_i,)))
+        tags = [node.tag for node in g.nodes]
+        assert tags.count("lstm") == 2 and "narrow" not in tags
+        counts.append(len(tags))
+    assert counts[0] == counts[1]
 
 
 # ---- gating ----------------------------------------------------------
