@@ -44,6 +44,11 @@ affine and 2x2 max pool as one node, run a chunk of leading indices at a
 time within the same budget; its tape keeps neither the gated map nor the
 normalized map before the pool.
 
+Each computation has one kernel: `_sigmoid` serves sigmoid, softplus's
+rule, lstm's gates and gated_norm_pool's gate; `_maxpool2_first` pools and
+`_unpool_first` routes the gradient for maxpool2 and gated_norm_pool; add,
+sub and mul record through `_binary`, the activations through `_unary`.
+
 lstm is one LSTM direction's whole recurrence as one node, over the rows
 of xw = x @ W.  Its tape keeps the gate activations, c and tanh(c).  Its
 rule is backpropagation through time, from the last step run to the
@@ -90,6 +95,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), each step in out (a new array when None).  exp
+    overflows to inf below z of about -709, which gives exactly 0."""
+    out = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 class Node:
@@ -214,80 +229,51 @@ class Graph:
 
     # ---- elementwise --------------------------------------------------
 
-    def add(self, a, b) -> Node:
-        a, b = self._coerce(a), self._coerce(b)
-        out = a.value + b.value
+    def _binary(self, a: Node, b: Node, out, da, db, tag: str) -> Node:
+        """Records out = a op b; da(g) and db(g) are the operands' gradients before _unbroadcast."""
 
         def bwd(g, grads):
             if a.active:
-                grads.accumulate(a.idx, _unbroadcast(g, a.shape))
+                grads.accumulate(a.idx, _unbroadcast(da(g), a.shape))
             if b.active:
-                grads.accumulate(b.idx, _unbroadcast(g, b.shape))
+                grads.accumulate(b.idx, _unbroadcast(db(g), b.shape))
 
-        return self._record(out, (a, b), bwd, "add")
+        return self._record(out, (a, b), bwd, tag)
+
+    def _unary(self, a: Node, out, rule, tag: str) -> Node:
+        """Records out, an elementwise function of a, whose gradient is rule(g)."""
+        return self._record(out, (a,), lambda g, grads: grads.accumulate(a.idx, rule(g)), tag)
+
+    def add(self, a, b) -> Node:
+        a, b = self._coerce(a), self._coerce(b)
+        return self._binary(a, b, a.value + b.value, lambda g: g, lambda g: g, "add")
 
     def sub(self, a, b) -> Node:
         a, b = self._coerce(a), self._coerce(b)
-        out = a.value - b.value
-
-        def bwd(g, grads):
-            if a.active:
-                grads.accumulate(a.idx, _unbroadcast(g, a.shape))
-            if b.active:
-                grads.accumulate(b.idx, -_unbroadcast(g, b.shape))
-
-        return self._record(out, (a, b), bwd, "sub")
+        return self._binary(a, b, a.value - b.value, lambda g: g, np.negative, "sub")
 
     def mul(self, a, b) -> Node:
         a, b = self._coerce(a), self._coerce(b)
-        out = a.value * b.value
-
-        def bwd(g, grads):
-            if a.active:
-                grads.accumulate(a.idx, _unbroadcast(g * b.value, a.shape))
-            if b.active:
-                grads.accumulate(b.idx, _unbroadcast(g * a.value, b.shape))
-
-        return self._record(out, (a, b), bwd, "mul")
+        return self._binary(a, b, a.value * b.value, lambda g: g * b.value, lambda g: g * a.value, "mul")
 
     def sigmoid(self, a) -> Node:
         a = self._coerce(a)
-        with np.errstate(over="ignore"):
-            out = 1.0 / (1.0 + np.exp(-a.value))
-
-        def bwd(g, grads):
-            grads.accumulate(a.idx, g * out * (1.0 - out))
-
-        return self._record(out, (a,), bwd, "sigmoid")
+        out = _sigmoid(a.value)
+        return self._unary(a, out, lambda g: g * out * (1.0 - out), "sigmoid")
 
     def tanh(self, a) -> Node:
         a = self._coerce(a)
         out = np.tanh(a.value)
-
-        def bwd(g, grads):
-            grads.accumulate(a.idx, g * (1.0 - out * out))
-
-        return self._record(out, (a,), bwd, "tanh")
+        return self._unary(a, out, lambda g: g * (1.0 - out * out), "tanh")
 
     def relu(self, a) -> Node:
         a = self._coerce(a)
-        out = np.maximum(a.value, 0.0)
-
-        def bwd(g, grads):
-            grads.accumulate(a.idx, g * (a.value > 0.0))
-
-        return self._record(out, (a,), bwd, "relu")
+        return self._unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0.0), "relu")
 
     def softplus(self, a) -> Node:
         """log(1 + exp(a)) without overflow or cancellation."""
         a = self._coerce(a)
-        out = np.logaddexp(0.0, a.value)
-
-        def bwd(g, grads):
-            with np.errstate(over="ignore"):
-                grads.accumulate(a.idx, g * (1.0 / (1.0 + np.exp(-a.value))))
-
-        return self._record(out, (a,), bwd, "softplus")
+        return self._unary(a, np.logaddexp(0.0, a.value), lambda g: g * _sigmoid(a.value), "softplus")
 
     # ---- linear algebra ----------------------------------------------
 
@@ -373,21 +359,16 @@ class Graph:
         hs, cs = np.zeros((n + 1, nb, hid)), np.zeros((n + 1, nb, hid))  # the zero state, then each step's
         tc = np.empty((n, nb, hid))
         z = np.empty((nb, 4 * hid))
-        with np.errstate(over="ignore"):
-            for t in range(n):
-                a, c = act[t], cs[t + 1]
-                np.matmul(hs[t], uv, out=z)
-                z += xs[t]
-                z += bv
-                np.negative(z, out=a)
-                np.exp(a, out=a)
-                a += 1.0
-                np.divide(1.0, a, out=a)
-                np.tanh(z[:, 2 * hid:3 * hid], out=gt[t])
-                np.multiply(f[t], cs[t], out=c)
-                c += i[t] * gt[t]
-                np.tanh(c, out=tc[t])
-                np.multiply(o[t], tc[t], out=hs[t + 1])
+        for t in range(n):
+            np.matmul(hs[t], uv, out=z)
+            z += xs[t]
+            z += bv
+            _sigmoid(z, out=act[t])
+            np.tanh(z[:, 2 * hid:3 * hid], out=gt[t])
+            np.multiply(f[t], cs[t], out=cs[t + 1])
+            cs[t + 1] += i[t] * gt[t]
+            np.tanh(cs[t + 1], out=tc[t])
+            np.multiply(o[t], tc[t], out=hs[t + 1])
         from_run = lambda v: v[run].transpose(1, 0, 2).reshape(xw.shape[:-1] + (v.shape[-1],))
 
         def bwd(g, grads):
@@ -551,10 +532,7 @@ class Graph:
 
     def fft2d_magnitude(self, x) -> Node:
         """Per-channel 2D DFT magnitude sqrt(Re^2 + Im^2) over the H and W
-        axes of (..., H, W, C).
-
-        Gradient at exact spectral zeros is defined as zero.
-        """
+        axes of (..., H, W, C); its gradient at exact spectral zeros is zero."""
         x = self._coerce(x)
         if x.value.ndim < 3:
             raise ShapeError(f"fft2d_magnitude expects (...,H,W,C), got {x.shape}")
@@ -570,26 +548,17 @@ class Graph:
         return self._record(out, (x,), bwd, "fft2d_mag")
 
     def maxpool2(self, x) -> Node:
-        """2x2 max pooling over (..., H, W, C) with H and W even: the max of
-        the four strided views x[..., i::2, j::2, :].  A window's gradient
-        goes to its first maximum in row order."""
+        """2x2 max pooling over (..., H, W, C), H and W even, by _maxpool2_first:
+        a window's gradient goes to its first maximum in row order."""
         x = self._coerce(x)
         _check_poolable(x.shape)
-        views = [x.value[..., i::2, j::2, :] for i, j in _WINDOW]
-        out = views[0]
-        for v in views[1:]:
-            out = np.maximum(out, v)
+        out = np.empty(x.shape[:-3] + (x.shape[-3] // 2, x.shape[-2] // 2, x.shape[-1]))
+        first = np.empty(out.shape, dtype=np.uint8)
+        _maxpool2_first(x.value, out, first)
 
         def bwd(g, grads):
-            # the views tile dx; each passes g where its window's first maximum sits
             dx = np.empty(x.shape)
-            free = np.ones(out.shape, dtype=bool)
-            hit = np.empty(out.shape, dtype=bool)
-            for (i, j), v in zip(_WINDOW, views):
-                np.equal(v, out, out=hit)
-                hit &= free
-                np.multiply(g, hit, out=dx[..., i::2, j::2, :])
-                free ^= hit
+            _unpool_first(g, first, dx)
             grads.accumulate(x.idx, dx)
 
         return self._record(out, (x,), bwd, "maxpool2")
@@ -640,12 +609,7 @@ class Graph:
         t = np.empty(work)
         for b0, b1 in spans:
             ac, sc, tc, nc, kc = av[b0:b1], s[b0:b1], t[:b1 - b0], n[b0:b1], keep[b0:b1]
-            # the steps of Graph.sigmoid, 1 / (1 + exp(-a)), each in place
-            np.negative(ac, out=sc)
-            with np.errstate(over="ignore"):
-                np.exp(sc, out=sc)
-            sc += 1.0
-            np.divide(1.0, sc, out=sc)
+            _sigmoid(ac, out=sc)
             np.multiply(ac, sc, out=tc)
             np.maximum(tc, 0.0, out=tc)
             np.greater(ac, 0.0, out=kc)
@@ -675,8 +639,7 @@ class Graph:
             dy, gn = np.empty(work), np.empty(work)
             for b0, b1 in spans:
                 dc, gc, nc = dy[:b1 - b0], gn[:b1 - b0], n[b0:b1]
-                for k, (i, j) in enumerate(_WINDOW):
-                    np.multiply(g[b0:b1], first[b0:b1] == k, out=maps(dc)[:, i::2, j::2])
+                _unpool_first(g[b0:b1], first[b0:b1], maps(dc))
                 np.multiply(dc, nc, out=gc)
                 sum_g[b0:b1], sum_gn[b0:b1] = _sum(maps(dc), (-3, -2)), _sum(maps(gc), (-3, -2))
                 if not a.active:
@@ -839,8 +802,10 @@ def _check_poolable(shape: tuple) -> None:
 
 
 def _maxpool2_first(y: np.ndarray, out: np.ndarray, first: np.ndarray) -> None:
-    """Writes maxpool2's value of y into out, and into first the index in
-    _WINDOW of each window's first maximum."""
+    """Writes the 2x2 max pool of y into out, and into first the index in
+    _WINDOW of each window's first maximum.  No comparison with NaN holds,
+    so a window holding NaN pools to NaN and points at the first maximum
+    of its entries before the first NaN, or at its first entry."""
     views = [y[..., i::2, j::2, :] for i, j in _WINDOW]
     np.greater(views[1], views[0], out=first)
     np.maximum(views[0], views[1], out=out)
@@ -851,6 +816,14 @@ def _maxpool2_first(y: np.ndarray, out: np.ndarray, first: np.ndarray) -> None:
         hit *= k
         np.maximum(first, hit, out=first)
         np.maximum(out, views[k], out=out)
+
+
+def _unpool_first(g: np.ndarray, first: np.ndarray, dx: np.ndarray) -> None:
+    """Writes into dx, (..., H, W, C), the gradient of a 2x2 max pool whose
+    first maxima _maxpool2_first wrote: each window's g at its first
+    maximum, zero at its other entries."""
+    for k, (i, j) in enumerate(_WINDOW):
+        np.multiply(g, first == k, out=dx[..., i::2, j::2, :])
 
 
 # ---- conv2d kernels -------------------------------------------------

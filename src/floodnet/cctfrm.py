@@ -106,21 +106,6 @@ def transformer_encoder(g: Graph, store: ParamStore, cfg: ModelConfig, patches: 
     return x
 
 
-def feature_enhancement(
-    g: Graph,
-    store: ParamStore,
-    name: str,
-    x: Node,
-    c_out: int,
-    train: bool,
-    masks: DropoutMasks | None,
-) -> Node:
-    """Upsample x2 then gated block; net spatial extent is preserved.  The
-    upsampling and the block's conv are one upsample_conv2d node, which
-    convolves on x's own grid."""
-    return gated_downsample_block(g, store, name, x, c_out, train, masks, g.upsample_conv2d)
-
-
 def decoder_cascade(
     g: Graph,
     store: ParamStore,
@@ -129,10 +114,14 @@ def decoder_cascade(
     train: bool,
     masks: DropoutMasks | None,
 ) -> Node:
+    """Each stage upsamples x2 and runs a gated block, so its net spatial
+    extent is preserved; the upsampling and the block's conv are one
+    upsample_conv2d node, which convolves on the stage input's own grid.
+    Returns the last stage, or every stage concatenated on channels."""
     outs = []
     cur = x
     for i, c_out in enumerate(cfg.decoder_plan):
-        cur = feature_enhancement(g, store, f"cctfrm.dec{i}", cur, c_out, train, masks)
+        cur = gated_downsample_block(g, store, f"cctfrm.dec{i}", cur, c_out, train, masks, g.upsample_conv2d)
         outs.append(cur)
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 

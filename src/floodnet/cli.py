@@ -174,8 +174,11 @@ def cmd_explain(args) -> int:
 
 def _predictions(path: str, keys: tuple[str, ...]) -> dict:
     """The JSON object in the file at path, which must hold keys."""
-    with open(path) as f:
-        data = json.load(f)
+    with open(path, encoding="utf-8") as f:
+        try:
+            data = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise InputError(f"{path}: not a UTF-8 JSON file: {e}") from None
     missing = [key for key in keys if not isinstance(data, dict) or key not in data]
     if missing:
         raise InputError(f"{path}: not a JSON object holding {missing[0]!r}")
@@ -184,12 +187,12 @@ def _predictions(path: str, keys: tuple[str, ...]) -> dict:
 
 def cmd_metrics(args) -> int:
     data = _predictions(args.predictions, ("y_true", "y_pred"))
-    probs = data.get("probs")
-    if not data["y_true"]:
+    if data["y_true"] == []:
         raise InputError(f"{args.predictions} holds no labels")
-    if probs is not None and not np.isfinite(np.asarray(probs, dtype=np.float64)).all():
-        raise InputError(f"{args.predictions} holds a non-finite probability")
-    report = compute_metrics(np.array(data["y_true"]), np.array(data["y_pred"]), probs)
+    try:
+        report = compute_metrics(np.array(data["y_true"]), np.array(data["y_pred"]), data.get("probs"))
+    except ValueError as e:
+        raise InputError(f"{args.predictions}: {e}") from None
     out = report.to_dict()
     if args.compare:
         other = _predictions(args.compare, ("y_pred",))

@@ -115,12 +115,18 @@ class ModelConfig:
             raise ConfigError(f"d_se must be divisible by 2*h={2 * self.h}, got d_se={self.d_se}")
         if self.n_t < 1 or self.n_t > 512:
             raise ConfigError(f"n_t must be in [1, 512], got n_t={self.n_t}")
-        # the divisors below
-        for name, value in (("grid[0]", self.grid[0]), ("grid[1]", self.grid[1]),
-                            ("hren_groups", self.hren_groups),
-                            ("transformer_heads", self.transformer_heads)):
+        # every extent, and the divisors below
+        extents = [(name, getattr(self, name)) for name in (
+            "d_t", "d_i", "d_se", "hren_channels", "hren_groups", "hren_kernel",
+            "transformer_heads", "d_fused")]
+        for name in ("grid", "image_size", "encoder_plan", "decoder_plan"):
+            extents += [(f"{name}[{i}]", v) for i, v in enumerate(getattr(self, name))]
+        for name, value in extents:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {name}={value}")
+        if self.transformer_depth < 0:
+            raise ConfigError("transformer_depth must be >= 0, "
+                              f"got transformer_depth={self.transformer_depth}")
         for name, (img, cell) in (
             ("image_size[0]/grid[0]", (self.image_size[0], self.grid[0])),
             ("image_size[1]/grid[1]", (self.image_size[1], self.grid[1])),

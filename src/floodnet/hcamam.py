@@ -34,23 +34,22 @@ def hren_forward(g: Graph, store: ParamStore, cfg: ModelConfig, x: Node, train: 
     return g.add(agp, res)
 
 
-def _channel_conv1d(g: Graph, store: ParamStore, gap: Node) -> Node:
-    """Same-padded length-3 convolution along the channel axis of a (..., C) vector,
-    run as a 3x3 conv over a 1 x C map whose zero kernel rows meet only padding."""
-    zeros = g.constant(np.zeros(3))
-    kernel = g.concat([zeros, g.param(store, "hcamam.feeca.conv1d.w", (3,)), zeros], axis=0)
-    row = g.reshape(gap, gap.shape[:-1] + (1, gap.shape[-1], 1))
-    out = g.conv2d(row, g.reshape(kernel, (3, 3, 1, 1)))
-    return g.add(g.reshape(out, gap.shape), g.param(store, "hcamam.feeca.conv1d.b", (1,), "zeros"))
+def _channel_band(g: Graph, store: ParamStore, C: int) -> Node:
+    """The (C, C) matrix of a same-padded length-3 convolution along the
+    channel axis, gap @ band: band[p, q] = w[p - q + 1], the three taps
+    times constant shift matrices."""
+    shifts = np.stack([np.eye(C, k=1 - j) for j in range(3)]).reshape(3, C * C)
+    return g.reshape(g.matmul(g.param(store, "hcamam.feeca.conv1d.w", (3,)), shifts), (C, C))
 
 
-def feeca_forward(g: Graph, store: ParamStore, x: Node) -> Node:
-    """Frequency-enhanced channel attention over an (..., H, W, C) map."""
+def feeca_forward(g: Graph, store: ParamStore, x: Node, x_freq: Node) -> Node:
+    """Frequency-enhanced channel attention over an (..., H, W, C) map and
+    its spectrum x_freq = g.fft2d_magnitude(x)."""
     C = x.shape[-1]
     gap = g.reduce_mean(x, axes=(-3, -2))
-    attn = _channel_conv1d(g, store, gap)
+    attn = g.add(g.matmul(gap, _channel_band(g, store, C)),
+                 g.param(store, "hcamam.feeca.conv1d.b", (1,), "zeros"))
     y_proj = linear(g, store, "hcamam.feeca.proj", attn, C)
-    x_freq = g.fft2d_magnitude(x)
     sff = g.mul(g.param(store, "hcamam.feeca.scale", (1, 1, C), "ones"), x_freq)
     weighted = g.mul(sff, g.reshape(y_proj, x.shape[:-3] + (1, 1, C)))
     y_att = g.sigmoid(g.reduce_sum(weighted, axes=-1, keepdims=True))
@@ -58,15 +57,15 @@ def feeca_forward(g: Graph, store: ParamStore, x: Node) -> Node:
     return g.mul(g.standardize(y_att, (-3, -2, -1)), layer_norm(g, x))
 
 
-def fmsa_forward(g: Graph, store: ParamStore, x: Node) -> Node:
-    """Frequency-modulated spatial attention over an (..., H, W, C) map."""
+def fmsa_forward(g: Graph, store: ParamStore, x: Node, f_freq: Node) -> Node:
+    """Frequency-modulated spatial attention over an (..., H, W, C) map and
+    its spectrum f_freq = g.fft2d_magnitude(x)."""
     C = x.shape[-1]
     z_sum = None
     for k in (3, 5, 7):
         z = g.conv2d(x, g.param(store, f"hcamam.fmsa.k{k}", (k, k, C, 1)))
         z_sum = z if z_sum is None else g.add(z_sum, z)
     a_spatial = g.sigmoid(z_sum)
-    f_freq = g.fft2d_magnitude(x)
     a_agg = g.mul(a_spatial, f_freq)
     f_norm = g.standardize(f_freq, (-3, -2))  # per channel
     # the channel mixes below treat every pixel as a row
@@ -96,9 +95,10 @@ def hcamam_forward(
 ) -> Node:
     """Full module over the (..., H, W, d_i) region grid and the
     (..., d_t + d_i) global features: residual extraction, both
-    attentions, fusion vector."""
+    attentions, which read one spectrum of the extracted map, fusion vector."""
     x = g.constant(grid)
     x_f = hren_forward(g, store, cfg, x, train)
-    y_mca = feeca_forward(g, store, x_f) if cfg.use_feeca else x_f
-    y_msa = fmsa_forward(g, store, x_f) if cfg.use_fmsa else x_f
+    spectrum = g.fft2d_magnitude(x_f) if cfg.use_feeca or cfg.use_fmsa else None
+    y_mca = feeca_forward(g, store, x_f, spectrum) if cfg.use_feeca else x_f
+    y_msa = fmsa_forward(g, store, x_f, spectrum) if cfg.use_fmsa else x_f
     return attention_fusion(g, store, y_mca, y_msa, gl, cfg.d_fused)

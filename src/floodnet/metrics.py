@@ -43,12 +43,22 @@ def compute_metrics(
     """Confusion-matrix metrics with the 0-denominator conventions:
     precision/recall/f1 are 0 when undefined, mcc is 0 when any marginal
     is 0, and kappa is 1 for perfect agreement even when chance agreement
-    is also perfect.  Labels must be 0 or 1."""
+    is also perfect.  Labels must be a flat array of 0 or 1, and probs
+    numbers in [0, 1]."""
     y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    if y_true.ndim != 1:
+        raise ValueError(f"y_true has shape {y_true.shape}, not a flat list of labels")
     check_labels("y_true", y_true, y_true.shape)
     check_labels("y_pred", y_pred, y_true.shape)
-    if probs is not None and np.shape(probs) != y_true.shape:
-        raise ValueError(f"probs has shape {np.shape(probs)}, the labels {y_true.shape}")
+    if probs is not None:
+        probs = np.asarray(probs)
+        if probs.shape != y_true.shape:
+            raise ValueError(f"probs has shape {probs.shape}, the labels {y_true.shape}")
+        if probs.dtype.kind not in "iuf":
+            raise ValueError(f"probs has {probs.dtype} entries, not numbers")
+        bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
+        if bad.size:
+            raise ValueError(f"probs[{bad[0]}] is {probs.flat[bad[0]]}, not in [0, 1]")
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))

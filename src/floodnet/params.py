@@ -8,8 +8,9 @@ regardless of reading order.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +24,9 @@ class AdamWConfig:
     weight_decay: float = 1e-4
 
     def validate(self) -> None:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in (0,1), got {self.beta1}")
         if not 0.0 < self.beta2 < 1.0:
@@ -31,6 +35,8 @@ class AdamWConfig:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
         if self.weight_decay < 0.0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass

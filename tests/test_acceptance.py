@@ -156,10 +156,12 @@ def test_criterion_2_oracle_suite():
     store_h = ParamStore(202)
     x = rng.standard_normal((4, 4, cfg.hren_channels))
     g = Graph()
-    assert np.abs(feeca_forward(g, store_h, g.constant(x)).value
+    xn = g.constant(x)
+    assert np.abs(feeca_forward(g, store_h, xn, g.fft2d_magnitude(xn)).value
                   - _feeca_oracle(x, store_h)).max() < 1e-9
     g = Graph()
-    assert np.abs(fmsa_forward(g, store_h, g.constant(x)).value
+    xn = g.constant(x)
+    assert np.abs(fmsa_forward(g, store_h, xn, g.fft2d_magnitude(xn)).value
                   - _fmsa_oracle(x, store_h)).max() < 1e-9
 
     store_c = ParamStore(203)
@@ -221,13 +223,13 @@ def test_criterion_3_shape_and_normalization_invariants():
     assert np.all((gates > 0.0) & (gates < 1.0))
 
     cfg = make_tiny_config(dropout=0.0)
-    from floodnet.cctfrm import feature_enhancement
+    from floodnet.cctfrm import gated_downsample_block
 
     store = ParamStore(301)
     x = rng.standard_normal((4, 4, cfg.d_model))
     g = Graph()
-    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
-                              False, None)
+    out = gated_downsample_block(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
+                                 False, None, g.upsample_conv2d)
     assert out.shape[:2] == (4, 4)
 
     assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}

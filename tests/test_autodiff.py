@@ -460,6 +460,33 @@ def test_sigmoid_midpoint():
     assert g.sigmoid(g.constant([0.0])).value[0] == 0.5
 
 
+def test_sigmoid_softplus_and_lstm_stay_finite_at_800():
+    """The one sigmoid kernel where exp(800) overflows: sigmoid reaches
+    exactly 0 and 1, and sigmoid, softplus and lstm stay finite, with their
+    gradients, raising no floating point error.  Underflow stays at numpy's
+    default: exp(-800) underflowing to 0 is how the sigmoid reaches 1."""
+    rng = np.random.default_rng(4)
+    z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+    xw = 800.0 * np.where(rng.random((2, 3, 8)) < 0.5, -1.0, 1.0)
+    u, b, weights = rng.standard_normal((2, 8)), rng.standard_normal(8), rng.standard_normal((2, 3, 2))
+    with np.errstate(all="raise", under="ignore"):
+        g = Graph()
+        zn = g.watch(g.constant(z))
+        s, sp = g.sigmoid(zn), g.softplus(zn)
+        g.backward(g.reduce_sum(g.add(s, sp)))
+        lg = Graph()
+        xn, un, bn = (lg.watch(lg.constant(v)) for v in (xw, u, b))
+        h = lg.lstm(xn, un, bn)
+        lg.backward(lg.reduce_sum(lg.mul(h, weights)))
+    np.testing.assert_array_equal(s.value[[0, -1]], [0.0, 1.0])
+    np.testing.assert_array_equal(sp.value[[0, -1]], [0.0, 800.0])
+    # d(sigmoid + softplus) = s * (1 - s) + s
+    np.testing.assert_array_equal(zn.grad[[0, -1]], [0.0, 1.0])
+    assert np.isfinite(zn.grad).all() and np.isfinite(h.value).all()
+    for node in (xn, un, bn):
+        assert np.isfinite(node.grad).all()
+
+
 def test_softmax_shift_invariance():
     """Scores of about 1e3, where exp overflows unless the softmax shifts by
     the row maximum, stay finite and match the loop oracle head by head."""

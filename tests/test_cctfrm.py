@@ -13,7 +13,6 @@ from floodnet.cctfrm import (
     cctfrm_forward,
     decoder_cascade,
     encoder,
-    feature_enhancement,
     gated_downsample_block,
     reverse_feature_harmonization,
     transformer_encoder,
@@ -278,7 +277,8 @@ def test_cascade_single_stage_is_stage_output():
     g = Graph()
     out = decoder_cascade(g, store, cfg, g.constant(x), False, None)
     g2 = Graph()
-    stage = feature_enhancement(g2, store, "cctfrm.dec0", g2.constant(x), 4, False, None)
+    stage = gated_downsample_block(g2, store, "cctfrm.dec0", g2.constant(x), 4, False, None,
+                                   g2.upsample_conv2d)
     np.testing.assert_array_equal(out.value, stage.value)
 
 
@@ -297,7 +297,7 @@ def test_cascade_matches_manual_composition():
     cur = g2.constant(x)
     stages = []
     for i, c_out in enumerate(cfg.decoder_plan):
-        cur = feature_enhancement(g2, store, f"cctfrm.dec{i}", cur, c_out, False, None)
+        cur = gated_downsample_block(g2, store, f"cctfrm.dec{i}", cur, c_out, False, None, g2.upsample_conv2d)
         stages.append(cur.value)
     np.testing.assert_array_equal(out.value, np.concatenate(stages, axis=2))
 
@@ -307,8 +307,8 @@ def test_feature_enhancement_preserves_spatial_extents():
     store = _store(cfg, seed=12)
     x = np.random.default_rng(12).standard_normal((4, 4, cfg.d_model))
     g = Graph()
-    out = feature_enhancement(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
-                              False, None)
+    out = gated_downsample_block(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
+                                 False, None, g.upsample_conv2d)
     assert out.shape == (4, 4, cfg.decoder_plan[0])
 
 

@@ -91,6 +91,23 @@ def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
     pytest.param('{"hren_groups": 0}', "hren_groups must be >= 1, got hren_groups=0", id="hren_groups_zero"),
     pytest.param('{"transformer_heads": 0}', "transformer_heads must be >= 1, got transformer_heads=0",
                  id="transformer_heads_zero"),
+    # extents that ended in a ZeroDivisionError or numpy's message, and a depth that ran as 0
+    *(pytest.param(f'{{"{name}": 0}}', f"{name} must be >= 1, got {name}=0", id=f"{name}_zero")
+      for name in ("d_se", "d_i", "d_t", "d_fused", "hren_channels")),
+    pytest.param('{"d_t": -3}', "d_t must be >= 1, got d_t=-3", id="d_t_negative"),
+    pytest.param('{"image_size": [0, 0]}', "image_size[0] must be >= 1", id="image_size_zero"),
+    pytest.param('{"decoder_plan": [0]}', "decoder_plan[0] must be >= 1", id="decoder_plan_zero"),
+    pytest.param('{"transformer_depth": -1}', "transformer_depth must be >= 0, got transformer_depth=-1",
+                 id="transformer_depth_negative"),
+    # optimizer values that passed and poisoned training
+    pytest.param('{"optimizer": {"learning_rate": NaN}}', "optimizer: learning_rate must be finite, got nan",
+                 id="learning_rate_nan"),
+    pytest.param('{"optimizer": {"learning_rate": 1e400}}', "optimizer: learning_rate must be finite, got inf",
+                 id="learning_rate_overflow"),
+    pytest.param('{"optimizer": {"weight_decay": Infinity}}', "optimizer: weight_decay must be finite, got inf",
+                 id="weight_decay_infinity"),
+    pytest.param('{"optimizer": {"epsilon": 0.0}}', "optimizer: epsilon must be positive, got 0.0",
+                 id="epsilon_zero"),
 ])
 def test_invalid_config_exits_one(tmp_path, capsys, text, needle):
     path = tmp_path / "bad.json"
@@ -279,10 +296,18 @@ def test_metrics_rejects_empty_or_non_finite_input(tmp_path, capsys, data):
     ([1, 0, 1], "preds.json: not a JSON object holding 'y_true'"),
     ({"y_pred": [1, 0, 1]}, "preds.json: not a JSON object holding 'y_true'"),
     ({"y_true": [1, 0], "y_pred": [1, 0], "probs": [[0.2, 0.3]]}, "probs has shape (1, 2), the labels (2,)"),
+    ({"y_true": [1, 0], "y_pred": [1, 0], "probs": {"a": 1}}, "preds.json: probs has shape (), the labels (2,)"),
+    ({"y_true": [1, 0], "y_pred": [1, 0], "probs": [1.5, 0.2]}, "preds.json: probs[0] is 1.5, not in [0, 1]"),
+    ({"y_true": [1, 0], "y_pred": [1, 0], "probs": [0.5, -0.2]}, "preds.json: probs[1] is -0.2, not in [0, 1]"),
+    ({"y_true": [1, 0], "y_pred": [1, 0], "probs": [0.5, "x"]}, "preds.json: probs has <U32 entries, not numbers"),
+    ({"y_true": 1, "y_pred": 1}, "preds.json: y_true has shape (), not a flat list of labels"),
+    ({"y_true": [[1, 0]], "y_pred": [[1, 0]]}, "preds.json: y_true has shape (1, 2), not a flat list of labels"),
+    (b"y_true: [1]", "preds.json: not a UTF-8 JSON file: Expecting value"),
+    (b'{"y_true": [1], "y_pred": [1], "note": "\xff"}', "preds.json: not a UTF-8 JSON file: 'utf-8' codec"),
 ])
 def test_metrics_rejects_bad_labels_or_probs(tmp_path, capsys, data, needle):
     preds = tmp_path / "preds.json"
-    preds.write_text(json.dumps(data))
+    preds.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     assert main(["metrics", str(preds)]) == 1
     _assert_one_line_error(capsys, needle)
 

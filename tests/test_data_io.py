@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -12,7 +13,7 @@ from floodnet.checkpoint import (
 from floodnet.config import ConfigError, ModelConfig
 from floodnet.data import generate_synthetic_dataset, split_dataset
 from floodnet.mfim import TEXT_VOCAB, InputError, stub_text_encoder
-from floodnet.params import ParamStore
+from floodnet.params import AdamWConfig, ParamStore
 
 
 # ---- synthetic dataset -----------------------------------------------
@@ -244,11 +245,24 @@ def test_config_rejects_invalid_json(tmp_path):
         ("hren_kernel", 4),
         ("image_size", (60, 64)),
         ("val_fraction", 0.999),
+        ("d_se", 0),
+        ("d_i", 0),
+        ("d_t", 0),
+        ("d_fused", 0),
+        ("hren_channels", 0),
+        ("image_size", (0, 0)),
+        ("decoder_plan", (0,)),
+        ("d_t", -3),
+        ("transformer_depth", -1),
+        ("optimizer", AdamWConfig(learning_rate=float("nan"))),
+        ("optimizer", AdamWConfig(learning_rate=float("inf"))),
+        ("optimizer", AdamWConfig(weight_decay=float("inf"))),
+        ("optimizer", AdamWConfig(epsilon=0.0)),
     ],
 )
 def test_config_validation_names_field(field, value):
     cfg = ModelConfig(**{field: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(field)):
         cfg.validate()
 
 

@@ -89,7 +89,8 @@ def test_feeca_zero_scale_collapses_gate():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 4, 4))
     g = Graph()
-    out = feeca_forward(g, store, g.constant(x))
+    xn = g.constant(x)
+    out = feeca_forward(g, store, xn, g.fft2d_magnitude(xn))
     np.testing.assert_allclose(out.value, np.zeros((4, 4, 4)), atol=1e-12)
 
 
@@ -97,7 +98,8 @@ def test_feeca_zero_input():
     cfg = make_tiny_config()
     store = _store(cfg, seed=4)
     g = Graph()
-    out = feeca_forward(g, store, g.constant(np.zeros((4, 4, 4))))
+    xn = g.constant(np.zeros((4, 4, 4)))
+    out = feeca_forward(g, store, xn, g.fft2d_magnitude(xn))
     np.testing.assert_allclose(out.value, np.zeros((4, 4, 4)), atol=1e-12)
 
 
@@ -107,7 +109,8 @@ def test_feeca_matches_scripted_oracle():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 4, 4))
     g = Graph()
-    out = feeca_forward(g, store, g.constant(x))
+    xn = g.constant(x)
+    out = feeca_forward(g, store, xn, g.fft2d_magnitude(xn))
     assert np.abs(out.value - _feeca_oracle(x, store)).max() < 1e-9
 
 
@@ -143,7 +146,8 @@ def test_fmsa_zero_kernels_give_half_spatial_gate():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 4))
     g = Graph()
-    out = fmsa_forward(g, store, g.constant(x))
+    xn = g.constant(x)
+    out = fmsa_forward(g, store, xn, g.fft2d_magnitude(xn))
     expected = _fmsa_oracle(x, store, a_spatial=np.full((4, 4, 1), 0.5))
     assert np.abs(out.value - expected).max() < 1e-9
 
@@ -152,7 +156,8 @@ def test_fmsa_zero_input():
     cfg = make_tiny_config()
     store = _store(cfg, seed=7)
     g = Graph()
-    out = fmsa_forward(g, store, g.constant(np.zeros((4, 4, 4))))
+    xn = g.constant(np.zeros((4, 4, 4)))
+    out = fmsa_forward(g, store, xn, g.fft2d_magnitude(xn))
     np.testing.assert_allclose(out.value, np.zeros((4, 4, 4)), atol=1e-12)
 
 
@@ -162,7 +167,8 @@ def test_fmsa_matches_scripted_oracle():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((4, 4, 4))
     g = Graph()
-    out = fmsa_forward(g, store, g.constant(x))
+    xn = g.constant(x)
+    out = fmsa_forward(g, store, xn, g.fft2d_magnitude(xn))
     assert np.abs(out.value - _fmsa_oracle(x, store)).max() < 1e-9
 
 
@@ -218,3 +224,17 @@ def test_hcamam_forward_shape(tiny_config):
     g = Graph()
     out = hcamam_forward(g, store, tiny_config, grid, gl, train=False)
     assert out.shape == (tiny_config.d_fused,)
+
+
+def test_hcamam_forward_takes_one_spectrum():
+    """FEECA and FMSA read one fft2d_mag node of the extracted map, and a
+    forward with neither takes no spectrum."""
+    rng = np.random.default_rng(12)
+    cfg = make_tiny_config()
+    grid = rng.standard_normal((2, 2, 2, cfg.d_i))
+    gl = rng.standard_normal((2, cfg.d_t + cfg.d_i))
+    for feeca, fmsa, spectra in ((True, True, 1), (True, False, 1), (False, True, 1), (False, False, 0)):
+        cfg = make_tiny_config(use_feeca=feeca, use_fmsa=fmsa)
+        g = Graph()
+        hcamam_forward(g, _store(cfg, seed=12), cfg, grid, gl, train=True)
+        assert [node.tag for node in g.nodes].count("fft2d_mag") == spectra
