@@ -28,16 +28,19 @@ operand shapes: im2col times the kernel, or the input times the dense
 matrix of the whole map, whichever matrix holds fewer entries.  With nb the
 product of the leading extents, that is the dense one when
 H*W*C_out/groups <= nb*K*K: a batch of small maps read by a wide kernel,
-where most im2col entries are zero padding.  im2col runs over chunks of the
-leading indices, each chunk's columns and padded input within
-IM2COL_CHUNK_BYTES.  Its backward builds x's columns again for dk and runs
-the same chunked conv on g for dx: a stride-1 same-padded conv's input
-gradient is the conv of g by the kernel flipped in space, each group's
-C_in and C_out swapped, k'[i, j, o, c] = k[K-1-i, K-1-j, c, o] (Dumoulin &
-Visin 2016, arXiv:1603.07285, Sec. 4).  The tape keeps neither the columns
-nor a padded copy of x.  upsample_conv2d, a 3x3 conv of a x2
-nearest-upsampled map, records a `conv2d` node too; it never builds the
-upsampled map.
+where most im2col entries are zero padding.  The rule still compares with
+the K*K-wide im2col matrix, but that kernel lowers x along W only (MEC,
+Cho & Brand 2017, arXiv:1706.06873), K copies of x where im2col makes K*K,
+and sums K matmuls: kernel row i times a view of lowered rows i..i+H-1.
+It runs over chunks of the leading indices, each chunk's lowering and
+padded input within IM2COL_CHUNK_BYTES.  Its backward lowers x again for
+dk, the same K views transposed times g, and runs the same chunked conv on
+g for dx: a stride-1 same-padded conv's input gradient is the conv of g by
+the kernel flipped in space, each group's C_in and C_out swapped,
+k'[i, j, o, c] = k[K-1-i, K-1-j, c, o] (Dumoulin & Visin 2016,
+arXiv:1603.07285, Sec. 4).  The tape keeps neither the lowering nor a
+padded copy of x.  upsample_conv2d, a 3x3 conv of a x2 nearest-upsampled
+map, records a `conv2d` node too; it never builds the upsampled map.
 
 gated_norm_pool is a gated block's swish gate, dropout mask, normalization,
 affine and 2x2 max pool as one node, run a chunk of leading indices at a
@@ -411,7 +414,7 @@ class Graph:
     def concat(self, parts, axis: int) -> Node:
         parts = [self._coerce(p) for p in parts]
         out = np.concatenate([p.value for p in parts], axis=axis)
-        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+        offsets = list(itertools.accumulate((p.shape[axis] for p in parts), initial=0))
 
         def bwd(g, grads):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -510,11 +513,11 @@ class Graph:
     def conv2d(self, x, kernel, groups: int = 1) -> Node:
         """Grouped same-padded stride-1 cross-correlation of x (..., H, W, C_in)
         by kernel (K, K, C_in // groups, C_out), to (..., H, W, C_out).
-        Either kernel is one matmul batched over groups.  Per group, the
-        dense matrix of the map (`_conv_dense`) has H*W*C_in/groups x
-        H*W*C_out/groups entries and the im2col matrix (`_conv_im2col`)
+        Per group, the dense matrix of the map (`_conv_dense`) has
+        H*W*C_in/groups x H*W*C_out/groups entries and the im2col matrix
         nb*H*W x K*K*C_in/groups, nb the product of the leading extents; the
-        dense kernel runs when its matrix is no larger."""
+        dense kernel runs when its matrix is no larger, else `_conv_im2col`,
+        one matmul per kernel row over the input lowered along W."""
         x, kernel = self._coerce(x), self._coerce(kernel)
         if x.value.ndim < 3 or kernel.value.ndim != 4:
             raise ShapeError(f"conv2d expects (...,H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
@@ -847,35 +850,43 @@ def _spans(nb: int, bytes_per_sample: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _columns(xb: np.ndarray, K: int, groups: int):
-    """Yields (b0, b1, cols) for each chunk of xb's (nb, H, W, C) maps: the
-    chunk's (groups, pixels, K*K*C/groups) im2col matrix, columns ordered
-    (i, j, c), built from a padded copy of the chunk, valid until the next."""
+    """Yields (b0, b1, taps) for each chunk of xb's (nb, H, W, C) maps.  The
+    chunk is lowered along W only (MEC, Cho & Brand 2017, arXiv:1706.06873)
+    into low, (groups, m, H+K-1, W*K*cg) with cg = C/groups, where
+    low[g, b, r, (q, j, c)] is the zero-padded x[b, r, q + j, g*cg + c];
+    taps[i] is the (groups, m, H*W, K*cg) view of its rows i..i+H-1, which
+    kernel row i reads.  Built from a padded copy of the chunk, valid until
+    the next."""
     nb, H, W, c_in = xb.shape
     P, cg = K // 2, c_in // groups
-    chunk, spans = _spans(nb, (H * W * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8)  # columns, padded input
-    xp = np.zeros((chunk, H + 2 * P, W + 2 * P, c_in))  # the border stays zero
-    cols = np.empty((groups, chunk, H, W, K, K, cg))
+    Hp, Wp = H + 2 * P, W + 2 * P
+    chunk, spans = _spans(nb, (Hp * W * K + Hp * Wp) * c_in * 8)  # lowering, padded input
+    xp = np.zeros((chunk, Hp, Wp, c_in))  # the border stays zero
+    low = np.empty((groups, chunk, Hp, W, K, cg))
     sb, sh, sw, sc = xp.strides
     for b0, b1 in spans:
         m = b1 - b0
         xp[:m, P:P + H, P:P + W] = xb[b0:b1]
-        # (groups, m, H, W, K, K, cg) -> xp[b, p + i, q + j, group*cg + c]
-        windows = as_strided(xp, (groups, m, H, W, K, K, cg), (cg * sc, sb, sh, sw, sh, sw, sc), writeable=False)
-        np.copyto(cols[:, :m], windows)
-        yield b0, b1, cols[:, :m].reshape(groups, m * H * W, K * K * cg)
+        # (groups, m, Hp, W, K, cg) -> xp[b, r, q + j, group*cg + c]
+        windows = as_strided(xp, (groups, m, Hp, W, K, cg), (cg * sc, sb, sh, sw, sw, sc), writeable=False)
+        np.copyto(low[:, :m], windows)
+        yield b0, b1, [low[:, :m, i:i + H].reshape(groups, m, H * W, K * cg) for i in range(K)]
 
 
 def _im2col(xb: np.ndarray, kernel: np.ndarray, groups: int) -> np.ndarray:
     """The conv of xb's (nb, H, W, C_in) maps by kernel (K, K, C_in/groups,
-    C_out), as (nb, H, W, C_out): each chunk's columns times the kernel
-    viewed as (groups, K*K*C_in/groups, C_out/groups)."""
+    C_out), as (nb, H, W, C_out): per chunk, the sum over kernel rows i of
+    taps[i] times row i viewed as (groups, K*C_in/groups, C_out/groups)."""
     nb, H, W, _ = xb.shape
     K, _, cg, c_out = kernel.shape
-    HW, cog = H * W, c_out // groups
-    kmat = kernel.reshape(K * K * cg, groups, cog).transpose(1, 0, 2)
-    out = np.empty((nb * HW, groups, cog))
-    for b0, b1, cols in _columns(xb, K, groups):
-        np.matmul(cols, kmat, out=out[b0 * HW:b1 * HW].transpose(1, 0, 2))
+    cog = c_out // groups
+    krows = kernel.reshape(K, K * cg, groups, cog).transpose(0, 2, 1, 3)[:, :, None]
+    out = np.empty((nb, H * W, groups, cog))
+    for b0, b1, taps in _columns(xb, K, groups):
+        acc = out[b0:b1].transpose(2, 0, 1, 3)
+        np.matmul(taps[0], krows[0], out=acc)
+        for tap, krow in zip(taps[1:], krows[1:]):
+            acc += np.matmul(tap, krow)
     return out.reshape(nb, H, W, c_out)
 
 
@@ -884,20 +895,23 @@ def _im2col(xb: np.ndarray, kernel: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _conv_im2col(x: Node, kernel: Node, groups: int):
-    """_im2col of x's maps; bwd rebuilds x's columns for dk and gets dx as
-    the _im2col of g by the flipped kernel (see the module docstring)."""
+    """_im2col of x's maps; bwd lowers x again for dk, the same row taps
+    transposed times g, and gets dx as the _im2col of g by the flipped
+    kernel (see the module docstring)."""
     H, W, c_in = x.shape[-3:]
     K, _, cg, c_out = kernel.shape
-    HW, cog = H * W, c_out // groups
+    cog = c_out // groups
     xb = x.value.reshape(-1, H, W, c_in)
 
     def bwd(g, grads):
         if kernel.active:
-            gm = g.reshape(-1, groups, cog).transpose(1, 0, 2)
-            # no name outlives the pass to keep its last chunk's columns
-            dk = sum(np.matmul(cols.transpose(0, 2, 1), gm[:, b0 * HW:b1 * HW])
-                     for b0, b1, cols in _columns(xb, K, groups))
-            grads.accumulate(kernel.idx, dk.transpose(1, 0, 2).reshape(kernel.shape))
+            gm = g.reshape(-1, H * W, groups, cog).transpose(2, 0, 1, 3)
+            # (K, groups, K*cg, cog); no name outlives the pass to keep its
+            # last chunk's lowering
+            dk = sum(np.stack([np.matmul(tap.transpose(0, 1, 3, 2), gm[:, b0:b1]).sum(axis=1) for tap in taps])
+                     for b0, b1, taps in _columns(xb, K, groups))
+            dk = dk.reshape(K, groups, K, cg, cog).transpose(0, 2, 3, 1, 4)
+            grads.accumulate(kernel.idx, dk.reshape(kernel.shape))
         if x.active:  # not so for the raw image batch
             flipped = kernel.value[::-1, ::-1].reshape(K, K, cg, groups, cog).transpose(0, 1, 4, 3, 2)
             dx = _im2col(g.reshape(-1, H, W, c_out), flipped.reshape(K, K, cog, c_in), groups)

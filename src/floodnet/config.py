@@ -187,11 +187,11 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path) -> "ModelConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
         return cls.from_dict(data)
 
     def save(self, path) -> None:

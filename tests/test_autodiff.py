@@ -249,21 +249,23 @@ def test_conv2d_batch_that_crosses_the_rule_matches_per_sample(monkeypatch):
 
 
 def _im2col_maps_per_chunk(H, W, c_in, K):
-    """How many maps of (H, W, c_in) one im2col chunk takes: its columns
-    and its padded input, in f64, within IM2COL_CHUNK_BYTES."""
-    P = K // 2
-    per_map = (H * W * K * K + (H + 2 * P) * (W + 2 * P)) * c_in * 8
+    """How many maps of (H, W, c_in) one im2col chunk takes: their lowering
+    along W, (H+K-1) x W*K*c_in, and their padded input, in f64, within
+    IM2COL_CHUNK_BYTES."""
+    per_map = ((H + K - 1) * W * K + (H + K - 1) * (W + K - 1)) * c_in * 8
     return max(1, autodiff.IM2COL_CHUNK_BYTES // per_map)
 
 
-@pytest.mark.parametrize("groups", [1, 2])
-def test_conv2d_im2col_over_several_chunks(groups, monkeypatch):
+@pytest.mark.parametrize("groups, K", [(1, 3), (2, 3), (1, 1), (2, 1), (1, 5), (2, 5)],
+                         ids=["1", "2", "1-K1", "2-K1", "1-K5", "2-K5"])
+def test_conv2d_im2col_over_several_chunks(groups, K, monkeypatch):
     """A batch of two full im2col chunks of x and a ragged third: each map
     matches the loop oracle and the map run alone, and check_gradients
-    passes on x and on the kernel.  dx, the conv of g, runs over two
-    chunks at groups 1 and three at groups 2."""
+    passes on x and on the kernel.  dx, the conv of g, runs over more than
+    one chunk too.  K = 1 lowers without padding, and K = 5 reads row taps
+    past i = 2."""
     H = W = 16
-    c_in, c_out, K = 4, 2 * groups, 3  # 2 * groups keeps the batch off the dense kernel
+    c_in, c_out = 4, 4 * groups  # 4 * groups keeps the batch off the dense kernel at K = 5
     chunk = _im2col_maps_per_chunk(H, W, c_in, K)
     assert chunk >= 2
     nb = 2 * chunk + chunk // 2
@@ -274,7 +276,10 @@ def test_conv2d_im2col_over_several_chunks(groups, monkeypatch):
     ran = _kernels_run(monkeypatch)
     op = lambda g, xn, kn: g.conv2d(xn, kn, groups=groups)
 
+    planned = []
+    monkeypatch.setattr(autodiff, "_spans", lambda *a, f=autodiff._spans: planned.append(f(*a)) or planned[-1])
     batched = op(Graph(), x, kernel).value
+    assert [(c, len(spans)) for c, spans in planned] == [(chunk, 3)]
     alone = np.stack([op(Graph(), xi, kernel).value for xi in x])
     assert ran == ["im2col"] * (nb + 1)
     assert np.abs(batched - alone).max() <= 1e-12
@@ -284,12 +289,13 @@ def test_conv2d_im2col_over_several_chunks(groups, monkeypatch):
 
 
 def test_conv2d_im2col_holds_one_chunk_of_columns():
-    """Forward and backward of a conv whose full column matrix is 6.75 MiB
-    allocate no more than the output, its gradient, dx, the largest chunk
-    that _spans plans for one of the three passes and 64 KiB of small
-    arrays.  The forward and dk build chunks of x's columns and padded
-    input; dx builds g's, and one sample of those over C_out = 8 channels
-    is 2.5 MiB, above the budget, so its chunk is the one-sample floor."""
+    """Forward and backward of a conv whose full im2col matrix would be
+    6.75 MiB allocate no more than the output, its gradient, dx, and the
+    largest chunk that _spans plans for one of the three passes, with one
+    row tap's product over it, and 64 KiB of small arrays.  The forward
+    and dk lower chunks of x and its padded input; dx lowers g's, and one
+    sample of those over C_out = 8 channels is 1.04 MiB, above the budget,
+    so its chunk is the one-sample floor."""
     rng = np.random.default_rng(8)
     x, kernel = rng.standard_normal((8, 64, 64, 3)), rng.standard_normal((3, 3, 3, 8))
     full_columns = 8 * 64 * 64 * 3 * 3 * 3 * 8
@@ -304,9 +310,11 @@ def test_conv2d_im2col_holds_one_chunk_of_columns():
     finally:
         tracemalloc.stop()
     assert xn.grad.shape == x.shape and kn.grad.shape == kernel.shape
-    per_sample = lambda c: (64 * 64 * 3 * 3 + 66 * 66) * c * 8  # one map's columns and padded input
-    passes = [autodiff._spans(8, per_sample(c))[0] * per_sample(c) for c in (3, 8)]  # x's, g's
-    assert passes[1] > autodiff.IM2COL_CHUNK_BYTES
+    per_sample = lambda c: (66 * 64 * 3 + 66 * 66) * c * 8  # one map's lowering and padded input
+    tap_product = lambda c: 64 * 64 * c * 8  # one map's product with one kernel row, over c outputs
+    passes = [autodiff._spans(8, per_sample(c))[0] * (per_sample(c) + tap_product(c_prod))
+              for c, c_prod in ((3, 8), (8, 3))]  # x's, g's
+    assert per_sample(8) > autodiff.IM2COL_CHUNK_BYTES
     bound = 2 * out.value.nbytes + x.nbytes + max(passes) + 64 * 2**10
     assert bound < full_columns + 2 * out.value.nbytes
     assert peak <= bound, (peak, bound)

@@ -108,10 +108,14 @@ def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
                  id="weight_decay_infinity"),
     pytest.param('{"optimizer": {"epsilon": 0.0}}', "optimizer: epsilon must be positive, got 0.0",
                  id="epsilon_zero"),
+    # files that cannot be read as JSON name themselves
+    pytest.param(b"\xff{}", "bad.json: not a UTF-8 JSON file: 'utf-8' codec can't decode byte 0xff",
+                 id="not_utf8"),
+    pytest.param("{nope", "bad.json: not a UTF-8 JSON file: Expecting property name", id="not_json"),
 ])
 def test_invalid_config_exits_one(tmp_path, capsys, text, needle):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 1
     _assert_one_line_error(capsys, needle)
 
