@@ -14,9 +14,9 @@ covers just the sources' descendants.  A graph with no sources, such as
 `Graph(param_grads=False)` for inference, records no rules at all.
 
 The sweep stores each node's first gradient contribution as given, so a
-node's gradient may be another node's, or a view of it.  No rule may write
-into its g, or into an array it has handed on to `grads.accumulate`; a
-rule that adds into a gradient in place takes it from `grads.writable`.
+node's gradient may be another node's, or a view of it, and replaces it
+with a fresh sum on each later one.  No rule writes into its g or into an
+array it has handed on.
 
 The image ops take (..., H, W, C), matmul takes (..., k) @ (k, m) and
 attention takes (..., rows, width), so one graph can carry a whole batch on
@@ -137,49 +137,12 @@ class Node:
 
 class _Grads(dict):
     """Gradients by node index.  A node's first contribution is stored as
-    given, so it may be a rule's g or a view of it: the container never
-    writes into it.  A second contribution stores old + new, which the
-    container owns, and later ones add into that in place."""
-
-    def __init__(self, nodes):
-        super().__init__()
-        self.nodes = nodes
-        self.owned = {}  # index -> True where the stored array is the container's own
+    given, so it may be a rule's g or a view of it; each later one replaces
+    the stored array with old + value.  No stored array is written into."""
 
     def accumulate(self, idx: int, value: np.ndarray) -> None:
         old = self.get(idx)
-        if old is None:
-            shape = self.nodes[idx].value.shape
-            if value.shape == shape:
-                self[idx] = value
-                return
-            # a broadcast contribution, such as reduce_sum's, widened
-            self[idx] = np.broadcast_to(value, shape).copy()
-        elif idx in self.owned:
-            old += value
-            return
-        else:
-            self[idx] = old + value
-        self.owned[idx] = True
-
-    def writable(self, idx: int) -> np.ndarray:
-        """The gradient of idx as an array the container owns, zeros when
-        none is stored yet: the caller may add into it in place."""
-        g = self.get(idx)
-        if g is None:
-            g = np.zeros_like(self.nodes[idx].value)
-        elif idx not in self.owned:
-            g = g.copy()
-        else:
-            return g
-        self[idx] = g
-        self.owned[idx] = True
-        return g
-
-    def take(self, idx: int) -> np.ndarray | None:
-        """Removes and returns the gradient of idx, None when there is none."""
-        self.owned.pop(idx, None)
-        return self.pop(idx, None)
+        self[idx] = value if old is None else old + value
 
 
 class Graph:
@@ -434,7 +397,9 @@ class Graph:
         out = a.value[sl].copy()
 
         def bwd(g, grads):
-            grads.writable(a.idx)[sl] += g
+            dx = np.zeros(a.shape)
+            dx[sl] = g
+            grads.accumulate(a.idx, dx)
 
         return self._record(out, (a,), bwd, "narrow")
 
@@ -450,7 +415,7 @@ class Graph:
         kept = tuple(1 if i in reduced else n for i, n in enumerate(a.shape))
 
         def bwd(g, grads):
-            grads.accumulate(a.idx, g.reshape(kept))
+            grads.accumulate(a.idx, np.broadcast_to(g.reshape(kept), a.shape))
 
         return self._record(out, (a,), bwd, "sum")
 
@@ -740,18 +705,16 @@ class Graph:
         the loss reaches hold `.grad`: watched leaves, and the loss itself
         when it is inactive.  A kept node always gets a gradient of its own,
         zeros where the loss does not reach it; a leaf's may share memory
-        with another node's."""
+        with another node's, or be a read-only broadcast view."""
         if not (loss.idx < len(self.nodes) and self.nodes[loss.idx] is loss):
             raise ContractError("loss node belongs to a different graph")
         if loss.value.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
         kept = {self._coerce(n).idx for n in keep}
-        grads = _Grads(self.nodes)
-        for idx in kept:
-            grads.writable(idx)
+        grads = _Grads((idx, np.zeros_like(self.nodes[idx].value)) for idx in kept)
         grads[loss.idx] = np.ones_like(loss.value)
         for node in reversed(self.nodes[:loss.idx + 1]):
-            g = grads[node.idx] if node.idx in kept else grads.take(node.idx)
+            g = grads.get(node.idx) if node.idx in kept else grads.pop(node.idx, None)
             node.grad = g if node.bwd is None or node.idx in kept else None
             if g is not None and node.bwd is not None:
                 node.bwd(g, grads)

@@ -12,13 +12,13 @@ import zipfile
 import numpy as np
 
 from .autodiff import ContractError, ShapeError
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig
 from .data import SyntheticSample, generate_synthetic_dataset, split_dataset
 from .gradcam import grad_cam, write_pgm, write_sidecar
 from .gradcheck import check_gradients
 from .metrics import check_labels, compute_metrics, mcnemar_test
-from .mfim import TEXT_VOCAB, InputError
+from .mfim import MAX_TOKENS, TEXT_VOCAB, InputError
 from .model import FloodNet
 from .training import TrainingError, bce_loss, evaluate, train
 
@@ -27,6 +27,7 @@ def _load_config(args) -> ModelConfig:
     cfg = ModelConfig.load(args.config) if args.config else ModelConfig()
     if args.seed is not None:
         cfg.seed = args.seed
+    cfg.validate()  # the --seed too, before gen-data draws from it
     return cfg
 
 
@@ -62,6 +63,8 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
         n = len(labels)
         if tokens.ndim != 2 or len(tokens) != n:
             raise InputError(f"{path}: tokens has shape {tokens.shape}, expected ({n}, n_tokens)")
+        if not 1 <= tokens.shape[1] <= MAX_TOKENS:
+            raise InputError(f"{path}: tokens holds {tokens.shape[1]} per sample, expected 1 to {MAX_TOKENS}")
         if images.shape != (n, *cfg.image_size, 3):
             raise InputError(f"{path}: images has shape {images.shape}, "
                              f"expected {(n, *cfg.image_size, 3)}")
@@ -80,6 +83,17 @@ def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     return generate_synthetic_dataset(
         cfg.n_samples, cfg.seed, cfg.difficulty, cfg.image_size, cfg.n_t
     )
+
+
+def _model(cfg: ModelConfig, checkpoint: str | None) -> FloodNet:
+    """A fresh model, or one on the checkpoint's store.  An error in the
+    file, or a store that does not fit cfg, is prefixed with the path."""
+    if not checkpoint:
+        return FloodNet(cfg)
+    try:
+        return FloodNet(cfg, store=load_checkpoint(checkpoint))
+    except (CheckpointError, ConfigError) as e:
+        raise InputError(f"{checkpoint}: {e}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -128,8 +142,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"val_fraction={cfg.val_fraction} leaves no validation samples out of {len(samples)}"
         )
-    store = load_checkpoint(args.checkpoint)
-    model = FloodNet(cfg, store=store)
+    model = _model(cfg, args.checkpoint)
     _, report = evaluate(model, val_set)
     print(json.dumps(report.to_dict()))
     return 0
@@ -158,8 +171,7 @@ def cmd_explain(args) -> int:
     samples = _dataset(cfg, args.data)
     if not 0 <= args.index < len(samples):
         raise ConfigError(f"sample index {args.index} out of range")
-    store = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    model = FloodNet(cfg, store=store)
+    model = _model(cfg, args.checkpoint)
     try:
         heatmap = grad_cam(model, samples[args.index], args.layer)
     except KeyError as e:  # the layer is not one of the model's taps

@@ -107,14 +107,16 @@ class ModelConfig:
         return hh * ww * self.cascade_channels()
 
     def validate(self) -> None:
+        from .mfim import MAX_TOKENS  # mfim imports this module
+
         if self.h < 2 or self.h % 2:
             raise ConfigError(f"h must be even and >= 2, got h={self.h}")
         if self.d_se % 2:
             raise ConfigError(f"d_se must be divisible by 2 (BiLSTM halves), got d_se={self.d_se}")
         if self.d_se % (2 * self.h):
             raise ConfigError(f"d_se must be divisible by 2*h={2 * self.h}, got d_se={self.d_se}")
-        if self.n_t < 1 or self.n_t > 512:
-            raise ConfigError(f"n_t must be in [1, 512], got n_t={self.n_t}")
+        if self.n_t < 1 or self.n_t > MAX_TOKENS:
+            raise ConfigError(f"n_t must be in [1, {MAX_TOKENS}], got n_t={self.n_t}")
         # every extent, and the divisors below
         extents = [(name, getattr(self, name)) for name in (
             "d_t", "d_i", "d_se", "hren_channels", "hren_groups", "hren_kernel",
@@ -158,6 +160,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got seed={self.seed}")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
         if not 0.0 <= self.difficulty <= 1.0:

@@ -21,6 +21,7 @@ class InputError(ValueError):
 
 
 TEXT_VOCAB = 64
+MAX_TOKENS = 512  # the most token ids one sample may hold
 
 
 def level_heads(h: int) -> dict[str, int]:
@@ -45,8 +46,8 @@ def stub_text_encoder(token_ids, d_t: int, seed: int) -> np.ndarray:
     ids = np.asarray(token_ids)
     if ids.size == 0:
         raise InputError("token list must be non-empty")
-    if ids.shape[-1] > 512:
-        raise InputError(f"at most 512 tokens supported, got {ids.shape[-1]}")
+    if ids.shape[-1] > MAX_TOKENS:
+        raise InputError(f"at most {MAX_TOKENS} tokens supported, got {ids.shape[-1]}")
     if ids.dtype.kind not in "iu" or not isinstance(token_ids, np.ndarray):
         # numpy casts a bool among ints to 0 or 1, so each id is checked as given
         for t in np.asarray(token_ids, dtype=object).flat:

@@ -99,6 +99,7 @@ def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
     pytest.param('{"decoder_plan": [0]}', "decoder_plan[0] must be >= 1", id="decoder_plan_zero"),
     pytest.param('{"transformer_depth": -1}', "transformer_depth must be >= 0, got transformer_depth=-1",
                  id="transformer_depth_negative"),
+    pytest.param('{"seed": -3}', "seed must be >= 0, got seed=-3", id="seed_negative"),
     # optimizer values that passed and poisoned training
     pytest.param('{"optimizer": {"learning_rate": NaN}}', "optimizer: learning_rate must be finite, got nan",
                  id="learning_rate_nan"),
@@ -222,6 +223,11 @@ def test_non_finite_data_file_exits_one(tmp_path, capsys, command):
     pytest.param(lambda a: b"hello\n", ("dataset.npz: not an npz archive",), id="text"),
     pytest.param(lambda a: {**a, "labels": a["labels"].astype(object)},
                  ("dataset.npz: labels cannot be read",), id="object_labels"),
+    # token counts that failed in the forward, without the path
+    pytest.param(lambda a: {**a, "tokens": a["tokens"][:, :0]},
+                 ("dataset.npz: tokens holds 0 per sample, expected 1 to 512",), id="no_tokens_per_sample"),
+    pytest.param(lambda a: {**a, "tokens": np.zeros((8, 513), dtype=np.int64)},
+                 ("dataset.npz: tokens holds 513 per sample, expected 1 to 512",), id="513_tokens"),
 ])
 def test_malformed_data_file_exits_one(tmp_path, capsys, command, edit, needles):
     """edit maps the arrays of a good file to what the --data file holds
@@ -258,7 +264,7 @@ def test_checkpoint_of_another_config_exits_one(tmp_path, capsys, command, overr
     _, cfg_path = _write_tiny_config(tmp_path)
     argv = [command, "--config", cfg_path, "--checkpoint", ckpt, *_out_args(command, tmp_path)]
     assert main(argv) == 1
-    _assert_one_line_error(capsys, *needles)
+    _assert_one_line_error(capsys, f"error: {ckpt}: ", *needles)
 
 
 def test_eval_missing_checkpoint_exits_nonzero(tmp_path, capsys):
@@ -448,3 +454,26 @@ def test_eval_of_a_checkpoint_holding_a_nan_exits_one(tmp_path, capsys):
     save_checkpoint(ckpt, store)
     assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
     _assert_one_line_error(capsys, f"'{store.names()[0]}' holds a non-finite value")
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("edit,needle", [
+    pytest.param(lambda blob: b'{"im' + blob[4:], "byte 0: bad magic b'{\"im'", id="bad_magic"),
+    pytest.param(lambda blob: blob[:len(blob) // 2], ": truncated", id="truncated"),
+])
+def test_a_bad_checkpoint_file_exits_one_naming_it(tmp_path, capsys, command, edit, needle):
+    cfg, cfg_path = _write_tiny_config(tmp_path)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(str(ckpt), FloodNet(cfg).store)
+    ckpt.write_bytes(edit(ckpt.read_bytes()))
+    assert main([command, "--config", cfg_path, "--checkpoint", str(ckpt), *_out_args(command, tmp_path)]) == 1
+    _assert_one_line_error(capsys, f"error: {ckpt}: byte ", needle)
+
+
+@pytest.mark.parametrize("command,seed", [("gen-data", -1), ("train", -3), ("gradcheck", -2), ("explain", -5)])
+def test_a_negative_seed_flag_exits_one_naming_the_field(tmp_path, capsys, command, seed):
+    _, cfg_path = _write_tiny_config(tmp_path)
+    out = [] if command == "gradcheck" else ["--out", str(tmp_path)]
+    assert main([command, "--config", cfg_path, "--seed", str(seed), *out]) == 1
+    _assert_one_line_error(capsys, f"seed must be >= 0, got seed={seed}")
+

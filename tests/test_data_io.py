@@ -254,6 +254,7 @@ def test_config_rejects_invalid_json(tmp_path):
         ("decoder_plan", (0,)),
         ("d_t", -3),
         ("transformer_depth", -1),
+        ("seed", -3),
         ("optimizer", AdamWConfig(learning_rate=float("nan"))),
         ("optimizer", AdamWConfig(learning_rate=float("inf"))),
         ("optimizer", AdamWConfig(weight_decay=float("inf"))),
