@@ -254,11 +254,11 @@ def test_config_rejects_invalid_json(tmp_path):
         ("decoder_plan", (0,)),
         ("d_t", -3),
         ("transformer_depth", -1),
-        ("seed", -3),
         ("optimizer", AdamWConfig(learning_rate=float("nan"))),
         ("optimizer", AdamWConfig(learning_rate=float("inf"))),
         ("optimizer", AdamWConfig(weight_decay=float("inf"))),
         ("optimizer", AdamWConfig(epsilon=0.0)),
+        ("seed", -3),
     ],
 )
 def test_config_validation_names_field(field, value):
