@@ -174,10 +174,10 @@ class Graph:
     def constant(self, value) -> Node:
         return self._record(_as_f64(value), (), None, "const")
 
-    def param(self, store, name: str, shape, init: str = "fanin") -> Node:
+    def param(self, store, name: str, shape, init: str = "fanin", blocks: tuple = ()) -> Node:
         """Leaf backed by the ParamStore entry `name` of `shape`, added with
-        `init` on its first read; backward accumulates there."""
-        entry = store.get(name, shape, init)
+        `init` and `blocks` (`ParamStore.add`) on its first read; backward accumulates there."""
+        entry = store.get(name, shape, init, blocks)
 
         def bwd(g, grads):
             entry.grad += g  # zeroed in place by zero_grad and adamw_step

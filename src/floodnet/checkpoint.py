@@ -5,7 +5,9 @@ Layout (little endian throughout):
 each entry:
   name_len u16 | name utf-8 | rank u8 | rank extents as u64 | data f64
 Trainable values are stored under their names; running-statistic buffers
-under a "buffer." prefix. Optimizer moments are not persisted.
+under a "buffer." prefix. Optimizer moments are not persisted.  Version 2
+names the fused attention and LSTM weights (`{prefix}.wq`, `{prefix}.w`);
+a version-1 file, which named each head and gate apart, is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .params import ParamStore
 
 MAGIC = b"XFLD"
-VERSION = 1
+VERSION = 2
 BUFFER_PREFIX = "buffer."
 
 

@@ -7,6 +7,7 @@ both attention outputs with the global feature vector.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,12 +35,21 @@ def hren_forward(g: Graph, store: ParamStore, cfg: ModelConfig, x: Node, train: 
     return g.add(agp, res)
 
 
+@functools.lru_cache(maxsize=16)
+def _shift_matrices(C: int) -> np.ndarray:
+    """The (3, C * C) flattened shift matrices np.eye(C, k=1 - j), j = 0,
+    1, 2, built once per C and read-only."""
+    shifts = np.stack([np.eye(C, k=1 - j) for j in range(3)]).reshape(3, C * C)
+    shifts.flags.writeable = False
+    return shifts
+
+
 def _channel_band(g: Graph, store: ParamStore, C: int) -> Node:
     """The (C, C) matrix of a same-padded length-3 convolution along the
     channel axis, gap @ band: band[p, q] = w[p - q + 1], the three taps
     times constant shift matrices."""
-    shifts = np.stack([np.eye(C, k=1 - j) for j in range(3)]).reshape(3, C * C)
-    return g.reshape(g.matmul(g.param(store, "hcamam.feeca.conv1d.w", (3,)), shifts), (C, C))
+    w = g.param(store, "hcamam.feeca.conv1d.w", (3,))
+    return g.reshape(g.matmul(w, _shift_matrices(C)), (C, C))
 
 
 def feeca_forward(g: Graph, store: ParamStore, x: Node, x_freq: Node) -> Node:

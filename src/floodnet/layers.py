@@ -6,6 +6,8 @@ stacked on a leading axis alike.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autodiff import NORM_EPS, Graph, Node, mean_var
@@ -18,17 +20,16 @@ def layer_norm(g: Graph, x: Node) -> Node:
     return g.standardize(x, -1)
 
 
-def attention(g: Graph, q_in: Node, kv_in: Node, heads) -> Node:
+def attention(g: Graph, q_in: Node, kv_in: Node, wq: Node, wk: Node, wv: Node, heads: int) -> Node:
     """Scaled dot-product attention of q_in's rows over kv_in's rows.
 
-    heads holds one (wq, wk, wv) triple per head; each head's scores
-    q k^T are scaled by 1/sqrt(head width) before the softmax, and the head
-    outputs are concatenated along the last axis.  Each projection's
-    per-head weights sit side by side, so the heads share three matmuls
-    and one `Graph.attention` node."""
-    wq, wk, wv = (ws[0] if len(ws) == 1 else g.concat(ws, axis=-1) for ws in zip(*heads))
+    wq, wk and wv hold the heads' projections as equal column blocks, head
+    h's in the h-th; each head's scores q k^T are scaled by 1/sqrt(head
+    width) before the softmax, and the head outputs are concatenated along
+    the last axis.  The heads share three matmuls and one `Graph.attention`
+    node."""
     q, k, v = g.matmul(q_in, wq), g.matmul(kv_in, wk), g.matmul(kv_in, wv)
-    return g.attention(q, k, v, len(heads))
+    return g.attention(q, k, v, heads)
 
 
 def linear(g: Graph, store, prefix: str, x: Node, d_out: int) -> Node:
@@ -40,12 +41,14 @@ def linear(g: Graph, store, prefix: str, x: Node, d_out: int) -> Node:
 
 def self_attention(g: Graph, store, prefix: str, x: Node, heads: int) -> Node:
     """Multi-head attention of x's rows over themselves, heads concatenated,
-    then W^O.  Each head maps the width d to d // heads; W^O is (d, d)."""
+    then W^O.  {prefix}.wq, wk and wv are each (d, heads * (d // heads)),
+    head h's (d, d // heads) projection in the h-th column block, drawn as
+    {prefix}.head{h}.wq (and so on) would be drawn alone; W^O is (d, d)."""
     d = x.shape[-1]
-    triples = [tuple(g.param(store, f"{prefix}.head{head}.{proj}", (d, d // heads))
-                     for proj in ("wq", "wk", "wv"))
-               for head in range(heads)]
-    return g.matmul(attention(g, x, x, triples), g.param(store, f"{prefix}.wo", (d, d)))
+    wq, wk, wv = (g.param(store, f"{prefix}.{proj}", (d, heads * (d // heads)),
+                          blocks=tuple(f"{prefix}.head{head}.{proj}" for head in range(heads)))
+                  for proj in ("wq", "wk", "wv"))
+    return g.matmul(attention(g, x, x, wq, wk, wv, heads), g.param(store, f"{prefix}.wo", (d, d)))
 
 
 def mlp(g: Graph, store, prefix: str, x: Node, d_hidden: int, d_out: int) -> Node:
@@ -102,10 +105,13 @@ def batch_norm(
     return g.add(g.mul(norm, gamma), beta)
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
-    """Fixed sinusoidal positional table, (n, d)."""
+    """Fixed sinusoidal positional table, (n, d), built once per (n, d) and
+    read-only."""
     pos = np.arange(n)[:, None]
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
     return table

@@ -8,6 +8,8 @@ Features may carry leading batch axes; every step works on the trailing
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autodiff import Graph, Node
@@ -33,9 +35,25 @@ def level_heads(h: int) -> dict[str, int]:
 # stub encoders (deterministic stand-ins for pretrained encoders)
 # ---------------------------------------------------------------------
 
+def _seeded_table(seed: int, key: int, shape: tuple) -> np.ndarray:
+    """A read-only standard normal array of `shape` drawn from (seed, key)."""
+    table = np.random.default_rng([seed, key]).standard_normal(shape)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
 def _token_table(d_t: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, 0x7E47])
-    return rng.standard_normal((TEXT_VOCAB, d_t))
+    """The stub text encoder's (TEXT_VOCAB, d_t) embedding table, built
+    once per (d_t, seed) and read-only."""
+    return _seeded_table(seed, 0x7E47, (TEXT_VOCAB, d_t))
+
+
+@functools.lru_cache(maxsize=16)
+def _image_projection(d_i: int, seed: int) -> np.ndarray:
+    """The stub image encoder's (3, d_i) map, built once per (d_i, seed)
+    and read-only."""
+    return _seeded_table(seed, 0x1147, (3, d_i))
 
 
 def stub_text_encoder(token_ids, d_t: int, seed: int) -> np.ndarray:
@@ -73,9 +91,7 @@ def stub_image_encoder(raw_image, grid: tuple[int, int], d_i: int, seed: int) ->
     ph, pw = h_img // H, w_img // W
     # two single-axis sums: numpy's mean over both axes at once is several times slower
     patches = img.reshape(tuple(lead) + (H, ph, W, pw, 3)).sum(axis=-4).sum(axis=-2) / (ph * pw)
-    rng = np.random.default_rng([seed, 0x1147])
-    proj = rng.standard_normal((3, d_i))
-    return patches @ proj
+    return patches @ _image_projection(d_i, seed)
 
 
 def extract_global_features(tokens: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -96,14 +112,17 @@ def _channel_split(d_se: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------
 
 def _lstm_direction(g: Graph, store: ParamStore, prefix: str, x: Node, hid: int, reverse: bool) -> Node:
-    """One LSTM direction over the rows of x (..., n, d): the named i/f/g/o
-    weights side by side, x @ W for every row in one matmul, and the
-    recurrence in one `Graph.lstm` node."""
-    decls = {"w": ((x.shape[-1], hid), "fanin"), "u": ((hid, hid), "fanin"),
-             "b": ((hid,), "zeros")}
-    w, u, b = (g.concat([g.param(store, f"{prefix}.{kind}{gate}", *decls[kind]) for gate in "ifgo"],
-                        axis=-1)
-               for kind in "wub")
+    """One LSTM direction over the rows of x (..., n, d): {prefix}.w
+    (d, 4*hid), u (hid, 4*hid) and b (4*hid,) hold gates i, f, g, o side by
+    side, each weight's gate blocks drawn as {prefix}.wi, ..., uo would be
+    drawn alone; x @ w for every row in one matmul, and the recurrence in
+    one `Graph.lstm` node."""
+    def gates(kind: str) -> tuple[str, ...]:
+        return tuple(f"{prefix}.{kind}{gate}" for gate in "ifgo")
+
+    w = g.param(store, f"{prefix}.w", (x.shape[-1], 4 * hid), blocks=gates("w"))
+    u = g.param(store, f"{prefix}.u", (hid, 4 * hid), blocks=gates("u"))
+    b = g.param(store, f"{prefix}.b", (4 * hid,), "zeros")
     return g.lstm(g.matmul(x, w), u, b, reverse)
 
 
@@ -161,8 +180,8 @@ def cross_modal_attention(g: Graph, store: ParamStore, gt: Node, gi: Node) -> tu
     d = gt.shape[-1]
     t, i = ({proj: g.param(store, f"mfim.cross.{m}.{proj}", (d, d)) for proj in ("wq", "wk", "wv")}
             for m in "ti")
-    att_t2i = attention(g, gt, gi, [(t["wq"], i["wk"], i["wv"])])
-    att_i2t = attention(g, gi, gt, [(i["wq"], t["wk"], t["wv"])])
+    att_t2i = attention(g, gt, gi, t["wq"], i["wk"], i["wv"], 1)
+    att_i2t = attention(g, gi, gt, i["wq"], t["wk"], t["wv"], 1)
     return att_t2i, att_i2t
 
 

@@ -99,7 +99,7 @@ class _Layout(ParamStore):
     the names and shapes it reads without drawing or allocating values, so
     its seed goes unused."""
 
-    def add(self, name: str, shape, init: str = "fanin") -> None:
+    def add(self, name: str, shape, init: str = "fanin", blocks: tuple[str, ...] = ()) -> None:
         zero = np.broadcast_to(0.0, tuple(shape))
         self.entries[name] = ParamEntry(zero, zero, zero, zero)
 

@@ -1,9 +1,9 @@
 """Named trainable tensors with per-parameter AdamW state.
 
 A parameter is added where a forward first reads it (`get`), and its
-initialization is a pure function of (store seed, parameter name), so two
-stores of the same seed that read the same names are bit-identical
-regardless of reading order.
+initialization is a pure function of the store seed and the parameter name,
+or the names of its column blocks, so two stores of the same seed that read
+the same names are bit-identical regardless of reading order.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ class ParamEntry:
 class ParamStore:
     """Map from hierarchical name to trainable tensor plus optimizer state.
 
+    A `fanin` value is drawn from a generator keyed by (seed, name).  A
+    fused weight, such as the per-head projections of an attention or the
+    gates of an LSTM side by side, names its equal column blocks instead:
+    each block is drawn as that name would be drawn alone, so the fused
+    value equals the blocks' separate values concatenated on the last axis.
     `buffers` holds non-trainable state (batch-norm running statistics).
     Iteration is sorted by name for determinism.
     """
@@ -63,7 +68,9 @@ class ParamStore:
     def _rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
 
-    def add(self, name: str, shape, init: str = "fanin") -> None:
+    def add(self, name: str, shape, init: str = "fanin", blocks: tuple[str, ...] = ()) -> None:
+        """Adds `name` at `shape`.  A `fanin` value with `blocks` is that
+        many equal column blocks, each drawn under its block name."""
         if name in self.entries:
             raise KeyError(f"duplicate parameter {name!r}")
         shape = tuple(shape)
@@ -72,9 +79,12 @@ class ParamStore:
         elif init == "ones":
             value = np.ones(shape)
         elif init == "fanin":
-            fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
+            names = blocks or (name,)
+            block = shape[:-1] + (shape[-1] // len(names),)
+            fan_in = int(np.prod(block[:-1])) if len(block) > 1 else block[0]
             bound = np.sqrt(6.0 / fan_in)
-            value = self._rng(name).uniform(-bound, bound, size=shape)
+            parts = [self._rng(n).uniform(-bound, bound, size=block) for n in names]
+            value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         else:
             raise ValueError(f"unknown init {init!r}")
         self.entries[name] = ParamEntry(
@@ -86,12 +96,12 @@ class ParamStore:
             raise KeyError(f"duplicate buffer {name!r}")
         self.buffers[name] = np.asarray(value, dtype=np.float64)
 
-    def get(self, name: str, shape, init: str) -> ParamEntry:
-        """The entry `name`, added with `init` on its first read; a read at
-        another shape raises."""
+    def get(self, name: str, shape, init: str, blocks: tuple[str, ...] = ()) -> ParamEntry:
+        """The entry `name`, added with `init` (and `blocks`, see `add`) on
+        its first read; a read at another shape raises."""
         shape = tuple(shape)
         if name not in self.entries:
-            self.add(name, shape, init)
+            self.add(name, shape, init, blocks)
         entry = self.entries[name]
         if entry.value.shape != shape:
             raise ValueError(f"parameter {name!r} has shape {entry.value.shape}, read as {shape}")

@@ -122,9 +122,9 @@ def test_criterion_2_oracle_suite():
     xs = rng.standard_normal((3, cfg.d_se))
     g = Graph()
     out = _lstm_direction(g, store, "mfim.bilstm.fwd", g.constant(xs), hid, False)
-    w = {c: store.entries[f"mfim.bilstm.fwd.w{c}"].value for c in "ifgo"}
-    u = {c: store.entries[f"mfim.bilstm.fwd.u{c}"].value for c in "ifgo"}
-    bb = {c: store.entries[f"mfim.bilstm.fwd.b{c}"].value for c in "ifgo"}
+    # each gate's column block of the fused weights, gates i, f, g, o side by side
+    w, u, bb = (dict(zip("ifgo", np.split(store.entries[f"mfim.bilstm.fwd.{kind}"].value, 4, axis=-1)))
+                for kind in "wub")
     for got_h, exp_h in zip(out.value, lstm_unrolled(list(xs), w, u, bb, hid)):
         assert np.abs(got_h - exp_h).max() < 1e-10
 
@@ -136,13 +136,11 @@ def test_criterion_2_oracle_suite():
         x = rng.standard_normal((3, cfg.d_se))
         g = Graph()
         got = self_attention(g, store, f"mfim.att.t.{level}", g.constant(x), n_heads).value
-        heads = []
-        for head in range(n_heads):
-            hp = f"mfim.att.t.{level}.head{head}"
-            heads.append(attention_loops(
-                x, store.entries[f"{hp}.wq"].value, store.entries[f"{hp}.wk"].value,
-                store.entries[f"{hp}.wv"].value, 1.0 / scale,
-            ))
+        # head h's projections are the h-th column blocks of the fused weights
+        wq, wk, wv = (np.split(store.entries[f"mfim.att.t.{level}.{proj}"].value, n_heads, axis=-1)
+                      for proj in ("wq", "wk", "wv"))
+        heads = [attention_loops(x, wq[head], wk[head], wv[head], 1.0 / scale)
+                 for head in range(n_heads)]
         expected = np.concatenate(heads, axis=1) @ store.entries[
             f"mfim.att.t.{level}.wo"
         ].value
@@ -235,7 +233,9 @@ def test_criterion_3_shape_and_normalization_invariants():
     assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}
     layout = FloodNet(ModelConfig(d_se=512, h=8), _Layout(0)).store
     for level, width in (("coarse", 128), ("medium", 64), ("fine", 32)):
-        assert layout.entries[f"mfim.att.t.{level}.head0.wq"].value.shape == (512, width)
+        # the heads' (512, width) projections side by side
+        assert level_heads(8)[level] * width == 512
+        assert layout.entries[f"mfim.att.t.{level}.wq"].value.shape == (512, 512)
 
 
 @pytest.mark.slow

@@ -250,10 +250,11 @@ def test_transformer_depth_one_matches_layer_oracle():
     normed = layer_norm_ref(x)
     scale = 1.0 / np.sqrt(d / heads)
     outs = []
+    # head h's projections are the h-th column blocks of the fused weights
+    wq, wk, wv = (np.split(store.entries[f"cctfrm.tr0.{proj}"].value, heads, axis=-1)
+                  for proj in ("wq", "wk", "wv"))
     for head in range(heads):
-        q = normed @ store.entries[f"cctfrm.tr0.head{head}.wq"].value
-        k = normed @ store.entries[f"cctfrm.tr0.head{head}.wk"].value
-        v = normed @ store.entries[f"cctfrm.tr0.head{head}.wv"].value
+        q, k, v = normed @ wq[head], normed @ wk[head], normed @ wv[head]
         outs.append(softmax_rows(q @ k.T * scale) @ v)
     x = x + np.concatenate(outs, axis=1) @ store.entries["cctfrm.tr0.wo"].value
     normed = layer_norm_ref(x)

@@ -460,6 +460,8 @@ def test_eval_of_a_checkpoint_holding_a_nan_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("edit,needle", [
     pytest.param(lambda blob: b'{"im' + blob[4:], "byte 0: bad magic b'{\"im'", id="bad_magic"),
     pytest.param(lambda blob: blob[:len(blob) // 2], ": truncated", id="truncated"),
+    # version 1 named each attention head's and LSTM gate's weight apart; retrain
+    pytest.param(lambda blob: blob[:4] + b"\x01" + blob[5:], "byte 4: unsupported version 1", id="version_1"),
 ])
 def test_a_bad_checkpoint_file_exits_one_naming_it(tmp_path, capsys, command, edit, needle):
     cfg, cfg_path = _write_tiny_config(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 
 from floodnet.checkpoint import (
     BUFFER_PREFIX,
+    VERSION,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
@@ -157,7 +158,7 @@ def test_checkpoint_every_truncation_names_its_field(tmp_path):
 def _write_entries(path, entries):
     """A checkpoint of (name bytes, float array) entries, laid out as the
     module docstring says, whatever the names and values."""
-    blob = b"XFLD" + struct.pack("<BI", 1, len(entries))
+    blob = b"XFLD" + struct.pack("<BI", VERSION, len(entries))
     for name, arr in entries:
         blob += struct.pack("<H", len(name)) + name
         blob += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape) + arr.astype("<f8").tobytes()

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -112,10 +114,15 @@ def _lstm_store(cfg, seed=0):
 
 
 def _gate_dicts(store, prefix):
-    w = {k: store.entries[f"{prefix}.w{k}"].value for k in "ifgo"}
-    u = {k: store.entries[f"{prefix}.u{k}"].value for k in "ifgo"}
-    b = {k: store.entries[f"{prefix}.b{k}"].value for k in "ifgo"}
-    return w, u, b
+    """Each gate's column block of the fused w, u and b, gates i, f, g, o
+    side by side."""
+    return tuple(dict(zip("ifgo", np.split(store.entries[f"{prefix}.{kind}"].value, 4, axis=-1)))
+                 for kind in "wub")
+
+
+def _head_block(store, prefix, proj, n_heads, head):
+    """Head `head`'s column block of the fused projection {prefix}.{proj}."""
+    return np.split(store.entries[f"{prefix}.{proj}"].value, n_heads, axis=-1)[head]
 
 
 def test_lstm_zero_inputs_zero_weights():
@@ -258,7 +265,16 @@ def test_head_dimension_arithmetic_large_scale():
     assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}
     layout = FloodNet(ModelConfig(d_se=512, h=8), _Layout(0)).store
     for level, width in (("coarse", 128), ("medium", 64), ("fine", 32)):
-        assert layout.entries[f"mfim.att.t.{level}.head0.wq"].value.shape == (512, width)
+        assert layout.entries[f"mfim.att.t.{level}.wq"].value.shape == (512, 512)
+        # head 0's block is as wide as the draw of its own (512, width) weight
+        prefix = f"mfim.att.t.{level}"
+        store = ParamStore(0)
+        g = Graph()
+        self_attention(g, store, prefix, g.constant(np.zeros((1, 512))), level_heads(8)[level])
+        bound = np.sqrt(6.0 / 512)
+        own = np.random.default_rng([0, zlib.crc32(f"{prefix}.head0.wq".encode())]).uniform(
+            -bound, bound, (512, width))
+        np.testing.assert_array_equal(store.entries[f"{prefix}.wq"].value[:, :width], own)
 
 
 def test_attention_singleton_sequence():
@@ -268,7 +284,7 @@ def test_attention_singleton_sequence():
     x = rng.standard_normal((1, 4))
     g = Graph()
     out = self_attention(g, store, "mfim.att.t.coarse", g.constant(x), level_heads(cfg.h)["coarse"])
-    v = x @ store.entries["mfim.att.t.coarse.head0.wv"].value
+    v = x @ _head_block(store, "mfim.att.t.coarse", "wv", level_heads(cfg.h)["coarse"], 0)
     expected = v @ store.entries["mfim.att.t.coarse.wo"].value
     assert np.abs(out.value - expected).max() < 1e-12
 
@@ -285,12 +301,9 @@ def test_attention_matches_loop_oracle(level, scale):
     out = self_attention(g, store, f"mfim.att.i.{level}", g.constant(x), n_heads)
     heads = []
     for head in range(n_heads):
-        hp = f"mfim.att.i.{level}.head{head}"
         heads.append(attention_loops(
             x,
-            store.entries[f"{hp}.wq"].value,
-            store.entries[f"{hp}.wk"].value,
-            store.entries[f"{hp}.wv"].value,
+            *(_head_block(store, f"mfim.att.i.{level}", proj, n_heads, head) for proj in ("wq", "wk", "wv")),
             1.0 / scale,
         ))
     expected = np.concatenate(heads, axis=1) @ store.entries[f"mfim.att.i.{level}.wo"].value

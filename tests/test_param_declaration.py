@@ -46,7 +46,7 @@ def test_store_holds_exactly_what_a_training_forward_reads(monkeypatch, off):
 def test_a_store_with_parameters_the_config_does_not_read_is_refused():
     # the full model's store holds the gating parameters that use_hcgam=False never reads
     full = FloodNet(make_tiny_config()).store
-    with pytest.raises(ConfigError, match="the store holds parameter 'mfim.att.i.coarse.head0.wk', "
+    with pytest.raises(ConfigError, match="the store holds parameter 'mfim.att.i.coarse.wk', "
                                           "which the config does not use"):
         FloodNet(make_tiny_config(use_hcgam=False), full)
 

@@ -16,8 +16,9 @@ ALLOWED = {
     # called as bwd(g, grads)
     ("autodiff", "Graph.param.bwd", "grads"),
     # ParamStore.get adds a parameter on its first read through `add`, which
-    # _Layout overrides with a zero view that has no init to draw
+    # _Layout overrides with a zero view that has no init or blocks to draw
     ("model", "_Layout.add", "init"),
+    ("model", "_Layout.add", "blocks"),
 }
 
 ALLOWED_DEFAULTS = set()
