@@ -68,7 +68,6 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 NORM_EPS = 1e-5  # added to every variance a normalization divides by
 
@@ -100,12 +99,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+@np.errstate(over="ignore")
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)), each step in out (a new array when None).  exp
     overflows to inf below z of about -709, which gives exactly 0."""
     out = np.negative(z, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -156,7 +155,11 @@ class Graph:
         self.param_grads = param_grads
 
     def _record(self, value, parents, bwd, tag, source=False) -> Node:
-        active = source or any(p.active for p in parents)
+        active = source
+        for p in parents:
+            if p.active:
+                active = True
+                break
         node = Node(len(self.nodes), value, parents, bwd if active else None, tag, active)
         self.nodes.append(node)
         return node
@@ -278,24 +281,24 @@ class Graph:
             raise ShapeError(f"attention of {heads} heads needs (...,n,heads*d) and two (...,m,heads*d), "
                              f"got {q.shape}, {k.shape} and {v.shape}")
         # (..., rows, heads * d) <-> (..., heads, rows, d)
-        split = lambda a: np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
-        merge = lambda a: np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], width))
+        split = lambda a: a.reshape(a.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
+        merge = lambda a: a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], width))
         qh, kh, vh = split(q.value), split(k.value), split(v.value)
         c = 1.0 / np.sqrt(width // heads)
-        s = qh @ np.swapaxes(kh, -1, -2) * c
+        s = qh @ kh.swapaxes(-1, -2) * c
         p = np.exp(s - s.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
 
         def bwd(g, grads):
             gh = split(g)
             if v.active:
-                grads.accumulate(v.idx, merge(np.swapaxes(p, -1, -2) @ gh))
-            dp = gh @ np.swapaxes(vh, -1, -2)
+                grads.accumulate(v.idx, merge(p.swapaxes(-1, -2) @ gh))
+            dp = gh @ vh.swapaxes(-1, -2)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
             if q.active:
                 grads.accumulate(q.idx, merge(ds @ kh))
             if k.active:
-                grads.accumulate(k.idx, merge(np.swapaxes(ds, -1, -2) @ qh))
+                grads.accumulate(k.idx, merge(ds.swapaxes(-1, -2) @ qh))
 
         return self._record(merge(p @ vh), (q, k, v), bwd, "attention")
 
@@ -321,7 +324,7 @@ class Graph:
         to_run = lambda v, width: v.reshape(nb, n, width).transpose(1, 0, 2)[run]
         xs = to_run(xw.value, 4 * hid)
         act = np.empty((n, nb, 4 * hid))  # sigmoid(z) of i, f and o, tanh(z) of g
-        i, f, gt, o = (act.reshape(n, nb, 4, hid)[:, :, k] for k in range(4))
+        i, f, gt, o = act.reshape(n, nb, 4, hid).transpose(2, 0, 1, 3)
         hs, cs = np.zeros((n + 1, nb, hid)), np.zeros((n + 1, nb, hid))  # the zero state, then each step's
         tc = np.empty((n, nb, hid))
         z = np.empty((nb, 4 * hid))
@@ -377,15 +380,15 @@ class Graph:
     def concat(self, parts, axis: int) -> Node:
         parts = [self._coerce(p) for p in parts]
         out = np.concatenate([p.value for p in parts], axis=axis)
-        offsets = list(itertools.accumulate((p.shape[axis] for p in parts), initial=0))
 
         def bwd(g, grads):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if not p.active:
-                    continue
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                grads.accumulate(p.idx, g[tuple(sl)])
+            sl = [slice(None)] * g.ndim
+            hi = 0
+            for p in parts:
+                lo, hi = hi, hi + p.shape[axis]
+                if p.active:
+                    sl[axis] = slice(lo, hi)
+                    grads.accumulate(p.idx, g[tuple(sl)])
 
         return self._record(out, tuple(parts), bwd, "concat")
 
@@ -407,12 +410,14 @@ class Graph:
 
     def reduce_sum(self, a, axes=None, keepdims=False) -> Node:
         a = self._coerce(a)
+        if axes is not None and not isinstance(axes, tuple):
+            axes = (axes,)
         out = a.value.sum(axis=axes, keepdims=keepdims)
         if out.ndim == 0:
             out = out.reshape(1)
-        nd = a.value.ndim
-        reduced = range(nd) if axes is None else {ax % nd for ax in np.atleast_1d(axes)}
-        kept = tuple(1 if i in reduced else n for i, n in enumerate(a.shape))
+        kept = list(a.value.shape)  # out's shape with keepdims
+        for ax in range(len(kept)) if axes is None else axes:
+            kept[ax] = 1
 
         def bwd(g, grads):
             grads.accumulate(a.idx, np.broadcast_to(g.reshape(kept), a.shape))
@@ -467,7 +472,7 @@ class Graph:
 
     def _affine(self, affine, shape) -> tuple[Node, Node]:
         """affine = (gamma, beta) as nodes, checked to be (C,) for a map of shape (..., C)."""
-        gamma, beta = (self._coerce(p) for p in affine)
+        gamma, beta = self._coerce(affine[0]), self._coerce(affine[1])
         C = shape[-1]
         if gamma.shape != (C,) or beta.shape != (C,):
             raise ShapeError(f"affine of {gamma.shape} and {beta.shape} for {shape}: want ({C},)")
@@ -560,7 +565,7 @@ class Graph:
         # to one row, so that numpy's inner loops run along rows, not along C
         rows = (nb, H, W * C)
         maps = lambda v: v.reshape(-1, H, W, C)
-        wide = lambda stat: np.tile(stat.reshape(-1, 1, C), (1, 1, W))
+        wide = lambda stat: stat.reshape(-1, 1, 1, C).repeat(W, axis=2).reshape(-1, 1, W * C)
         av = a.value.reshape(rows)
         mask = None if mask is None else mask.reshape(rows)
         s, n, keep = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
@@ -568,7 +573,7 @@ class Graph:
         first = np.empty(out.shape, dtype=np.uint8)
         gamma_w, beta_w = wide(gamma.value), wide(beta.value)
         if stats is None:
-            mean, var, rstd = (np.empty((nb, 1, 1, C)) for _ in range(3))
+            mean, var, rstd = np.empty((3, nb, 1, 1, C))
         else:
             mean_w, rstd_w = wide(stats[0]), wide(1.0 / np.sqrt(stats[1] + NORM_EPS))
         # per sample: a map's gate, its normalization and the gradient's temporaries
@@ -673,8 +678,7 @@ class Graph:
 
         # (a, b, lead, p, q, d, e, c) -> xp[lead, p + a + d, q + b + e, c]
         sh, sw, sc = xp.strides[-3:]
-        windows = as_strided(xp, (2, 2) + lead + (H, W, 2, 2, C),
-                             (sh, sw) + xp.strides[:-3] + (sh, sw, sh, sw, sc), writeable=False)
+        windows = _view(xp, (2, 2) + lead + (H, W, 2, 2, C), (sh, sw) + xp.strides[:-3] + (sh, sw, sh, sw, sc))
         im2col = lambda: windows.reshape(4, rows, 4 * C)  # copies: the windows overlap
 
         out = np.matmul(im2col(), keff).reshape((2, 2) + lead + (H, W, c_out))
@@ -725,8 +729,9 @@ class Graph:
 
 def _spatial(nd: int, axes) -> bool:
     """axes are the H and W axes of a (..., H, W, C) array of rank nd."""
-    axes = axes if isinstance(axes, (tuple, list)) else (axes,)
-    return nd >= 3 and sorted(ax % nd for ax in axes) == [nd - 3, nd - 2]
+    if not isinstance(axes, (tuple, list)) or len(axes) != 2 or nd < 3:
+        return False
+    return sorted((axes[0] % nd, axes[1] % nd)) == [nd - 3, nd - 2]
 
 
 def _sum(v: np.ndarray, axes) -> np.ndarray:
@@ -812,6 +817,14 @@ def _spans(nb: int, bytes_per_sample: int) -> tuple[int, list[tuple[int, int]]]:
     return chunk, [(b, min(b + chunk, nb)) for b in range(0, nb, chunk)]
 
 
+def _view(buf: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A read-only view of buf's memory from its first byte, by shape and
+    strides; numpy raises if the view reaches outside buf."""
+    view = np.ndarray(shape, buf.dtype, buf, 0, strides)
+    view.flags.writeable = False
+    return view
+
+
 def _columns(xb: np.ndarray, K: int, groups: int):
     """Yields (b0, b1, taps) for each chunk of xb's (nb, H, W, C) maps.  The
     chunk is lowered along W only (MEC, Cho & Brand 2017, arXiv:1706.06873)
@@ -831,7 +844,7 @@ def _columns(xb: np.ndarray, K: int, groups: int):
         m = b1 - b0
         xp[:m, P:P + H, P:P + W] = xb[b0:b1]
         # (groups, m, Hp, W, K, cg) -> xp[b, r, q + j, group*cg + c]
-        windows = as_strided(xp, (groups, m, Hp, W, K, cg), (cg * sc, sb, sh, sw, sw, sc), writeable=False)
+        windows = _view(xp, (groups, m, Hp, W, K, cg), (cg * sc, sb, sh, sw, sw, sc))
         np.copyto(low[:, :m], windows)
         yield b0, b1, [low[:, :m, i:i + H].reshape(groups, m, H * W, K * cg) for i in range(K)]
 

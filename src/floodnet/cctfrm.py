@@ -139,7 +139,7 @@ def reverse_feature_harmonization(
     rows, cols = (n // m * np.arange(m)[:, None] + np.arange(3) - 1 for n, m in ((H, H_t), (W, W_t)))
     windows = x_img.value[..., rows.clip(0, H - 1)[:, :, None, None], cols.clip(0, W - 1), :]
     windows *= (((rows >= 0) & (rows < H))[:, :, None, None] & ((cols >= 0) & (cols < W)))[..., None]
-    windows = np.swapaxes(windows, -4, -3).reshape(tuple(lead) + (H_t, W_t, 9 * C))
+    windows = windows.swapaxes(-4, -3).reshape(tuple(lead) + (H_t, W_t, 9 * C))
     kernel = g.param(store, "cctfrm.adapter.kernel", (3, 3, C, C_t))
     adapted = g.matmul(windows, g.reshape(kernel, (9 * C, C_t)))
     x_n = batch_norm(g, adapted, store, "cctfrm.harm.bn_img", train)

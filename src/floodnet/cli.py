@@ -199,8 +199,6 @@ def _predictions(path: str, keys: tuple[str, ...]) -> dict:
 
 def cmd_metrics(args) -> int:
     data = _predictions(args.predictions, ("y_true", "y_pred"))
-    if data["y_true"] == []:
-        raise InputError(f"{args.predictions} holds no labels")
     try:
         report = compute_metrics(np.array(data["y_true"]), np.array(data["y_pred"]), data.get("probs"))
     except ValueError as e:

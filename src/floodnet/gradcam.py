@@ -6,13 +6,18 @@ import json
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import ContractError, Graph, ShapeError
 from .model import FloodNet
 
 
 def heatmap_from_activation(activation: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """Weighted channel sum with spatially pooled gradient weights, then
-    ReLU and [0,1] normalization (all-zero map stays all zero)."""
+    """The (H, W) map of one sample's (H, W, C) activation and its
+    gradient, which must have the same shape, else ShapeError: weighted
+    channel sum with spatially pooled gradient weights, then ReLU and [0,1]
+    normalization (all-zero map stays all zero)."""
+    if activation.ndim != 3 or gradient.shape != activation.shape:
+        raise ShapeError(f"a heatmap needs an (H, W, C) activation and a gradient of its shape, "
+                         f"got {activation.shape} and {gradient.shape}")
     weights = gradient.mean(axis=(0, 1))
     cam = np.maximum((activation * weights[None, None, :]).sum(axis=2), 0.0)
     peak = cam.max()
@@ -35,11 +40,14 @@ class _WatchedTaps(dict):
 
 
 def grad_cam(model: FloodNet, sample, target_layer: str = "enc0") -> np.ndarray:
-    """Heatmap of the pre-sigmoid logit's sensitivity at an encoder block.
+    """Heatmap of the pre-sigmoid logit's sensitivity at an encoder block,
+    for one sample; a list of samples raises ContractError.
 
     The parameters are not sources and the tap is watched, so the sweep
     covers only the tap's descendants and no ParamStore grad changes.
     An unknown layer raises KeyError before the forward runs."""
+    if isinstance(sample, list):
+        raise ContractError(f"grad_cam takes one sample, not a list of {len(sample)}")
     cfg = model.cfg
     layers = [f"enc{i}" for i in range(len(cfg.encoder_plan))] if cfg.use_cctfrm else []
     if target_layer not in layers:

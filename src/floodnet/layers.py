@@ -65,8 +65,8 @@ def batch_norm_state(g: Graph, store, name: str, C: int):
     (running_mean, running_var) buffers, each (C,), read in that order."""
     gamma = g.param(store, name + ".gamma", (C,), "ones")
     beta = g.param(store, name + ".beta", (C,), "zeros")
-    return (gamma, beta), (store.buffer(name + ".running_mean", np.zeros(C)),
-                           store.buffer(name + ".running_var", np.ones(C)))
+    return (gamma, beta), (store.buffer(name + ".running_mean", C, 0.0),
+                           store.buffer(name + ".running_var", C, 1.0))
 
 
 def fold_running_stats(store, name: str, mean: np.ndarray, var: np.ndarray) -> None:

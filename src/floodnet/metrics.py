@@ -43,11 +43,13 @@ def compute_metrics(
     """Confusion-matrix metrics with the 0-denominator conventions:
     precision/recall/f1 are 0 when undefined, mcc is 0 when any marginal
     is 0, and kappa is 1 for perfect agreement even when chance agreement
-    is also perfect.  Labels must be a flat array of 0 or 1, and probs
-    numbers in [0, 1]."""
+    is also perfect.  Labels must be a flat array of 0 or 1, at least one,
+    and probs numbers in [0, 1]; anything else raises ValueError."""
     y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.ndim != 1:
         raise ValueError(f"y_true has shape {y_true.shape}, not a flat list of labels")
+    if y_true.size == 0:
+        raise ValueError("y_true holds no labels")
     check_labels("y_true", y_true, y_true.shape)
     check_labels("y_pred", y_pred, y_true.shape)
     if probs is not None:
@@ -64,14 +66,14 @@ def compute_metrics(
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     fn = int(np.sum((y_true == 1) & (y_pred == 0)))
     n = tp + tn + fp + fn
-    accuracy = (tp + tn) / n if n else 0.0
+    accuracy = (tp + tn) / n
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     mcc = (tp * tn - fp * fn) / math.sqrt(denom) if denom else 0.0
     po = accuracy
-    pe = ((tp + fp) * (tp + fn) + (tn + fn) * (tn + fp)) / (n * n) if n else 0.0
+    pe = ((tp + fp) * (tp + fn) + (tn + fn) * (tn + fp)) / (n * n)
     if pe == 1.0:
         kappa = 1.0 if po == 1.0 else 0.0
     else:

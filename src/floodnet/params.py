@@ -107,10 +107,11 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} has shape {entry.value.shape}, read as {shape}")
         return entry
 
-    def buffer(self, name: str, init: np.ndarray) -> np.ndarray:
-        """The buffer `name`, added as `init` on its first read."""
+    def buffer(self, name: str, size: int, fill: float) -> np.ndarray:
+        """The buffer `name`, added as `size` copies of `fill` on its first
+        read; a later read builds no array."""
         if name not in self.buffers:
-            self.add_buffer(name, init)
+            self.add_buffer(name, np.full(size, fill))
         return self.buffers[name]
 
     def names(self) -> list[str]:

@@ -31,7 +31,8 @@ def evaluate(
 ) -> tuple[np.ndarray, MetricsReport]:
     """Eval-mode pass over samples, one graph per batch_size chunk; returns
     probabilities and metrics.  The graphs have no sources, so they record
-    no backward rules."""
+    no backward rules.  No samples raises ValueError, as compute_metrics
+    does on no labels."""
     probs = np.empty(len(samples))
     step = model.cfg.batch_size
     for start in range(0, len(samples), step):

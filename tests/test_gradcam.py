@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from floodnet.autodiff import Graph
+from floodnet.autodiff import ContractError, Graph, ShapeError
 from floodnet.data import generate_synthetic_dataset
 from floodnet.gradcam import grad_cam, heatmap_from_activation, write_pgm, write_sidecar
 from floodnet.model import FloodNet
@@ -32,6 +32,31 @@ def test_single_pixel_positive_gradient_peaks_there():
     heat = heatmap_from_activation(activation, gradient)
     assert heat[2, 1] == 1.0
     assert heat.sum() == 1.0
+
+
+@pytest.mark.parametrize("activation,gradient", [
+    ((1, 8, 8, 4), (1, 8, 8, 4)),  # a batch of one: the map of (8, 8) is due
+    ((8, 8, 4), (8, 8, 3)),
+    ((8, 8, 4), (1, 8, 8, 4)),
+    ((8, 4), (8, 4)),
+])
+def test_heatmap_needs_one_map_and_a_gradient_of_its_shape(activation, gradient):
+    with pytest.raises(ShapeError, match="an \\(H, W, C\\) activation and a gradient of its shape"):
+        heatmap_from_activation(np.ones(activation), np.ones(gradient))
+
+
+def test_grad_cam_refuses_a_list_before_the_forward(monkeypatch):
+    cfg = make_tiny_config()
+    model = FloodNet(cfg)
+    sample = generate_synthetic_dataset(1, 0, 0.0, cfg.image_size, cfg.n_t)[0]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("grad_cam ran the forward")
+
+    monkeypatch.setattr(FloodNet, "forward", no_forward)
+    for samples in ([sample], [sample, sample]):
+        with pytest.raises(ContractError, match=f"grad_cam takes one sample, not a list of {len(samples)}$"):
+            grad_cam(model, samples, "enc0")
 
 
 def test_grad_cam_on_model_layers():

@@ -298,7 +298,19 @@ def test_train_rejects_empty_training_set():
         train(FloodNet(cfg), [], [], epochs=1)
 
 
+def test_evaluate_rejects_no_samples():
+    with pytest.raises(ValueError, match="y_true holds no labels"):
+        evaluate(FloodNet(make_tiny_config()), [])
+
+
 # ---- metrics ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("probs", [None, []])
+def test_metrics_reject_no_labels(probs):
+    """Not accuracy 0 and a NaN log loss."""
+    with pytest.raises(ValueError, match="y_true holds no labels"):
+        compute_metrics([], [], probs)
 
 
 def test_metrics_perfect_predictions():
