@@ -45,7 +45,10 @@ map, records a `conv2d` node too; it never builds the upsampled map.
 gated_norm_pool is a gated block's swish gate, dropout mask, normalization,
 affine and 2x2 max pool as one node, run a chunk of leading indices at a
 time within the same budget; its tape keeps neither the gated map nor the
-normalized map before the pool.
+pre-pool map.  An active node's rule keeps the normalized map, each
+window's first-maximum index and one map of the gate's derivative times
+the keep map of a > 0 and the dropout mask, formed in the forward while a
+and sigmoid(a) are in cache.  An inactive node keeps none of them.
 
 Each computation has one kernel: `_sigmoid` serves sigmoid, softplus's
 rule, lstm's gates and gated_norm_pool's gate; `_maxpool2_first` pools and
@@ -551,14 +554,20 @@ class Graph:
         Returns the node and, when stats is None, each map's (mean, var)
         with keepdims, as mean_var gives them; else None.  Both passes run
         a chunk of leading indices at a time, within IM2COL_CHUNK_BYTES.
-        The rule keeps sigmoid(a), the bool mask & (a > 0), n, each map's
-        1 / sqrt(var + NORM_EPS) and the uint8 index of each window's first
-        maximum in row order, where the window's gradient goes."""
+        An active node's rule keeps n, each map's 1 / sqrt(var + NORM_EPS),
+        the uint8 index of each window's first maximum in row order, where
+        the window's gradient goes, and, when a is active, the gate's
+        derivative f = s * (1 + a * (1 - s)) * (a > 0) * mask, s being
+        sigmoid(a).  An inactive node keeps none of them: it works in
+        chunk-sized scratch and pools by maxima alone."""
         a = self._coerce(a)
         gamma, beta = self._affine(affine, a.shape)
         _check_poolable(a.shape)
         if mask is not None and (mask.shape != a.shape or mask.dtype != bool):
             raise ShapeError(f"the dropout mask must be bool of {a.shape}, got {mask.dtype} of {mask.shape}")
+        if mask is None:
+            scale = 1.0  # scale applies to a masked activation only
+        active = a.active or gamma.active or beta.active
         *lead, H, W, C = a.shape
         lead, nb, count = tuple(lead), math.prod(lead), H * W
         # each map is worked on as H rows of W*C against statistics widened
@@ -568,9 +577,7 @@ class Graph:
         wide = lambda stat: stat.reshape(-1, 1, 1, C).repeat(W, axis=2).reshape(-1, 1, W * C)
         av = a.value.reshape(rows)
         mask = None if mask is None else mask.reshape(rows)
-        s, n, keep = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
         out = np.empty((nb, H // 2, W // 2, C))
-        first = np.empty(out.shape, dtype=np.uint8)
         gamma_w, beta_w = wide(gamma.value), wide(beta.value)
         if stats is None:
             mean, var, rstd = np.empty((3, nb, 1, 1, C))
@@ -580,16 +587,29 @@ class Graph:
         chunk, spans = _spans(nb, 4 * H * W * C * 8)
         work = (chunk, H, W * C)
         t = np.empty(work)
+        n = np.empty(rows if active else work)
+        first = np.empty(out.shape, dtype=np.uint8) if active else None
+        f = np.empty(rows) if a.active else None
         for b0, b1 in spans:
-            ac, sc, tc, nc, kc = av[b0:b1], s[b0:b1], t[:b1 - b0], n[b0:b1], keep[b0:b1]
+            ac, tc = av[b0:b1], t[:b1 - b0]
+            # sc, n's chunk, holds sigmoid(a) until the normalization overwrites it
+            sc = nc = n[b0:b1] if active else n[:b1 - b0]
             _sigmoid(ac, out=sc)
             np.multiply(ac, sc, out=tc)
             np.maximum(tc, 0.0, out=tc)
-            np.greater(ac, 0.0, out=kc)
             if mask is not None:
                 tc *= mask[b0:b1]
                 tc *= scale
-                kc &= mask[b0:b1]
+            if f is not None:
+                # the gate's derivative, rounded as the chain's rule rounds it
+                fc = f[b0:b1]
+                np.subtract(1.0, sc, out=fc)
+                fc *= ac
+                fc += 1.0
+                fc *= sc
+                fc *= ac > 0.0
+                if mask is not None:
+                    fc *= mask[b0:b1]
             if stats is None:
                 # mean_var's steps; its centred map is n's first step
                 mean[b0:b1] = _sum(maps(tc), (-3, -2)) / count
@@ -603,11 +623,11 @@ class Graph:
                 nc *= rstd_w
             np.multiply(nc, gamma_w, out=tc)
             tc += beta_w
-            _maxpool2_first(maps(tc), out[b0:b1], first[b0:b1])
+            _maxpool2_first(maps(tc), out[b0:b1], None if first is None else first[b0:b1])
 
         def bwd(g, grads):
             g = g.reshape(out.shape)
-            da = np.empty(rows) if a.active else None
+            da = np.empty(rows) if f is not None else None
             sum_g, sum_gn = np.empty((nb, 1, 1, C)), np.empty((nb, 1, 1, C))
             dy, gn = np.empty(work), np.empty(work)
             for b0, b1 in spans:
@@ -615,7 +635,7 @@ class Graph:
                 _unpool_first(g[b0:b1], first[b0:b1], maps(dc))
                 np.multiply(dc, nc, out=gc)
                 sum_g[b0:b1], sum_gn[b0:b1] = _sum(maps(dc), (-3, -2)), _sum(maps(gc), (-3, -2))
-                if not a.active:
+                if da is None:
                     continue
                 if stats is None:
                     # as standardize's rule: rstd * gamma * (dy - mean(dy) - n * mean(dy * n))
@@ -626,17 +646,11 @@ class Graph:
                 else:
                     dc *= gamma_w
                     dc *= rstd_w
-                # da = dt * mask * scale * (a > 0) * s * (1 + a * (1 - s))
-                ac, sc, d = av[b0:b1], s[b0:b1], da[b0:b1]
-                np.subtract(1.0, sc, out=d)
-                d *= ac
-                d += 1.0
-                d *= sc
-                d *= dc
-                d *= keep[b0:b1]
-                if mask is not None:
+                d = da[b0:b1]
+                np.multiply(f[b0:b1], dc, out=d)
+                if scale != 1.0:
                     d *= scale
-            if a.active:
+            if da is not None:
                 grads.accumulate(a.idx, da.reshape(a.shape))
             if gamma.active:
                 grads.accumulate(gamma.idx, _per_channel(sum_gn))
@@ -772,20 +786,23 @@ def _check_poolable(shape: tuple) -> None:
         raise ShapeError(f"2x2 max pooling needs even extents, got {H}x{W}")
 
 
-def _maxpool2_first(y: np.ndarray, out: np.ndarray, first: np.ndarray) -> None:
-    """Writes the 2x2 max pool of y into out, and into first the index in
-    _WINDOW of each window's first maximum.  No comparison with NaN holds,
-    so a window holding NaN pools to NaN and points at the first maximum
-    of its entries before the first NaN, or at its first entry."""
+def _maxpool2_first(y: np.ndarray, out: np.ndarray, first: np.ndarray | None) -> None:
+    """Writes the 2x2 max pool of y into out, and, unless first is None,
+    into first the index in _WINDOW of each window's first maximum.  No
+    comparison with NaN holds, so a window holding NaN pools to NaN and
+    points at the first maximum of its entries before the first NaN, or at
+    its first entry."""
     views = [y[..., i::2, j::2, :] for i, j in _WINDOW]
-    np.greater(views[1], views[0], out=first)
+    if first is not None:
+        np.greater(views[1], views[0], out=first)
+        hit = np.empty(first.shape, dtype=np.uint8)
     np.maximum(views[0], views[1], out=out)
-    hit = np.empty(first.shape, dtype=np.uint8)
     for k in (2, 3):
-        # a view that exceeds the running maximum is the first maximum so far
-        np.greater(views[k], out, out=hit)
-        hit *= k
-        np.maximum(first, hit, out=first)
+        if first is not None:
+            # a view that exceeds the running maximum is the first maximum so far
+            np.greater(views[k], out, out=hit)
+            hit *= k
+            np.maximum(first, hit, out=first)
         np.maximum(out, views[k], out=out)
 
 

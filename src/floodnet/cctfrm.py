@@ -23,23 +23,27 @@ from .params import ParamStore
 class DropoutMasks:
     """The inverted-dropout masks of one forward pass's gated blocks: each
     is the bool u >= rate, one byte an entry, and the activation it keeps
-    is scaled by `scale`, 1 / (1 - rate).  The uniforms u are one (..., n)
-    block, n being what one sample's blocks use; each mask takes the next
-    slice, so every sample of a batch gets the masks it gets when run
-    alone."""
+    is scaled by `scale`, 1 / (1 - rate).  The uniforms u of one sample are
+    drawn as one row of n, n being what one sample's blocks use, into a
+    reused float64 row and compared at once into one read-only (..., n)
+    bool block; each mask is a view of its next slice, so every sample of
+    a batch gets the masks it gets when run alone."""
 
     def __init__(self, rng: np.random.Generator, rate: float, shape: tuple):
-        self.uniforms = rng.random(shape)
+        row, self.keep = np.empty(shape[-1]), np.empty(shape, dtype=bool)
+        for i in np.ndindex(shape[:-1]):
+            np.greater_equal(rng.random(out=row), rate, out=self.keep[i])
+        self.keep.flags.writeable = False
         self.rate = rate
         self.scale = 1.0 / (1.0 - rate)
         self.used = 0
 
     def take(self, shape: tuple) -> np.ndarray:
         """The bool mask of the next block's activation, of this shape."""
-        n = math.prod(shape[self.uniforms.ndim - 1:])
-        u = self.uniforms[..., self.used:self.used + n].reshape(shape)
+        n = math.prod(shape[self.keep.ndim - 1:])
+        mask = self.keep[..., self.used:self.used + n].reshape(shape)
         self.used += n
-        return u >= self.rate
+        return mask
 
 
 def _gated_conv_sizes(cfg: ModelConfig, h: int, w: int) -> int:

@@ -38,18 +38,18 @@ def _out_dir(args) -> str:
 
 def _dataset(cfg: ModelConfig, path: str | None) -> list[SyntheticSample]:
     if path:
-        try:
-            z = np.load(path)
-        except EOFError:
-            raise InputError(f"{path}: not an npz archive: the file is empty") from None
-        except zipfile.BadZipFile as e:
-            raise InputError(f"{path}: not an npz archive: {e}") from None
-        except ValueError:  # numpy's message advises unpickling the file
-            raise InputError(f"{path}: not an npz archive") from None
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise InputError(f"{path}: not an npz archive")
         arrays = {}
-        with z:
+        with open(path, "rb") as fh:
+            try:
+                z = np.load(fh)
+            except EOFError:
+                raise InputError(f"{path}: not an npz archive: the file is empty") from None
+            except zipfile.BadZipFile as e:
+                raise InputError(f"{path}: not an npz archive: {e}") from None
+            except ValueError:  # numpy's message advises unpickling the file
+                raise InputError(f"{path}: not an npz archive") from None
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise InputError(f"{path}: not an npz archive")
             for name in ("tokens", "images", "labels"):
                 if name not in z.files:
                     raise InputError(f"{path}: lacks the array {name!r}")

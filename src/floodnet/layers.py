@@ -39,6 +39,13 @@ def linear(g: Graph, store, prefix: str, x: Node, d_out: int) -> Node:
     return g.add(g.matmul(x, w), g.param(store, f"{prefix}.b", (d_out,), "zeros"))
 
 
+@functools.lru_cache(maxsize=256)
+def _head_blocks(prefix: str, proj: str, heads: int) -> tuple[str, ...]:
+    """The block names {prefix}.head{h}.{proj} of a fused projection,
+    built once per key: ParamStore.get reads them on a first read only."""
+    return tuple(f"{prefix}.head{head}.{proj}" for head in range(heads))
+
+
 def self_attention(g: Graph, store, prefix: str, x: Node, heads: int) -> Node:
     """Multi-head attention of x's rows over themselves, heads concatenated,
     then W^O.  {prefix}.wq, wk and wv are each (d, heads * (d // heads)),
@@ -46,7 +53,7 @@ def self_attention(g: Graph, store, prefix: str, x: Node, heads: int) -> Node:
     {prefix}.head{h}.wq (and so on) would be drawn alone; W^O is (d, d)."""
     d = x.shape[-1]
     wq, wk, wv = (g.param(store, f"{prefix}.{proj}", (d, heads * (d // heads)),
-                          blocks=tuple(f"{prefix}.head{head}.{proj}" for head in range(heads)))
+                          blocks=_head_blocks(prefix, proj, heads))
                   for proj in ("wq", "wk", "wv"))
     return g.matmul(attention(g, x, x, wq, wk, wv, heads), g.param(store, f"{prefix}.wo", (d, d)))
 

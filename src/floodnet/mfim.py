@@ -111,17 +111,21 @@ def _channel_split(d_se: int) -> tuple[int, int, int]:
 # forward pieces
 # ---------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _gate_blocks(prefix: str, kind: str) -> tuple[str, ...]:
+    """The block names {prefix}.{kind}i, f, g and o of a fused LSTM weight,
+    built once per key: ParamStore.get reads them on a first read only."""
+    return tuple(f"{prefix}.{kind}{gate}" for gate in "ifgo")
+
+
 def _lstm_direction(g: Graph, store: ParamStore, prefix: str, x: Node, hid: int, reverse: bool) -> Node:
     """One LSTM direction over the rows of x (..., n, d): {prefix}.w
     (d, 4*hid), u (hid, 4*hid) and b (4*hid,) hold gates i, f, g, o side by
     side, each weight's gate blocks drawn as {prefix}.wi, ..., uo would be
     drawn alone; x @ w for every row in one matmul, and the recurrence in
     one `Graph.lstm` node."""
-    def gates(kind: str) -> tuple[str, ...]:
-        return tuple(f"{prefix}.{kind}{gate}" for gate in "ifgo")
-
-    w = g.param(store, f"{prefix}.w", (x.shape[-1], 4 * hid), blocks=gates("w"))
-    u = g.param(store, f"{prefix}.u", (hid, 4 * hid), blocks=gates("u"))
+    w = g.param(store, f"{prefix}.w", (x.shape[-1], 4 * hid), blocks=_gate_blocks(prefix, "w"))
+    u = g.param(store, f"{prefix}.u", (hid, 4 * hid), blocks=_gate_blocks(prefix, "u"))
     b = g.param(store, f"{prefix}.b", (4 * hid,), "zeros")
     return g.lstm(g.matmul(x, w), u, b, reverse)
 

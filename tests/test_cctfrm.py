@@ -129,11 +129,11 @@ def test_a_training_gated_block_records_conv_gate_normalization_and_pool():
 
 def test_a_training_gated_block_holds_neither_the_gated_nor_the_pre_pool_map():
     """After a train-mode block's forward, the tape holds the conv output
-    and what gated_norm_pool's rule reads: sigmoid of the conv output, the
-    normalized map, the bool mask and keep-mask, and the pooled map with
-    its uint8 index.  The gated map or the pre-pool map would add a whole
-    f64 map.  Forward plus backward peaks within that, the input gradient
-    of the gate, the loss gradient and one chunk budget for the conv's."""
+    and what gated_norm_pool's rule reads: the gate's derivative, the
+    normalized map, and the pooled map with its uint8 index; no bool map.
+    The gated map or the pre-pool map would add a whole f64 map.  Forward
+    plus backward peaks within that, the input gradient of the gate, the
+    loss gradient and one chunk budget for the conv's."""
     B, H, W, C = 8, 64, 64, 8
     x = np.random.default_rng(14).standard_normal((B, H, W, 3))
     store = ParamStore(0)
@@ -155,9 +155,38 @@ def test_a_training_gated_block_holds_neither_the_gated_nor_the_pre_pool_map():
     run()  # adds the parameters and buffers
     held, peak = run()
     f64_map, pooled = B * H * W * C * 8, B * H * W * C * 8 // 4
-    tape = 3 * f64_map + 2 * (f64_map // 8) + pooled + pooled // 8
+    tape = 3 * f64_map + pooled + pooled // 8
     assert tape <= held <= tape + 2**16 < tape + f64_map, (held, tape)
     assert peak <= held + f64_map + pooled + autodiff.IM2COL_CHUNK_BYTES, (peak, held)
+
+
+def test_an_inactive_gated_block_holds_only_the_conv_output_and_the_pooled_map():
+    """An eval block in a graph without sources records no rule, so after
+    its forward the tape holds the conv output and the pooled map alone,
+    and the pooled map is, bit for bit, that of an active eval block.  The
+    gate and normalization work in chunk-sized scratch: the forward never
+    holds one more whole f64 map."""
+    B, H, W, C = 8, 64, 64, 8
+    x = np.random.default_rng(15).standard_normal((B, H, W, 3))
+    store = ParamStore(0)
+    store.buffers["blk.bn.running_mean"] = np.random.default_rng(16).standard_normal(C)
+    active = Graph()
+    want = gated_downsample_block(active, store, "blk", active.constant(x), C, False, None)
+    assert active.nodes[-1].bwd is not None
+    g = Graph(param_grads=False)
+    xn = g.constant(x)
+    tracemalloc.start()
+    try:
+        out = gated_downsample_block(g, store, "blk", xn, C, False, None)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(n.bwd is None for n in g.nodes)
+    f64_map = B * H * W * C * 8
+    tape = f64_map + f64_map // 4
+    assert tape <= held <= tape + 2**16, (held, tape)
+    assert peak < held + f64_map, (peak, held)
+    assert out.value.tobytes() == want.value.tobytes()
 
 
 # ---- encoder ---------------------------------------------------------
@@ -438,8 +467,9 @@ def test_eval_forward_ignores_the_dropout_generator():
 
 def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
     """Each mask is the bool u >= rate for the next slice u of one (B, n)
-    uniform block, in block order enc0 .. dec_last, and its scale is
-    1 / (1 - rate); row b serves sample b."""
+    uniform block, or of one (n,) row for an unbatched sample, in block
+    order enc0 .. dec_last, and its scale is 1 / (1 - rate); row b serves
+    sample b.  The masks are views of one read-only bool block."""
     cfg = make_tiny_config(dropout=0.5)
     model = FloodNet(cfg)
     blocks, handed = [], []
@@ -452,28 +482,31 @@ def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
     class Recording(DropoutMasks):
         def take(self, shape):
             mask = super().take(shape)
-            handed.append((blocks[-1], mask, self.scale))
+            handed.append((blocks[-1], mask, self.scale, self.keep))
             return mask
 
     monkeypatch.setattr(cctfrm, "gated_downsample_block", block)
     monkeypatch.setattr(cctfrm, "DropoutMasks", Recording)
-    model.forward(Graph(), _samples(cfg, 2), train=True, dropout_rng=np.random.default_rng(9))
-
     # the activation of each gated block of the tiny config, per sample
     shapes = {"cctfrm.enc0": (16, 16, 4), "cctfrm.enc1": (8, 8, 8),
               "cctfrm.dec0": (8, 8, 8), "cctfrm.dec1": (8, 8, 4)}
-    assert [name for name, _, _ in handed] == list(shapes)
-    u = np.random.default_rng(9).random((2, sum(np.prod(s) for s in shapes.values())))
-    used = 0
-    for name, mask, scale in handed:
-        size = np.prod(shapes[name])
-        assert mask.shape == (2,) + shapes[name]
-        assert mask.dtype == bool and scale == 1.0 / 0.5
-        for b in range(2):
-            want = (u[b, used:used + size].reshape(shapes[name]) >= 0.5) / 0.5
-            np.testing.assert_array_equal(mask[b] * scale, want)
-        used += size
-    assert used == u.shape[1]
+    for lead, sample in (((2,), _samples(cfg, 2)), ((), _samples(cfg, 1)[0])):
+        handed.clear()
+        model.forward(Graph(), sample, train=True, dropout_rng=np.random.default_rng(9))
+        assert [name for name, *_ in handed] == list(shapes)
+        u = np.random.default_rng(9).random(lead + (sum(np.prod(s) for s in shapes.values()),))
+        used = 0
+        for name, mask, scale, keep in handed:
+            size = np.prod(shapes[name])
+            assert mask.shape == lead + shapes[name]
+            assert mask.dtype == bool and scale == 1.0 / 0.5
+            assert keep is handed[0][3] and not keep.flags.writeable and not mask.flags.writeable
+            assert np.shares_memory(mask, keep)
+            for b in np.ndindex(lead):
+                want = (u[b][used:used + size].reshape(shapes[name]) >= 0.5) / 0.5
+                np.testing.assert_array_equal(mask[b] * scale, want)
+            used += size
+        assert used == u.shape[-1]
 
 
 def test_a_training_forward_hands_swish_gate_bool_masks(monkeypatch):

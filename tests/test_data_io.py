@@ -1,5 +1,6 @@
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,9 +107,9 @@ def test_checkpoint_corrupted_magic_names_offset_zero(tmp_path):
     store = _populated_store()
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, store)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:4] = b"NOPE"
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
     assert err.value.offset == 0
@@ -118,8 +119,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     store = _populated_store()
     path = str(tmp_path / "model.ckpt")
     size = save_checkpoint(path, store)
-    blob = open(path, "rb").read()[: size - 5]
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(Path(path).read_bytes()[: size - 5])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -128,7 +128,7 @@ def test_checkpoint_every_truncation_names_its_field(tmp_path):
     store = _populated_store()
     path = str(tmp_path / "model.ckpt")
     size = save_checkpoint(path, store)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     # (offset, size, message) of every field after the header, from the
     # layout in the module docstring
     fields = []
@@ -145,7 +145,7 @@ def test_checkpoint_every_truncation_names_its_field(tmp_path):
             off += n
     assert off == size
     for cut in range(size):
-        open(path, "wb").write(blob[:cut])
+        Path(path).write_bytes(blob[:cut])
         if cut < 9:
             want = (0, "file shorter than header")
         else:
