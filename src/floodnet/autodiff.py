@@ -21,7 +21,7 @@ array it has handed on.
 The image ops take (..., H, W, C), matmul takes (..., k) @ (k, m) and
 attention takes (..., rows, width), so one graph can carry a whole batch on
 a leading axis; without one, an op does exactly the unbatched work.  maxpool2
-and gated_norm_pool need even H and W.
+and gated_conv_pool pool maps of even H and W.
 
 conv2d is a stride-1 same-padded conv with two kernels, picked from the
 operand shapes: im2col times the kernel, or the input times the dense
@@ -42,17 +42,21 @@ arXiv:1603.07285, Sec. 4).  The tape keeps neither the lowering nor a
 padded copy of x.  upsample_conv2d, a 3x3 conv of a x2 nearest-upsampled
 map, records a `conv2d` node too; it never builds the upsampled map.
 
-gated_norm_pool is a gated block's swish gate, dropout mask, normalization,
-affine and 2x2 max pool as one node, run a chunk of leading indices at a
-time within the same budget; its tape keeps neither the gated map nor the
-pre-pool map.  An active node's rule keeps the normalized map, each
-window's first-maximum index and one map of the gate's derivative times
-the keep map of a > 0 and the dropout mask, formed in the forward while a
-and sigmoid(a) are in cache.  An inactive node keeps none of them.
+gated_conv_pool is a whole gated block as one node: the conv a, by the
+kernel conv2d or upsample_conv2d runs, then the swish gate, dropout mask,
+normalization, affine and 2x2 max pool, run a chunk of leading indices at
+a time within the same budget.  Its tape keeps neither a nor the gated
+nor the pre-pool map: no rule reads a, as the conv's reads x and the
+kernel.  An active node's rule keeps the normalized map, each window's
+first-maximum index and one map of the gate's derivative times the keep
+map of a > 0 and the dropout mask, formed in the forward while a and
+sigmoid(a) are in cache; it hands the gate's da straight to the conv
+kernel's rule.  An inactive node keeps none of them.
 
 Each computation has one kernel: `_sigmoid` serves sigmoid, softplus's
-rule, lstm's gates and gated_norm_pool's gate; `_maxpool2_first` pools and
-`_unpool_first` routes the gradient for maxpool2 and gated_norm_pool; add,
+rule, lstm's gates and gated_conv_pool's gate; `_maxpool2_first` pools and
+`_unpool_first` routes the gradient for maxpool2 and gated_conv_pool; the
+conv kernels serve conv2d, upsample_conv2d and gated_conv_pool; add,
 sub and mul record through `_binary`, the activations through `_unary`.
 
 lstm is one LSTM direction's whole recurrence as one node, over the rows
@@ -492,18 +496,7 @@ class Graph:
         dense kernel runs when its matrix is no larger, else `_conv_im2col`,
         one matmul per kernel row over the input lowered along W."""
         x, kernel = self._coerce(x), self._coerce(kernel)
-        if x.value.ndim < 3 or kernel.value.ndim != 4:
-            raise ShapeError(f"conv2d expects (...,H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
-        *lead, H, W, c_in = x.shape
-        K, K2, cg, c_out = kernel.shape
-        if K != K2 or K % 2 == 0:
-            raise ShapeError(f"kernel must be square with odd extent, got {K}x{K2}")
-        if c_in % groups or c_out % groups:
-            raise ShapeError(f"channels ({c_in} in, {c_out} out) not divisible by groups={groups}")
-        if cg != c_in // groups:
-            raise ShapeError(f"kernel input slice {cg} != C_in/groups = {c_in // groups}")
-        dense = H * W * (c_out // groups) <= math.prod(lead) * K * K
-        out, bwd = (_conv_dense if dense else _conv_im2col)(x, kernel, groups)
+        out, bwd = _conv(x, kernel, groups)
         return self._record(out, (x, kernel), bwd, "conv2d")
 
     def fft2d_magnitude(self, x) -> Node:
@@ -539,43 +532,50 @@ class Graph:
 
         return self._record(out, (x,), bwd, "maxpool2")
 
-    def gated_norm_pool(self, a, affine, mask=None, scale: float = 1.0, stats=None):
-        """maxpool2(n * gamma + beta) in one node, for a of (..., H, W, C)
-        with H and W even and affine = (gamma, beta), each (C,).  n is the
-        swish gate t = relu(a * sigmoid(a)), times the bool mask and then
-        scale when a mask of a's shape is given, normalized per (H, W) map:
+    def gated_conv_pool(self, x, kernel, affine, mask=None, scale: float = 1.0, stats=None,
+                        upsample: bool = False):
+        """A gated block in one node: maxpool2(n * gamma + beta) for
+        affine = (gamma, beta), each (C,), where a, of (..., H, W, C) with H
+        and W even, is conv2d(x, kernel), or upsample_conv2d(x, kernel) when
+        upsample, by the kernel that op runs.  n is the swish gate
+        t = relu(a * sigmoid(a)), times the bool mask and then scale when a
+        mask of a's shape is given, normalized per (H, W) map:
         n = (t - mean) / sqrt(var + NORM_EPS), by each map's own mean and
         biased variance when stats is None, else by the per-channel
         stats = (mean, var), such as a batch norm's running buffers.  The
-        values are bit for bit those of relu(mul(a, sigmoid(a))), mul by
-        the mask and by scale, standardize (or sub, mul, for stats), mul by
-        gamma, add beta and maxpool2.
+        values are bit for bit those of the conv op, relu(mul(a,
+        sigmoid(a))), mul by the mask and by scale, standardize (or sub,
+        mul, for stats), mul by gamma, add beta and maxpool2.
 
         Returns the node and, when stats is None, each map's (mean, var)
-        with keepdims, as mean_var gives them; else None.  Both passes run
-        a chunk of leading indices at a time, within IM2COL_CHUNK_BYTES.
-        An active node's rule keeps n, each map's 1 / sqrt(var + NORM_EPS),
-        the uint8 index of each window's first maximum in row order, where
-        the window's gradient goes, and, when a is active, the gate's
-        derivative f = s * (1 + a * (1 - s)) * (a > 0) * mask, s being
-        sigmoid(a).  An inactive node keeps none of them: it works in
-        chunk-sized scratch and pools by maxima alone."""
-        a = self._coerce(a)
+        with keepdims, as mean_var gives them; else None.  The gate's passes
+        run a chunk of leading indices at a time, within IM2COL_CHUNK_BYTES,
+        and no node keeps a.  An active node's rule keeps n, each map's
+        1 / sqrt(var + NORM_EPS), the uint8 index of each window's first
+        maximum in row order, where the window's gradient goes, and, when x
+        or the kernel is active, the gate's derivative
+        f = s * (1 + a * (1 - s)) * (a > 0) * mask, s being sigmoid(a); its
+        da goes straight to the conv kernel's rule.  An inactive node keeps
+        none of them: it works in chunk-sized scratch and pools by maxima
+        alone."""
+        x, kernel = self._coerce(x), self._coerce(kernel)
+        a, conv_bwd = _conv_upsample(x, kernel) if upsample else _conv(x, kernel, 1)
         gamma, beta = self._affine(affine, a.shape)
         _check_poolable(a.shape)
         if mask is not None and (mask.shape != a.shape or mask.dtype != bool):
             raise ShapeError(f"the dropout mask must be bool of {a.shape}, got {mask.dtype} of {mask.shape}")
         if mask is None:
             scale = 1.0  # scale applies to a masked activation only
-        active = a.active or gamma.active or beta.active
-        *lead, H, W, C = a.shape
+        conv_active = x.active or kernel.active
+        active = conv_active or gamma.active or beta.active
+        *lead, H, W, C = shape = a.shape
         lead, nb, count = tuple(lead), math.prod(lead), H * W
         # each map is worked on as H rows of W*C against statistics widened
         # to one row, so that numpy's inner loops run along rows, not along C
         rows = (nb, H, W * C)
         maps = lambda v: v.reshape(-1, H, W, C)
         wide = lambda stat: stat.reshape(-1, 1, 1, C).repeat(W, axis=2).reshape(-1, 1, W * C)
-        av = a.value.reshape(rows)
+        av = a.reshape(rows)
         mask = None if mask is None else mask.reshape(rows)
         out = np.empty((nb, H // 2, W // 2, C))
         gamma_w, beta_w = wide(gamma.value), wide(beta.value)
@@ -589,7 +589,7 @@ class Graph:
         t = np.empty(work)
         n = np.empty(rows if active else work)
         first = np.empty(out.shape, dtype=np.uint8) if active else None
-        f = np.empty(rows) if a.active else None
+        f = np.empty(rows) if conv_active else None
         for b0, b1 in spans:
             ac, tc = av[b0:b1], t[:b1 - b0]
             # sc, n's chunk, holds sigmoid(a) until the normalization overwrites it
@@ -650,14 +650,15 @@ class Graph:
                 np.multiply(f[b0:b1], dc, out=d)
                 if scale != 1.0:
                     d *= scale
-            if da is not None:
-                grads.accumulate(a.idx, da.reshape(a.shape))
+            del dy, gn, dc, gc  # the chunk scratch is freed before the conv's rule runs
             if gamma.active:
                 grads.accumulate(gamma.idx, _per_channel(sum_gn))
             if beta.active:
                 grads.accumulate(beta.idx, _per_channel(sum_g))
+            if da is not None:
+                conv_bwd(da.reshape(shape), grads)
 
-        node = self._record(out.reshape(lead + out.shape[1:]), (a, gamma, beta), bwd, "gated_norm_pool")
+        node = self._record(out.reshape(lead + out.shape[1:]), (x, kernel, gamma, beta), bwd, "gated_conv_pool")
         if stats is not None:
             return node, None
         return node, (mean.reshape(lead + (1, 1, C)), var.reshape(lead + (1, 1, C)))
@@ -665,51 +666,11 @@ class Graph:
     def upsample_conv2d(self, x, kernel) -> Node:
         """conv2d(u, kernel) for a 3x3 kernel, u being x upsampled x2 by
         nearest neighbour (each value repeated over a 2x2 block), computed
-        on x's own grid.
+        on x's own grid by `_conv_upsample`.
 
-        x: (..., H, W, C), kernel: (3, 3, C, C_out); output (..., 2H, 2W, C_out).
-        Output pixel (2p + a, 2q + b) reads rows p + a + d - 1 and columns
-        q + b + e - 1 of x for d, e in {0, 1}, each through the sum of the
-        3x3 taps that land there: one 2x2 conv of x per output parity (a, b),
-        the sub-pixel convolution of Shi et al. 2016, 4/9 of the multiplies.
-        The folded kernels are `_UPSAMPLE_FOLD @ kernel`; its backward is
-        `_UPSAMPLE_FOLD.T @ dkeff`."""
+        x: (..., H, W, C), kernel: (3, 3, C, C_out); output (..., 2H, 2W, C_out)."""
         x, kernel = self._coerce(x), self._coerce(kernel)
-        if x.value.ndim < 3 or kernel.value.ndim != 4 or kernel.shape[:3] != (3, 3, x.shape[-1]):
-            raise ShapeError(f"upsample_conv2d expects (...,H,W,C) and (3,3,C,Cout), "
-                             f"got {x.shape}, {kernel.shape}")
-        *lead, H, W, C = x.shape
-        lead = tuple(lead)
-        n, c_out = len(lead), kernel.shape[3]
-        rows = math.prod(lead) * H * W
-        xp = np.zeros(lead + (H + 2, W + 2, C))
-        xp[..., 1:H + 1, 1:W + 1, :] = x.value
-        # (16, C*C_out) -> (parity ab, taps de and channel c, C_out)
-        keff = (_UPSAMPLE_FOLD @ kernel.value.reshape(9, C * c_out)).reshape(4, 4 * C, c_out)
-        # (ab, lead, H, W, C_out) <-> (lead, H, a, W, b, C_out), the output's layout
-        to_out = (*range(2, n + 2), n + 2, 0, n + 3, 1, n + 4)
-        from_out = (n + 1, n + 3, *range(n), n, n + 2, n + 4)
-
-        # (a, b, lead, p, q, d, e, c) -> xp[lead, p + a + d, q + b + e, c]
-        sh, sw, sc = xp.strides[-3:]
-        windows = _view(xp, (2, 2) + lead + (H, W, 2, 2, C), (sh, sw) + xp.strides[:-3] + (sh, sw, sh, sw, sc))
-        im2col = lambda: windows.reshape(4, rows, 4 * C)  # copies: the windows overlap
-
-        out = np.matmul(im2col(), keff).reshape((2, 2) + lead + (H, W, c_out))
-        out = out.transpose(to_out).reshape(lead + (2 * H, 2 * W, c_out))
-
-        def bwd(g, grads):
-            gm = g.reshape(lead + (H, 2, W, 2, c_out)).transpose(from_out).reshape(4, rows, c_out)
-            if kernel.active:
-                dkeff = np.matmul(im2col().transpose(0, 2, 1), gm).reshape(16, C * c_out)
-                grads.accumulate(kernel.idx, (_UPSAMPLE_FOLD.T @ dkeff).reshape(kernel.shape))
-            if x.active:
-                dcols = np.matmul(gm, keff.transpose(0, 2, 1)).reshape((2, 2) + lead + (H, W, 2, 2, C))
-                dxp = np.zeros_like(xp)
-                for a, b, d, e in itertools.product((0, 1), repeat=4):
-                    dxp[..., a + d:a + d + H, b + e:b + e + W, :] += dcols[a, b, ..., d, e, :]
-                grads.accumulate(x.idx, dxp[..., 1:H + 1, 1:W + 1, :])
-
+        out, bwd = _conv_upsample(x, kernel)
         return self._record(out, (x, kernel), bwd, "conv2d")
 
     # ---- backward -----------------------------------------------------
@@ -823,7 +784,7 @@ _FOLD_ROWS = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=np.flo
 # four 2x2 kernels of Graph.upsample_conv2d
 _UPSAMPLE_FOLD = np.einsum("adi,bej->abdeij", _FOLD_ROWS, _FOLD_ROWS).reshape(16, 9)
 
-# one chunk's columns and padded input in _im2col, or its maps in gated_norm_pool
+# one chunk's columns and padded input in _im2col, or its maps in gated_conv_pool
 IM2COL_CHUNK_BYTES = 1 << 20
 
 
@@ -881,6 +842,69 @@ def _im2col(xb: np.ndarray, kernel: np.ndarray, groups: int) -> np.ndarray:
         for tap, krow in zip(taps[1:], krows[1:]):
             acc += np.matmul(tap, krow)
     return out.reshape(nb, H, W, c_out)
+
+
+def _conv(x: Node, kernel: Node, groups: int):
+    """Checks conv2d's operands and runs the kernel that `Graph.conv2d`
+    picks for them: the output value and the backward rule."""
+    if x.value.ndim < 3 or kernel.value.ndim != 4:
+        raise ShapeError(f"conv2d expects (...,H,W,C) and (K,K,Cg,Cout), got {x.shape}, {kernel.shape}")
+    *lead, H, W, c_in = x.shape
+    K, K2, cg, c_out = kernel.shape
+    if K != K2 or K % 2 == 0:
+        raise ShapeError(f"kernel must be square with odd extent, got {K}x{K2}")
+    if c_in % groups or c_out % groups:
+        raise ShapeError(f"channels ({c_in} in, {c_out} out) not divisible by groups={groups}")
+    if cg != c_in // groups:
+        raise ShapeError(f"kernel input slice {cg} != C_in/groups = {c_in // groups}")
+    dense = H * W * (c_out // groups) <= math.prod(lead) * K * K
+    return (_conv_dense if dense else _conv_im2col)(x, kernel, groups)
+
+
+def _conv_upsample(x: Node, kernel: Node):
+    """Checks upsample_conv2d's operands and runs its kernel.  Output pixel
+    (2p + a, 2q + b) reads rows p + a + d - 1 and columns q + b + e - 1 of
+    x for d, e in {0, 1}, each through the sum of the 3x3 taps that land
+    there: one 2x2 conv of x per output parity (a, b), the sub-pixel
+    convolution of Shi et al. 2016, 4/9 of the multiplies.  The folded
+    kernels are `_UPSAMPLE_FOLD @ kernel`; its backward is
+    `_UPSAMPLE_FOLD.T @ dkeff`."""
+    if x.value.ndim < 3 or kernel.value.ndim != 4 or kernel.shape[:3] != (3, 3, x.shape[-1]):
+        raise ShapeError(f"upsample_conv2d expects (...,H,W,C) and (3,3,C,Cout), "
+                         f"got {x.shape}, {kernel.shape}")
+    *lead, H, W, C = x.shape
+    lead = tuple(lead)
+    n, c_out = len(lead), kernel.shape[3]
+    rows = math.prod(lead) * H * W
+    xp = np.zeros(lead + (H + 2, W + 2, C))
+    xp[..., 1:H + 1, 1:W + 1, :] = x.value
+    # (16, C*C_out) -> (parity ab, taps de and channel c, C_out)
+    keff = (_UPSAMPLE_FOLD @ kernel.value.reshape(9, C * c_out)).reshape(4, 4 * C, c_out)
+    # (ab, lead, H, W, C_out) <-> (lead, H, a, W, b, C_out), the output's layout
+    to_out = (*range(2, n + 2), n + 2, 0, n + 3, 1, n + 4)
+    from_out = (n + 1, n + 3, *range(n), n, n + 2, n + 4)
+
+    # (a, b, lead, p, q, d, e, c) -> xp[lead, p + a + d, q + b + e, c]
+    sh, sw, sc = xp.strides[-3:]
+    windows = _view(xp, (2, 2) + lead + (H, W, 2, 2, C), (sh, sw) + xp.strides[:-3] + (sh, sw, sh, sw, sc))
+    im2col = lambda: windows.reshape(4, rows, 4 * C)  # copies: the windows overlap
+
+    out = np.matmul(im2col(), keff).reshape((2, 2) + lead + (H, W, c_out))
+    out = out.transpose(to_out).reshape(lead + (2 * H, 2 * W, c_out))
+
+    def bwd(g, grads):
+        gm = g.reshape(lead + (H, 2, W, 2, c_out)).transpose(from_out).reshape(4, rows, c_out)
+        if kernel.active:
+            dkeff = np.matmul(im2col().transpose(0, 2, 1), gm).reshape(16, C * c_out)
+            grads.accumulate(kernel.idx, (_UPSAMPLE_FOLD.T @ dkeff).reshape(kernel.shape))
+        if x.active:
+            dcols = np.matmul(gm, keff.transpose(0, 2, 1)).reshape((2, 2) + lead + (H, W, 2, 2, C))
+            dxp = np.zeros_like(xp)
+            for a, b, d, e in itertools.product((0, 1), repeat=4):
+                dxp[..., a + d:a + d + H, b + e:b + e + W, :] += dcols[a, b, ..., d, e, :]
+            grads.accumulate(x.idx, dxp[..., 1:H + 1, 1:W + 1, :])
+
+    return out, bwd
 
 
 # Each takes conv2d's checked operands and returns the output value and the

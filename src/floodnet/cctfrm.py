@@ -9,11 +9,10 @@ Maps are (H, W, C), or (B, H, W, C) for a batch.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .autodiff import Graph, Node
+from .autodiff import ContractError, Graph, Node
 from .config import ModelConfig
 from .layers import (batch_norm, batch_norm_state, fold_running_stats, layer_norm, mlp, self_attention,
                      sinusoidal_positions)
@@ -39,8 +38,12 @@ class DropoutMasks:
         self.used = 0
 
     def take(self, shape: tuple) -> np.ndarray:
-        """The bool mask of the next block's activation, of this shape."""
+        """The bool mask of the next block's activation, of this shape;
+        ContractError if it reaches past the drawn row."""
         n = math.prod(shape[self.keep.ndim - 1:])
+        if self.used + n > self.keep.shape[-1]:
+            raise ContractError(f"a dropout mask of {n} entries per sample after {self.used} "
+                                f"overruns the {self.keep.shape[-1]} drawn")
         mask = self.keep[..., self.used:self.used + n].reshape(shape)
         self.used += n
         return mask
@@ -64,18 +67,18 @@ def gated_downsample_block(
     c_out: int,
     train: bool,
     masks: DropoutMasks | None,
-    conv: Callable | None = None,
+    upsample: bool = False,
 ) -> Node:
-    """3x3 conv to c_out channels -> relu(G * sigmoid(G)), times the next
-    dropout mask and its scale when masks are given -> batch norm ->
-    maxpool, the last three as one gated_norm_pool node.  Train mode
-    normalizes each map by its own moments and folds them into the running
-    buffers; eval mode normalizes by the buffers.  conv is the Graph op
-    that convolves, g.conv2d when None."""
-    conv = (conv or g.conv2d)(x, g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out)))
+    """3x3 conv G to c_out channels, of x upsampled x2 when upsample ->
+    relu(G * sigmoid(G)), times the next dropout mask and its scale when
+    masks are given -> batch norm -> maxpool, all as one gated_conv_pool
+    node.  Train mode normalizes each map by its own moments and folds them
+    into the running buffers; eval mode normalizes by the buffers."""
+    kernel = g.param(store, f"{name}.kernel", (3, 3, x.shape[-1], c_out))
     affine, running = batch_norm_state(g, store, f"{name}.bn", c_out)
-    mask, scale = (None, 1.0) if masks is None else (masks.take(conv.shape), masks.scale)
-    pooled, moments = g.gated_norm_pool(conv, affine, mask, scale, None if train else running)
+    H, W = (2 * n if upsample else n for n in x.shape[-3:-1])
+    mask, scale = (None, 1.0) if masks is None else (masks.take(x.shape[:-3] + (H, W, c_out)), masks.scale)
+    pooled, moments = g.gated_conv_pool(x, kernel, affine, mask, scale, None if train else running, upsample=upsample)
     if train:
         fold_running_stats(store, f"{name}.bn", *moments)
     return pooled
@@ -119,13 +122,14 @@ def decoder_cascade(
     masks: DropoutMasks | None,
 ) -> Node:
     """Each stage upsamples x2 and runs a gated block, so its net spatial
-    extent is preserved; the upsampling and the block's conv are one
-    upsample_conv2d node, which convolves on the stage input's own grid.
-    Returns the last stage, or every stage concatenated on channels."""
+    extent is preserved; the upsampling, the conv and the rest of the
+    block are one gated_conv_pool node, whose conv runs on the stage
+    input's own grid.  Returns the last stage, or every stage concatenated
+    on channels."""
     outs = []
     cur = x
     for i, c_out in enumerate(cfg.decoder_plan):
-        cur = gated_downsample_block(g, store, f"cctfrm.dec{i}", cur, c_out, train, masks, g.upsample_conv2d)
+        cur = gated_downsample_block(g, store, f"cctfrm.dec{i}", cur, c_out, train, masks, upsample=True)
         outs.append(cur)
     return outs[0] if len(outs) == 1 else g.concat(outs, axis=-1)
 
@@ -171,7 +175,8 @@ def cctfrm_forward(
     """Full module forward; returns the flattened harmonized vector.
 
     raw_image is (H, W, 3) or (B, H, W, 3).  In train mode with dropout the
-    masks of all gated blocks come from one draw of uniforms per sample."""
+    masks of all gated blocks come from one draw of uniforms per sample,
+    and a draw that the blocks do not use up raises ContractError."""
     x_img = g.constant(raw_image)
     *lead, H, W, _ = x_img.shape
     lead = tuple(lead)
@@ -183,4 +188,6 @@ def cctfrm_forward(
     transformed = transformer_encoder(g, store, cfg, tokens)
     grid = g.reshape(transformed, lead + (hh, ww, d))
     cascade = decoder_cascade(g, store, cfg, grid, train, masks)
+    if masks is not None and masks.used != masks.keep.shape[-1]:
+        raise ContractError(f"the gated blocks used {masks.used} of {masks.keep.shape[-1]} drawn dropout entries")
     return reverse_feature_harmonization(g, store, cascade, x_img, train)

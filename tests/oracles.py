@@ -46,8 +46,8 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, groups: int = 1) -> np.ndarr
 
 
 def gated_norm_pool_chain(g, a, affine, mask, stats):
-    """Graph.gated_norm_pool as the chain of single ops it replaces:
-    relu(mul(a, sigmoid(a))), mul by the float dropout mask when given, then
+    """Graph.gated_conv_pool after its conv a, as the chain of single ops
+    it replaces: relu(mul(a, sigmoid(a))), mul by the float dropout mask when given, then
     standardize over (H, W) when stats is None, else sub stats[0] and mul by
     1 / sqrt(stats[1] + 1e-5), mul by gamma, add beta, and maxpool2.
     Returns the pooled node and the gated one."""

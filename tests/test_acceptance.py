@@ -227,7 +227,7 @@ def test_criterion_3_shape_and_normalization_invariants():
     x = rng.standard_normal((4, 4, cfg.d_model))
     g = Graph()
     out = gated_downsample_block(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
-                                 False, None, g.upsample_conv2d)
+                                 False, None, upsample=True)
     assert out.shape[:2] == (4, 4)
 
     assert level_heads(8) == {"coarse": 4, "medium": 8, "fine": 16}

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import tracemalloc
@@ -634,14 +635,21 @@ def test_standardize_affine_rejects_what_is_not_per_channel():
 
 def _identity_stats(C):
     """Running statistics whose 1 / sqrt(var + NORM_EPS) is exactly 1: with
-    them, gamma 1 and beta 0, gated_norm_pool pools the swish gate alone."""
+    them, gamma 1 and beta 0, gated_conv_pool pools the swish gate alone."""
     return np.zeros(C), np.full(C, 1.0 - autodiff.NORM_EPS)
 
 
+def _identity_kernel(C):
+    """The 1x1 kernel whose conv of a finite map is that map bit for bit:
+    each output is one product by 1.0 plus products by 0.0."""
+    return np.eye(C).reshape(1, 1, C, C)
+
+
 def _gate_pool(g, x, mask=None, scale=1.0):
-    """gated_norm_pool of x under _identity_stats: maxpool2 of the gate."""
+    """gated_conv_pool of x by _identity_kernel under _identity_stats:
+    maxpool2 of the gate of x."""
     C = x.shape[-1]
-    return g.gated_norm_pool(x, (np.ones(C), np.zeros(C)), mask, scale, _identity_stats(C))[0]
+    return g.gated_conv_pool(x, _identity_kernel(C), (np.ones(C), np.zeros(C)), mask, scale, _identity_stats(C))[0]
 
 
 def _first_max_scatter(y, g):
@@ -680,7 +688,7 @@ def gate_cases(draw):
 @example(case=(np.array([1.5, -0.7, 2.0, 0.3]).reshape(2, 2, 1),
                np.array([False, True, True, False]).reshape(2, 2, 1), 2.0))
 def test_swish_gate_property_gradcheck(case):
-    """The swish gate inside gated_norm_pool: under statistics whose rstd
+    """The swish gate inside gated_conv_pool: under statistics whose rstd
     is 1, gamma 1 and beta 0, the value is maxpool2 of relu(mul(x,
     sigmoid(x))) times the float mask bit for bit; the gradient is the
     closed form, with no NaN and no floating point error; check_gradients
@@ -718,7 +726,7 @@ def test_swish_gate_property_gradcheck(case):
 
 @pytest.mark.parametrize("rate", [0.2, 0.3, 0.5])
 def test_swish_gate_bool_mask_and_scale_equal_the_float_mask(rate):
-    """gated_norm_pool with the bool mask and scale 1 / (1 - rate) gives
+    """gated_conv_pool with the bool mask and scale 1 / (1 - rate) gives
     the values and gradient of the gate times the float mask
     (u >= rate) / (1 - rate), bit for bit: under statistics whose rstd is
     1, maxpool2 of the chain of single ops, and the closed form."""
@@ -738,99 +746,128 @@ def test_swish_gate_bool_mask_and_scale_equal_the_float_mask(rate):
 
 
 @st.composite
-def gated_norm_pool_cases(draw):
-    """(a, gamma, beta, mask, scale, stats): a of (H, W, C) or (B, H, W, C)
-    with even extents and C of 1-5, gamma of either sign; mask None or a
-    bool dropout mask with its scale; stats None (train mode) or
-    per-channel running statistics (eval mode)."""
+def gated_conv_pool_cases(draw):
+    """(x, kernel, gamma, beta, mask, scale, stats, upsample) for each conv
+    kernel, which the drawn shapes pick: im2col (K of 1 or 3), dense
+    (H * W * C <= nb * 9 for a 3x3 kernel) or, when upsample, the x2
+    upsampling one.  x is (H, W, c_in) or (B, H, W, c_in), and the conv a
+    of (..., H, W, C) has even extents and C of 1-4; gamma of either sign;
+    mask None or a bool dropout mask of a's shape with its scale; stats
+    None (train mode) or per-channel running statistics (eval mode)."""
+    kind = draw(st.sampled_from(["im2col", "dense", "upsample"]))
     lead = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)]))
-    C = draw(st.integers(1, 5))
-    shape = lead + (2 * draw(st.integers(1, 3)), 2 * draw(st.integers(1, 3)), C)
+    c_in, K = draw(st.integers(1, 3)), 3
+    if kind == "im2col":
+        K, C = draw(st.sampled_from([1, 3])), draw(st.integers(2, 4))
+        H, W = (2 * draw(st.integers(2, 3)) for _ in range(2))  # H * W * C >= 32 > 9 * nb
+    elif kind == "dense":
+        C, H, W = draw(st.integers(1, 2)), 2, 2
+    else:
+        C, H, W = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal(shape) * draw(st.sampled_from([0.5, 3.0]))
+    x = rng.standard_normal(lead + (H, W, c_in)) * draw(st.sampled_from([0.5, 3.0]))
+    kernel = rng.standard_normal((K, K, c_in, C)) / np.sqrt(K * K * c_in)
     gamma = rng.uniform(0.5, 1.5, C) * rng.choice([-1.0, 1.0], C)
     beta = rng.standard_normal(C)
+    a_shape = lead + ((2 * H, 2 * W) if kind == "upsample" else (H, W)) + (C,)
     mask, scale = None, 1.0
     if draw(st.booleans()):
         rate = draw(st.sampled_from([0.2, 0.5]))
-        mask, scale = rng.random(shape) >= rate, 1.0 / (1.0 - rate)
+        mask, scale = rng.random(a_shape) >= rate, 1.0 / (1.0 - rate)
     stats = None if draw(st.booleans()) else (rng.standard_normal(C), rng.uniform(0.5, 2.0, C))
-    return a, gamma, beta, mask, scale, stats
+    return x, kernel, gamma, beta, mask, scale, stats, kind == "upsample"
 
 
-def _gated_norm_pool_runs(a, gamma, beta, mask, scale, stats, weights):
-    """(value, [grad of a, gamma, beta], moments) of gated_norm_pool, and
-    (value, grads, gated map) of the oracle chain fed the float mask,
-    through tanh and fixed weights."""
+@contextlib.contextmanager
+def _chunk_budget(nbytes):
+    """IM2COL_CHUNK_BYTES set to nbytes while the block runs."""
+    saved, autodiff.IM2COL_CHUNK_BYTES = autodiff.IM2COL_CHUNK_BYTES, nbytes
+    try:
+        yield
+    finally:
+        autodiff.IM2COL_CHUNK_BYTES = saved
+
+
+def _gated_conv_pool_runs(x, kernel, gamma, beta, mask, scale, stats, upsample, weights):
+    """(value, [grad of x, kernel, gamma, beta], moments) of gated_conv_pool,
+    and (value, grads, gated map) of the conv op and the oracle chain fed
+    the float mask, through tanh and fixed weights."""
     runs = []
     for fused in (True, False):
         g = Graph()
-        an, gn, bn = (g.watch(g.constant(v)) for v in (a, gamma, beta))
+        xn, kn, gn, bn = (g.watch(g.constant(v)) for v in (x, kernel, gamma, beta))
         if fused:
-            out, extra = g.gated_norm_pool(an, (gn, bn), mask, scale, stats)
+            out, extra = g.gated_conv_pool(xn, kn, (gn, bn), mask, scale, stats, upsample)
         else:
-            out, act = gated_norm_pool_chain(g, an, (gn, bn), None if mask is None else mask * scale, stats)
+            a = (g.upsample_conv2d if upsample else g.conv2d)(xn, kn)
+            out, act = gated_norm_pool_chain(g, a, (gn, bn), None if mask is None else mask * scale, stats)
             extra = act.value
         g.backward(g.reduce_sum(g.mul(g.tanh(out), g.constant(weights))))
-        runs.append((out.value, [an.grad, gn.grad, bn.grad], extra))
+        runs.append((out.value, [xn.grad, kn.grad, gn.grad, bn.grad], extra))
     return runs
 
 
-@given(gated_norm_pool_cases())
-def test_gated_norm_pool_property_gradcheck(case):
-    """gated_norm_pool matches the chain of single ops it replaces: the
-    value and the gradients of a, gamma and beta to 1e-12, and in train
-    mode the moments it hands back are mean_var of the gated map, bit for
-    bit.  A batch equals its samples run one at a time, and
-    check_gradients passes on a, gamma and beta."""
-    a, gamma, beta, mask, scale, stats = case
-    weights = np.random.default_rng([3, 0x5D]).standard_normal(a[..., ::2, ::2, :].shape)
-    (out, grads, moments), (c_out, c_grads, gated) = _gated_norm_pool_runs(
-        a, gamma, beta, mask, scale, stats, weights)
-    for got, want in [(out, c_out)] + list(zip(grads, c_grads)):
-        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    if stats is None:
-        for got, want in zip(moments, autodiff.mean_var(gated, (-3, -2))):
-            np.testing.assert_array_equal(got, want)
-    else:
-        assert moments is None
-    op = lambda g, an, gn, bn: g.gated_norm_pool(an, (gn, bn), mask, scale, stats)[0]
-    if a.ndim == 4:
-        alone = [Graph().gated_norm_pool(a[i], (gamma, beta), None if mask is None else mask[i], scale, stats)[0]
-                 for i in range(len(a))]
-        np.testing.assert_array_equal(out, np.stack([n.value for n in alone]))
-    _gradcheck_every_operand(op, [a, gamma, beta])
+@given(gated_conv_pool_cases(), st.sampled_from([None, 1]))
+def test_gated_conv_pool_property_gradcheck(case, budget):
+    """gated_conv_pool matches conv2d, or upsample_conv2d, followed by the
+    chain of single ops it replaces: the value and the gradients of x, the
+    kernel, gamma and beta to 1e-12, and in train mode the moments it hands
+    back are mean_var of the gated map, bit for bit.  A batch equals its
+    samples run one at a time, and check_gradients passes on every
+    operand.  A budget of 1 byte runs every pass one sample a chunk."""
+    x, kernel, gamma, beta, mask, scale, stats, upsample = case
+    C = kernel.shape[-1]
+    pooled = x.shape[:-3] + tuple((n if upsample else n // 2) for n in x.shape[-3:-1]) + (C,)
+    weights = np.random.default_rng([3, 0x5D]).standard_normal(pooled)
+    with _chunk_budget(budget or autodiff.IM2COL_CHUNK_BYTES):
+        (out, grads, moments), (c_out, c_grads, gated) = _gated_conv_pool_runs(
+            x, kernel, gamma, beta, mask, scale, stats, upsample, weights)
+        for got, want in [(out, c_out)] + list(zip(grads, c_grads)):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        if stats is None:
+            for got, want in zip(moments, autodiff.mean_var(gated, (-3, -2))):
+                np.testing.assert_array_equal(got, want)
+        else:
+            assert moments is None
+        op = lambda g, xn, kn, gn, bn: g.gated_conv_pool(xn, kn, (gn, bn), mask, scale, stats, upsample)[0]
+        if x.ndim == 4:
+            alone = [Graph().gated_conv_pool(x[i], kernel, (gamma, beta), None if mask is None else mask[i],
+                                             scale, stats, upsample)[0] for i in range(len(x))]
+            assert np.abs(out - np.stack([n.value for n in alone])).max() <= 1e-12
+        _gradcheck_every_operand(op, [x, kernel, gamma, beta])
 
 
 def test_gated_norm_pool_over_several_chunks():
-    """A train-mode batch with a mask, of two full chunks and a ragged
-    third: each map equals the map run alone, the value and the gradients
-    of a, gamma and beta match the chain to 1e-12, and check_gradients
-    passes on a, gamma and beta."""
+    """gated_conv_pool's gate, normalization and pool over a train-mode
+    batch with a mask, of two full chunks and a ragged third, through the
+    identity conv: each map equals the map run alone bit for bit, the
+    value and the gradients of x, the kernel, gamma and beta match the
+    chain to 1e-12, and check_gradients passes on x, gamma and beta."""
     H, W, C = 16, 16, 4
     chunk = max(1, autodiff.IM2COL_CHUNK_BYTES // (4 * H * W * C * 8))
     assert chunk >= 2
     nb = 2 * chunk + chunk // 2
     rng = np.random.default_rng(13)
-    a = rng.standard_normal((nb, H, W, C))
+    x, kernel = rng.standard_normal((nb, H, W, C)), _identity_kernel(C)
     gamma, beta = rng.uniform(0.5, 1.5, C), rng.standard_normal(C)
-    mask = rng.random(a.shape) >= 0.3
+    mask = rng.random(x.shape) >= 0.3
     weights = rng.standard_normal((nb, H // 2, W // 2, C))
-    (out, grads, moments), (c_out, c_grads, _) = _gated_norm_pool_runs(
-        a, gamma, beta, mask, 1.0 / 0.7, None, weights)
+    (out, grads, moments), (c_out, c_grads, _) = _gated_conv_pool_runs(
+        x, kernel, gamma, beta, mask, 1.0 / 0.7, None, False, weights)
     for got, want in [(out, c_out)] + list(zip(grads, c_grads)):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    alone = [Graph().gated_norm_pool(ai, (gamma, beta), mi, 1.0 / 0.7) for ai, mi in zip(a, mask)]
+    alone = [Graph().gated_conv_pool(xi, kernel, (gamma, beta), mi, 1.0 / 0.7) for xi, mi in zip(x, mask)]
     np.testing.assert_array_equal(out, np.stack([node.value for node, _ in alone]))
     np.testing.assert_array_equal(moments[0], np.stack([m[0] for _, m in alone]))
-    op = lambda g, an, gn, bn: g.gated_norm_pool(an, (gn, bn), mask, 1.0 / 0.7)[0]
-    _gradcheck_every_operand(op, [a, gamma, beta])
+    op = lambda g, xn, gn, bn: g.gated_conv_pool(xn, kernel, (gn, bn), mask, 1.0 / 0.7)[0]
+    _gradcheck_every_operand(op, [x, gamma, beta])
 
 
 def test_gated_norm_pool_sends_a_tied_window_to_its_first_maximum():
-    """On whole-valued maps windows tie, at 0 wherever relu zeroes a whole
-    window: the value is maxpool2 of the gate, and each window's gradient
-    lands on its first maximum in row order, bit for bit."""
+    """gated_conv_pool's pool through the identity conv.  On whole-valued
+    maps windows tie, at 0 wherever relu zeroes a whole window: the value
+    is maxpool2 of the gate, and each window's gradient lands on its first
+    maximum in row order, bit for bit."""
     rng = np.random.default_rng(12)
     x = rng.integers(-2, 3, (3, 6, 6, 2)).astype(np.float64)
     x[0, :2, :2] = 1.0  # a four-way tie
@@ -850,16 +887,21 @@ def test_gated_norm_pool_sends_a_tied_window_to_its_first_maximum():
 
 
 def test_gated_norm_pool_rejects_what_it_cannot_pool_or_mask():
+    """gated_conv_pool refuses an odd map, an affine of another width and a
+    mask that is not bool of the conv output's shape."""
     g = Graph()
-    ones = np.ones(2)
+    ones, eye = np.ones(2), _identity_kernel(2)
     with pytest.raises(ShapeError, match="even"):
-        g.gated_norm_pool(np.ones((3, 4, 2)), (ones, ones))
+        g.gated_conv_pool(np.ones((3, 4, 2)), eye, (ones, ones))
     with pytest.raises(ShapeError, match="want"):
-        g.gated_norm_pool(np.ones((4, 4, 2)), (ones, np.ones(3)))
+        g.gated_conv_pool(np.ones((4, 4, 2)), eye, (ones, np.ones(3)))
     with pytest.raises(ShapeError, match="bool"):
-        g.gated_norm_pool(np.ones((4, 4, 2)), (ones, ones), np.ones((4, 4, 2)), 2.0)
+        g.gated_conv_pool(np.ones((4, 4, 2)), eye, (ones, ones), np.ones((4, 4, 2)), 2.0)
     with pytest.raises(ShapeError, match="bool"):
-        g.gated_norm_pool(np.ones((4, 4, 2)), (ones, ones), np.ones((4, 4, 1), dtype=bool), 2.0)
+        g.gated_conv_pool(np.ones((4, 4, 2)), eye, (ones, ones), np.ones((4, 4, 1), dtype=bool), 2.0)
+    with pytest.raises(ShapeError, match="bool"):  # the mask of x, not of the upsampled conv
+        g.gated_conv_pool(np.ones((2, 2, 2)), np.ones((3, 3, 2, 2)), (ones, ones), np.ones((2, 2, 2), dtype=bool),
+                          2.0, upsample=True)
 
 
 # ---- batch norm ------------------------------------------------------
@@ -1434,10 +1476,9 @@ def rule_cases(draw, name):
     elif name == "maxpool2":
         operands = [draw(batches(max_extent=6, step=2))]
         op = lambda g, a: g.maxpool2(a)
-    elif name == "gated_norm_pool":
-        a, gamma, beta, mask, scale, stats = draw(gated_norm_pool_cases())
-        operands = [a, gamma, beta]
-        op = lambda g, a, gamma, beta: g.gated_norm_pool(a, (gamma, beta), mask, scale, stats)[0]
+    elif name == "gated_conv_pool":
+        *operands, mask, scale, stats, upsample = draw(gated_conv_pool_cases())
+        op = lambda g, x, k, gamma, beta: g.gated_conv_pool(x, k, (gamma, beta), mask, scale, stats, upsample)[0]
     elif name == "standardize":
         x = draw(batches())
         operands = [x, _draw_array(draw, x.shape[-1:]), _draw_array(draw, x.shape[-1:])]
@@ -1449,7 +1490,7 @@ def rule_cases(draw, name):
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "attention", "lstm", "concat", "conv2d", "tanh",
-                                  "maxpool2", "standardize", "gated_norm_pool", "upsample_conv2d"])
+                                  "maxpool2", "standardize", "gated_conv_pool", "upsample_conv2d"])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_property_no_rule_writes_a_grad_for_an_inactive_parent(name, data, seed):
     op, operands = data.draw(rule_cases(name))
@@ -1522,7 +1563,7 @@ GRADCHECK_PROPERTIES = {
     "reduce_sum": test_reduce_property_gradcheck,
     "reduce_mean": test_reduce_property_gradcheck,
     "standardize": test_standardize_property_gradcheck,
-    "gated_norm_pool": test_gated_norm_pool_property_gradcheck,
+    "gated_conv_pool": test_gated_conv_pool_property_gradcheck,
     "conv2d": test_conv2d_property_gradcheck,
     "fft2d_magnitude": test_fft2d_magnitude_batched_matches_per_sample,
     "maxpool2": test_maxpool2_batched_matches_per_sample,

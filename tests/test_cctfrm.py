@@ -83,7 +83,7 @@ def _gated_block_run(block, store, x, train, mask):
 
 @pytest.mark.parametrize("train, with_mask", [(True, False), (True, True), (False, False)])
 def test_gated_block_equals_the_chain_of_single_ops(train, with_mask):
-    """The fused block (one gated_norm_pool node after the conv) gives the chain's values and gradients of x, kernel, gamma and beta to
+    """The fused block (one gated_conv_pool node) gives the chain's values and gradients of x, kernel, gamma and beta to
     1e-12 relative, and the same running buffers; in eval mode its forward
     is the chain's bit for bit."""
     rng = np.random.default_rng(6)
@@ -115,25 +115,26 @@ def test_gated_block_equals_the_chain_of_single_ops(train, with_mask):
 
 def test_a_training_gated_block_records_conv_gate_normalization_and_pool():
     """Apart from its parameter leaves, a train-mode gated block with a
-    dropout mask records exactly two nodes: the conv, and the gate,
-    normalization and pool as one."""
+    dropout mask records exactly one node: the conv, the gate, the
+    normalization and the pool as one gated_conv_pool."""
     store = ParamStore(0)
     masks = DropoutMasks(np.random.default_rng(0), 0.5, (2, 8 * 8 * 4))
     g = Graph()
     gated_downsample_block(g, store, "blk", g.constant(np.ones((2, 8, 8, 3))), 4, True, masks)
     tags = [n.tag for n in g.nodes[1:]]
-    assert [t for t in tags if not t.startswith("param:")] == ["conv2d", "gated_norm_pool"]
+    assert [t for t in tags if not t.startswith("param:")] == ["gated_conv_pool"]
     assert sorted(t for t in tags if t.startswith("param:")) == [
         "param:blk.bn.beta", "param:blk.bn.gamma", "param:blk.kernel"]
 
 
 def test_a_training_gated_block_holds_neither_the_gated_nor_the_pre_pool_map():
-    """After a train-mode block's forward, the tape holds the conv output
-    and what gated_norm_pool's rule reads: the gate's derivative, the
-    normalized map, and the pooled map with its uint8 index; no bool map.
-    The gated map or the pre-pool map would add a whole f64 map.  Forward
-    plus backward peaks within that, the input gradient of the gate, the
-    loss gradient and one chunk budget for the conv's."""
+    """After a train-mode block's forward, the tape holds what
+    gated_conv_pool's rule reads: the gate's derivative, the normalized
+    map, and the pooled map with its uint8 index; no bool map and not the
+    conv output.  The conv output, the gated map or the pre-pool map would
+    add a whole f64 map.  Forward plus backward peaks within that, the
+    input gradient of the gate and one chunk budget for the conv's rule,
+    which runs after the gate's rule has freed its chunk scratch."""
     B, H, W, C = 8, 64, 64, 8
     x = np.random.default_rng(14).standard_normal((B, H, W, 3))
     store = ParamStore(0)
@@ -155,17 +156,18 @@ def test_a_training_gated_block_holds_neither_the_gated_nor_the_pre_pool_map():
     run()  # adds the parameters and buffers
     held, peak = run()
     f64_map, pooled = B * H * W * C * 8, B * H * W * C * 8 // 4
-    tape = 3 * f64_map + pooled + pooled // 8
+    tape = 2 * f64_map + pooled + pooled // 8
     assert tape <= held <= tape + 2**16 < tape + f64_map, (held, tape)
-    assert peak <= held + f64_map + pooled + autodiff.IM2COL_CHUNK_BYTES, (peak, held)
+    assert peak <= held + f64_map + autodiff.IM2COL_CHUNK_BYTES, (peak, held)
 
 
-def test_an_inactive_gated_block_holds_only_the_conv_output_and_the_pooled_map():
+def test_an_inactive_gated_block_holds_only_the_pooled_map():
     """An eval block in a graph without sources records no rule, so after
-    its forward the tape holds the conv output and the pooled map alone,
-    and the pooled map is, bit for bit, that of an active eval block.  The
-    gate and normalization work in chunk-sized scratch: the forward never
-    holds one more whole f64 map."""
+    its forward the tape holds the pooled map alone, and the pooled map
+    is, bit for bit, that of an active eval block.  The gate and
+    normalization work in chunk-sized scratch beside the conv output,
+    which the block lets go: the forward never holds two whole f64 maps
+    and the pooled one."""
     B, H, W, C = 8, 64, 64, 8
     x = np.random.default_rng(15).standard_normal((B, H, W, 3))
     store = ParamStore(0)
@@ -183,9 +185,9 @@ def test_an_inactive_gated_block_holds_only_the_conv_output_and_the_pooled_map()
         tracemalloc.stop()
     assert all(n.bwd is None for n in g.nodes)
     f64_map = B * H * W * C * 8
-    tape = f64_map + f64_map // 4
-    assert tape <= held <= tape + 2**16, (held, tape)
-    assert peak < held + f64_map, (peak, held)
+    pooled = f64_map // 4
+    assert pooled <= held <= pooled + 2**16, (held, pooled)
+    assert peak < 2 * f64_map + pooled, peak
     assert out.value.tobytes() == want.value.tobytes()
 
 
@@ -307,8 +309,7 @@ def test_cascade_single_stage_is_stage_output():
     g = Graph()
     out = decoder_cascade(g, store, cfg, g.constant(x), False, None)
     g2 = Graph()
-    stage = gated_downsample_block(g2, store, "cctfrm.dec0", g2.constant(x), 4, False, None,
-                                   g2.upsample_conv2d)
+    stage = gated_downsample_block(g2, store, "cctfrm.dec0", g2.constant(x), 4, False, None, upsample=True)
     np.testing.assert_array_equal(out.value, stage.value)
 
 
@@ -327,7 +328,7 @@ def test_cascade_matches_manual_composition():
     cur = g2.constant(x)
     stages = []
     for i, c_out in enumerate(cfg.decoder_plan):
-        cur = gated_downsample_block(g2, store, f"cctfrm.dec{i}", cur, c_out, False, None, g2.upsample_conv2d)
+        cur = gated_downsample_block(g2, store, f"cctfrm.dec{i}", cur, c_out, False, None, upsample=True)
         stages.append(cur.value)
     np.testing.assert_array_equal(out.value, np.concatenate(stages, axis=2))
 
@@ -338,7 +339,7 @@ def test_feature_enhancement_preserves_spatial_extents():
     x = np.random.default_rng(12).standard_normal((4, 4, cfg.d_model))
     g = Graph()
     out = gated_downsample_block(g, store, "cctfrm.dec0", g.constant(x), cfg.decoder_plan[0],
-                                 False, None, g.upsample_conv2d)
+                                 False, None, upsample=True)
     assert out.shape == (4, 4, cfg.decoder_plan[0])
 
 
@@ -475,9 +476,9 @@ def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
     blocks, handed = [], []
     real_block = cctfrm.gated_downsample_block
 
-    def block(g, store, name, *rest):
+    def block(g, store, name, *rest, **kw):
         blocks.append(name)
-        return real_block(g, store, name, *rest)
+        return real_block(g, store, name, *rest, **kw)
 
     class Recording(DropoutMasks):
         def take(self, shape):
@@ -510,23 +511,49 @@ def test_dropout_masks_are_the_next_slices_of_one_uniform_block(monkeypatch):
 
 
 def test_a_training_forward_hands_swish_gate_bool_masks(monkeypatch):
-    """Every gated block's dropout mask, which gated_norm_pool applies
-    after the swish gate, is one byte an entry, with the scale
-    1 / (1 - rate)."""
+    """Every gated block's dropout mask, which gated_conv_pool applies
+    after the swish gate, is one byte an entry, of the conv output's
+    shape, with the scale 1 / (1 - rate)."""
     cfg = make_tiny_config(dropout=0.5)
     model = FloodNet(cfg)  # before the patch: building runs an eval forward
     handed = []
-    real_op = Graph.gated_norm_pool
+    real_op = Graph.gated_conv_pool
 
-    def gated_norm_pool(self, a, affine, mask=None, scale=1.0, stats=None):
-        handed.append((a.shape, mask, scale))
-        return real_op(self, a, affine, mask, scale, stats)
+    def gated_conv_pool(self, x, kernel, affine, mask=None, scale=1.0, stats=None, upsample=False):
+        node, moments = real_op(self, x, kernel, affine, mask, scale, stats, upsample)
+        *lead, H, W, C = node.shape  # the conv output's extents are twice the pooled
+        handed.append((tuple(lead) + (2 * H, 2 * W, C), mask, scale))
+        return node, moments
 
-    monkeypatch.setattr(Graph, "gated_norm_pool", gated_norm_pool)
+    monkeypatch.setattr(Graph, "gated_conv_pool", gated_conv_pool)
     model.forward(Graph(), _samples(cfg, 2), train=True, dropout_rng=np.random.default_rng(3))
     assert len(handed) == len(cfg.encoder_plan) + len(cfg.decoder_plan)
     for shape, mask, scale in handed:
         assert mask.dtype == bool and mask.shape == shape and scale == 1.0 / 0.5
+
+
+def test_a_mask_past_the_drawn_row_raises_contract_error():
+    """take refuses a mask longer than what is left of each sample's row,
+    a program fault, not numpy's reshape error, and uses none of it."""
+    masks = DropoutMasks(np.random.default_rng(0), 0.5, (2, 10))
+    masks.take((2, 2, 2, 2))
+    with pytest.raises(ContractError, match="overruns"):
+        masks.take((2, 1, 1, 3))
+    assert masks.used == 8
+    assert masks.take((2, 1, 1, 2)).shape == (2, 1, 1, 2)
+
+
+@pytest.mark.parametrize("extra, match", [(1, "used 2304 of 2305"), (-1, "overruns")])
+def test_a_draw_that_the_gated_blocks_do_not_match_raises_contract_error(extra, match, monkeypatch):
+    """A training forward whose draw is longer than its gated blocks'
+    masks raises once the last block has run; one that is shorter raises
+    at the block that overruns it."""
+    cfg = make_tiny_config(dropout=0.5)
+    model = FloodNet(cfg)
+    sizes = cctfrm._gated_conv_sizes
+    monkeypatch.setattr(cctfrm, "_gated_conv_sizes", lambda *a: sizes(*a) + extra)
+    with pytest.raises(ContractError, match=match):
+        model.forward(Graph(), _samples(cfg, 2), train=True, dropout_rng=np.random.default_rng(0))
 
 
 def test_a_training_forward_without_its_generator_raises_before_recording():
