@@ -857,6 +857,8 @@ def _conv(x: Node, kernel: Node, groups: int):
         raise ShapeError(f"channels ({c_in} in, {c_out} out) not divisible by groups={groups}")
     if cg != c_in // groups:
         raise ShapeError(f"kernel input slice {cg} != C_in/groups = {c_in // groups}")
+    if x.value.size == 0:  # such as an empty leading batch, which no chunk can span
+        raise ShapeError(f"conv2d needs a non-empty input, got {x.shape}")
     dense = H * W * (c_out // groups) <= math.prod(lead) * K * K
     return (_conv_dense if dense else _conv_im2col)(x, kernel, groups)
 
@@ -872,6 +874,8 @@ def _conv_upsample(x: Node, kernel: Node):
     if x.value.ndim < 3 or kernel.value.ndim != 4 or kernel.shape[:3] != (3, 3, x.shape[-1]):
         raise ShapeError(f"upsample_conv2d expects (...,H,W,C) and (3,3,C,Cout), "
                          f"got {x.shape}, {kernel.shape}")
+    if x.value.size == 0:
+        raise ShapeError(f"upsample_conv2d needs a non-empty input, got {x.shape}")
     *lead, H, W, C = x.shape
     lead = tuple(lead)
     n, c_out = len(lead), kernel.shape[3]

@@ -276,6 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, AssertionError) as e:  # ConfigError, InputError, CheckpointError too
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: the config asks for more memory than this host has: {str(e) or 'out of memory'}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ A parameter is added where a forward first reads it (`get`), and its
 initialization is a pure function of the store seed and the parameter name,
 or the names of its column blocks, so two stores of the same seed that read
 the same names are bit-identical regardless of reading order.
+
+A store holds values alone until something trains it: an entry's gradient
+and AdamW moments are allocated on first read, and `zero_grad` allocates
+them for every entry at once, so an evaluated, explained or loaded model
+never holds them.
 """
 
 from __future__ import annotations
@@ -39,17 +44,46 @@ class AdamWConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-@dataclass
+def _state(slot: str) -> property:
+    """An AdamW state array of a ParamEntry, kept in `slot`: zeros of the
+    value's shape, allocated on its first read, so that a store which never
+    trains holds its values alone."""
+
+    def read(entry):
+        arr = getattr(entry, slot)
+        if arr is None:
+            arr = np.zeros(entry.value.shape)
+            setattr(entry, slot, arr)
+        return arr
+
+    return property(read, lambda entry, arr: setattr(entry, slot, arr))
+
+
 class ParamEntry:
-    value: np.ndarray
-    grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
+    """A parameter's value, its gradient accumulator and its AdamW moments
+    `m` and `v`, plus the count of AdamW steps taken.  `grad`, `m` and `v`
+    are allocated when first read (`_state`), or by `ParamStore.zero_grad`
+    for a whole store at once; `holds_state` says whether any of them is."""
+
+    __slots__ = ("value", "step", "_grad", "_m", "_v")
+    grad = _state("_grad")
+    m = _state("_m")
+    v = _state("_v")
+
+    def __init__(self, value: np.ndarray):
+        self.value = value
+        self.step = 0
+        self._grad = self._m = self._v = None
+
+    @property
+    def holds_state(self) -> bool:
+        return not (self._grad is None and self._m is None and self._v is None)
 
 
 class ParamStore:
     """Map from hierarchical name to trainable tensor plus optimizer state.
+    The state is allocated on first read, or for every entry at once by
+    `zero_grad`, so a store that never trains holds its values alone.
 
     A `fanin` value is drawn from a generator keyed by (seed, name).  A
     fused weight, such as the per-head projections of an attention or the
@@ -71,8 +105,6 @@ class ParamStore:
     def add(self, name: str, shape, init: str = "fanin", blocks: tuple[str, ...] = ()) -> None:
         """Adds `name` at `shape`.  A `fanin` value with `blocks` is that
         many equal column blocks, each drawn under its block name."""
-        if name in self.entries:
-            raise KeyError(f"duplicate parameter {name!r}")
         shape = tuple(shape)
         if init == "zeros":
             value = np.zeros(shape)
@@ -87,9 +119,13 @@ class ParamStore:
             value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.entries[name] = ParamEntry(
-            value=value, grad=np.zeros(shape), m=np.zeros(shape), v=np.zeros(shape)
-        )
+        self.put(name, value)
+
+    def put(self, name: str, value: np.ndarray) -> None:
+        """Adds `name` holding `value` as it is, such as a loaded one."""
+        if name in self.entries:
+            raise KeyError(f"duplicate parameter {name!r}")
+        self.entries[name] = ParamEntry(value)
 
     def add_buffer(self, name: str, value: np.ndarray) -> None:
         if name in self.buffers:
@@ -118,12 +154,24 @@ class ParamStore:
         return sorted(self.entries)
 
     def zero_grad(self) -> None:
+        """Zeroes every gradient.  The entries that hold no AdamW state yet
+        first get it, as views of one zeroed block per kind (`grad`, `m`,
+        `v`), so a training step that starts here allocates none of it
+        above its tape."""
+        bare = [e for e in self.entries.values() if not e.holds_state]
+        if bare:
+            ends = np.cumsum([e.value.size for e in bare])
+            for kind in ("grad", "m", "v"):
+                block = np.zeros(ends[-1])
+                for e, end in zip(bare, ends):
+                    setattr(e, kind, block[end - e.value.size:end].reshape(e.value.shape))
         for e in self.entries.values():
             e.grad.fill(0.0)
 
 
 def adamw_step(store: ParamStore, config: AdamWConfig) -> None:
     """One decoupled-weight-decay Adam update; zeroes gradients afterwards.
+    An entry without moments reads them as zeros (see `ParamEntry`).
 
     value * (1 - lr*wd) - lr * m_hat / (sqrt(v_hat) + eps), with
     m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, each in that order.
@@ -141,23 +189,24 @@ def adamw_step(store: ParamStore, config: AdamWConfig) -> None:
     )
     for name in store.names():
         e = store.entries[name]
+        grad, m, v = e.grad, e.m, e.v
         e.step += 1
         # decay decoupled from the adaptive update
         value = e.value * (1.0 - lr * wd)
-        u = e.grad * (1.0 - b1)
-        e.m *= b1
-        e.m += u
-        np.multiply(e.grad, 1.0 - b2, out=u)
-        u *= e.grad
-        e.v *= b2
-        e.v += u
+        u = grad * (1.0 - b1)
+        m *= b1
+        m += u
+        np.multiply(grad, 1.0 - b2, out=u)
+        u *= grad
+        v *= b2
+        v += u
         # u = lr * m_hat, then over sqrt(v_hat) + eps
-        np.divide(e.m, 1.0 - b1 ** e.step, out=u)
+        np.divide(m, 1.0 - b1 ** e.step, out=u)
         u *= lr
-        denom = e.v / (1.0 - b2 ** e.step)
+        denom = v / (1.0 - b2 ** e.step)
         np.sqrt(denom, out=denom)
         denom += eps
         u /= denom
         value -= u
         e.value = value
-        e.grad.fill(0.0)
+        grad.fill(0.0)

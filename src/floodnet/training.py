@@ -47,14 +47,16 @@ def evaluate(
 
 
 def _train_step(model: FloodNet, batch: list, dropout_rng, where: str) -> tuple[float, int]:
-    """Forward, loss, backward and AdamW update on one batch's graph, which dies on return."""
+    """Forward, loss, backward and AdamW update on one batch's graph, which dies on return.
+    The gradients are zeroed before the forward: on the first step that
+    allocates the store's AdamW state, which then lies below the tape."""
+    model.store.zero_grad()
     g = Graph()
     p, logit = model.forward(g, batch, train=True, dropout_rng=dropout_rng)
     n_right = sum(predict(pi) == s.label for pi, s in zip(p.value.reshape(-1), batch))
     loss = bce_loss(g, logit, [s.label for s in batch])
     if not np.isfinite(loss.value[0]):
         raise TrainingError(f"non-finite loss at {where}")
-    model.store.zero_grad()
     g.backward(loss)
     adamw_step(model.store, model.cfg.optimizer)
     return float(loss.value[0]), n_right

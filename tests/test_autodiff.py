@@ -226,6 +226,19 @@ def test_conv2d_kernel_matches_loop_oracle_and_gradcheck(name, kind, monkeypatch
         check_gradients(build, store, names=[pname], n_coords=6)
 
 
+@pytest.mark.parametrize("hw,kind", [((2, 2), "dense"), ((8, 8), "im2col")])
+def test_conv2d_of_an_empty_batch_raises_shape_error(hw, kind, monkeypatch):
+    """Refused before either kernel runs; at batch 1 these maps run the
+    dense kernel and im2col."""
+    kernel = np.ones((3, 3, 2, 2))
+    ran = _kernels_run(monkeypatch)
+    Graph().conv2d(np.ones((1,) + hw + (2,)), kernel)
+    assert ran == [kind]
+    with pytest.raises(ShapeError, match="non-empty"):
+        Graph().conv2d(np.ones((0,) + hw + (2,)), kernel)
+    assert ran == [kind]
+
+
 def test_conv2d_batch_that_crosses_the_rule_matches_per_sample(monkeypatch):
     """5x5 kernel on 4x4x2 maps: one sample runs im2col (16*2 > 25), a batch
     of three the dense kernel (32 <= 75)."""
@@ -904,6 +917,13 @@ def test_gated_norm_pool_rejects_what_it_cannot_pool_or_mask():
                           2.0, upsample=True)
 
 
+@pytest.mark.parametrize("upsample", [False, True], ids=["conv", "upsample"])
+def test_gated_conv_pool_of_an_empty_batch_raises_shape_error(upsample):
+    ones = np.ones(2)
+    with pytest.raises(ShapeError, match="non-empty"):
+        Graph().gated_conv_pool(np.ones((0, 4, 4, 2)), np.ones((3, 3, 2, 2)), (ones, ones), upsample=upsample)
+
+
 # ---- batch norm ------------------------------------------------------
 
 
@@ -1091,6 +1111,11 @@ def test_upsample_conv2d_rejects_other_kernels():
     for x, kernel in (((4, 4, 2), (5, 5, 2, 3)), ((4, 4, 2), (3, 3, 3, 3)), ((4, 2), (3, 3, 2, 3))):
         with pytest.raises(ShapeError):
             g.upsample_conv2d(np.ones(x), np.ones(kernel))
+
+
+def test_upsample_conv2d_of_an_empty_batch_raises_shape_error():
+    with pytest.raises(ShapeError, match="non-empty"):
+        Graph().upsample_conv2d(np.ones((0, 2, 2, 2)), np.ones((3, 3, 2, 3)))
 
 
 # ---- backward --------------------------------------------------------

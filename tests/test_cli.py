@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from floodnet import cli
+from floodnet import cli, data
 from floodnet.autodiff import ShapeError
 from floodnet.checkpoint import save_checkpoint
 from floodnet.cli import main
 from floodnet.model import FloodNet
+from floodnet.params import ParamStore
 
 from conftest import make_tiny_config
 
@@ -78,6 +79,35 @@ def test_a_shape_error_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip()
     assert err == "runtime error: matmul got (2, 3) @ (4, 5)"
+
+
+def test_train_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    """A config whose parameters the host cannot hold, such as d_se = 2**30,
+    fails in ParamStore.add's draw; the draw is made to fail here, as
+    numpy would, without allocating anything."""
+    message = "Unable to allocate 96.0 GiB for an array with shape (12, 1073741824) and data type float64"
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ParamStore, "add", fail)
+    _, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: the config asks for more memory than this host has: {message}"
+
+
+def test_gen_data_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    """An image_size the host cannot hold fails in the generator's first
+    image; a MemoryError without a message still gives one line."""
+    def fail(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(data, "_blob_image", fail)
+    _, cfg_path = _write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: the config asks for more memory than this host has: out of memory"
 
 
 @pytest.mark.parametrize("text,needle", [

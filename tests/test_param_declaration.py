@@ -60,14 +60,15 @@ def test_a_read_at_another_shape_raises():
 
 def test_only_the_store_and_the_checkpoint_loader_add_entries():
     """Elsewhere a parameter is declared by reading it.  Graph ops are
-    called on `g`, so any other receiver of `.add(` is a store."""
+    called on `g`, so any other receiver of `.add(` or `.put(` is a store;
+    `self` is one, such as `model._Layout`, adding to itself."""
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in ("params.py", "checkpoint.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("add", "add_buffer")
-                    and getattr(node.func.value, "id", None) != "g"):
+                    and node.func.attr in ("add", "add_buffer", "put")
+                    and getattr(node.func.value, "id", None) not in ("g", "self")):
                 calls.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
     assert calls == []
