@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -59,22 +60,23 @@ def load_checkpoint(path: str) -> ParamStore:
     """Parses a checkpoint into a fresh store, which holds no gradients or
     moments (see `ParamEntry`).  The file is read entry by entry, each
     value straight into its own new array, so the load holds no copy of
-    the file."""
+    the file.  A regular file's size bounds each entry's extents before
+    its array is made; a pipe, such as `/dev/stdin` or a process
+    substitution, has no size to check against, and a field it ends
+    inside is refused once read short."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+        st = os.fstat(f.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
         off = 0
-
-        def fits(n: int, what: str) -> None:
-            """CheckpointError(off, what) when the next n bytes pass the end."""
-            if off + n > size:
-                raise CheckpointError(off, what)
 
         def take(n: int, what: str) -> bytes:
             """The next n bytes, or CheckpointError(off, what) past the end."""
             nonlocal off
-            fits(n, what)
+            b = f.read(n)
+            if len(b) < n:
+                raise CheckpointError(off, what)
             off += n
-            return f.read(n)
+            return b
 
         header = take(9, "file shorter than header")
         if header[:4] != MAGIC:
@@ -95,10 +97,11 @@ def load_checkpoint(path: str) -> ParamStore:
                 raise CheckpointError(off - 1, f"rank {rank} exceeds 4")
             shape = struct.unpack(f"<{rank}Q", take(8 * rank, "truncated extents"))
             # checked before allocating: the extents may claim more than the file holds
-            fits(8 * math.prod(shape), "truncated data")
+            if size is not None and off + 8 * math.prod(shape) > size:
+                raise CheckpointError(off, "truncated data")
             arr = np.empty(shape, dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
-                raise CheckpointError(off, "truncated data")  # the file shrank while read
+                raise CheckpointError(off, "truncated data")
             if not np.isfinite(arr).all():
                 raise CheckpointError(off, f"{name!r} holds a non-finite value")
             off += arr.nbytes
@@ -109,6 +112,6 @@ def load_checkpoint(path: str) -> ParamStore:
                     store.put(name, arr)
             except KeyError as e:  # the name came earlier in the file
                 raise CheckpointError(name_off, e.args[0]) from None
-        if off != size:
+        if f.read(1):
             raise CheckpointError(off, "trailing bytes after last entry")
         return store

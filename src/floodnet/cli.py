@@ -277,8 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:  # numpy's names the array it could not allocate
-        print(f"error: the config asks for more memory than this host has: {str(e) or 'out of memory'}",
-              file=sys.stderr)
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return 1
 
 

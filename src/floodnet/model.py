@@ -19,7 +19,7 @@ from .mfim import (
     stub_image_encoder,
     stub_text_encoder,
 )
-from .params import ParamStore
+from .params import ParamEntry, ParamStore
 
 
 class FloodNet:
@@ -100,7 +100,7 @@ class _Layout(ParamStore):
     its seed goes unused."""
 
     def add(self, name: str, shape, init: str = "fanin", blocks: tuple[str, ...] = ()) -> None:
-        self.put(name, np.broadcast_to(0.0, tuple(shape)))
+        self.entries[name] = ParamEntry(np.broadcast_to(0.0, tuple(shape)))
 
 
 def _shapes(store: ParamStore) -> dict:

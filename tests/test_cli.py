@@ -94,7 +94,7 @@ def test_train_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     _, cfg_path = _write_tiny_config(tmp_path)
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.strip()
-    assert err == f"error: the config asks for more memory than this host has: {message}"
+    assert err == f"error: out of memory: {message}"
 
 
 def test_gen_data_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
@@ -107,7 +107,7 @@ def test_gen_data_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     _, cfg_path = _write_tiny_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.strip()
-    assert err == "error: the config asks for more memory than this host has: out of memory"
+    assert err == "error: out of memory"
 
 
 @pytest.mark.parametrize("text,needle", [
