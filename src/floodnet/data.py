@@ -1,4 +1,4 @@
-"""Deterministic synthetic two-class dataset.
+"""Deterministic synthetic two-class dataset; its images are read-only.
 
 Class 1 pairs a bright low-frequency blob image with token ids drawn from
 the low id band; class 0 pairs a dim high-frequency texture with ids from
@@ -20,7 +20,7 @@ SHARED_BAND = (32, 64)
 @dataclass
 class SyntheticSample:
     tokens: np.ndarray  # (n_tokens,) int ids
-    image: np.ndarray  # (H, W, 3) float64 in [0, 1]
+    image: np.ndarray  # (H, W, 3) float64 in [0, 1]; a grey one views one (H, W) plane
     label: int
 
 
@@ -29,21 +29,20 @@ def _blob_image(rng: np.random.Generator, size: tuple[int, int]) -> np.ndarray:
     cy = rng.uniform(0.3 * H, 0.7 * H)
     cx = rng.uniform(0.3 * W, 0.7 * W)
     sigma = 0.25 * min(H, W)
-    yy, xx = np.mgrid[0:H, 0:W]
+    yy, xx = np.ogrid[0:H, 0:W]
     blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
-    base = 0.62 + 0.3 * blob
-    return np.repeat(base[:, :, None], 3, axis=2)
+    return 0.62 + 0.3 * blob
 
 
 def _texture_image(rng: np.random.Generator, size: tuple[int, int]) -> np.ndarray:
     H, W = size
-    yy, xx = np.mgrid[0:H, 0:W]
-    fy = rng.integers(max(2, H // 4), H // 2)
-    fx = rng.integers(max(2, W // 4), W // 2)
+    yy, xx = np.ogrid[0:H, 0:W]
+    lo_y, lo_x = max(2, H // 4), max(2, W // 4)
+    fy = rng.integers(lo_y, max(lo_y + 1, H // 2))
+    fx = rng.integers(lo_x, max(lo_x + 1, W // 2))
     phase = rng.uniform(0, 2 * np.pi)
     tex = np.sin(2 * np.pi * fy * yy / H + phase) * np.sin(2 * np.pi * fx * xx / W)
-    base = 0.22 + 0.1 * tex
-    return np.repeat(base[:, :, None], 3, axis=2)
+    return 0.22 + 0.1 * tex
 
 
 def _tokens(rng: np.random.Generator, n: int, label: int, difficulty: float) -> np.ndarray:
@@ -77,10 +76,11 @@ def generate_synthetic_dataset(
     samples = []
     for i in range(n):
         label = 1 - (i % 2)
-        img = _blob_image(rng, image_size) if label == 1 else _texture_image(rng, image_size)
+        plane = _blob_image(rng, image_size) if label == 1 else _texture_image(rng, image_size)
+        img = plane[:, :, None]
         if difficulty > 0.0:
-            img = img + difficulty * 0.25 * rng.normal(size=img.shape)
-        img = np.clip(img, 0.0, 1.0)
+            img = img + difficulty * 0.25 * rng.normal(size=plane.shape + (3,))
+        img = np.broadcast_to(np.clip(img, 0.0, 1.0), plane.shape + (3,))
         samples.append(SyntheticSample(_tokens(rng, n_tokens, label, difficulty), img, label))
     return samples
 

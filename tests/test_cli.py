@@ -33,6 +33,17 @@ def test_gen_data_writes_npz(tmp_path, capsys):
         assert sorted(set(z["labels"].tolist())) == [0, 1]
 
 
+def test_smallest_images_generate_and_train(tmp_path, capsys):
+    """4x4 images pass validation; the texture class must draw from a
+    non-empty range of frequencies for them."""
+    _, cfg_path = _write_tiny_config(tmp_path, image_size=(4, 4), grid=(1, 1),
+                                     encoder_plan=(4,), decoder_plan=(4,))
+    assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    with np.load(json.loads(capsys.readouterr().out)["path"]) as z:
+        assert z["images"].shape == (8, 4, 4, 3)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path), "--epochs", "1"]) == 0
+
+
 def test_train_without_config_exits_one(capsys):
     assert main(["train"]) == 1
     err = capsys.readouterr().err.strip()

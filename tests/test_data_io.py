@@ -1,5 +1,7 @@
+import hashlib
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,58 @@ def test_split_is_deterministic_and_disjoint():
     assert [id(s) for s in tr1] == [id(s) for s in tr2]
     assert [id(s) for s in va1] == [id(s) for s in va2]
     assert not set(id(s) for s in tr1) & set(id(s) for s in va1)
+
+
+# sha256 over the stacked tokens, images and labels of every dataset in
+# _DATASET_GRID, measured when each grey image still held three copies of
+# its plane; storing the plane once must not move a byte.
+_DATASET_SHA256 = "0710081b6093bae659c804f7176f64499d1f78b5ff353ff7a53d76947d73aa9c"
+_DATASET_GRID = [
+    (seed, difficulty, size)
+    for seed in (0, 1, 5)
+    for difficulty in (0.0, 0.3, 1.0)
+    for size in ((64, 64), (16, 16), (32, 8), (48, 80))
+]
+
+
+def test_dataset_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed, difficulty, size in _DATASET_GRID:
+        samples = generate_synthetic_dataset(5, seed, difficulty, size)
+        for arr in (np.stack([s.tokens for s in samples]), np.stack([s.image for s in samples]),
+                    np.array([s.label for s in samples])):
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == _DATASET_SHA256
+
+
+@pytest.mark.parametrize("difficulty", [0.0, 0.3])
+def test_images_are_read_only_and_grey_ones_share_one_plane(difficulty):
+    for s in generate_synthetic_dataset(6, seed=2, difficulty=difficulty, image_size=(16, 8)):
+        assert s.image.shape == (16, 8, 3) and s.image.dtype == np.float64
+        assert not s.image.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.image[0, 0, 0] = 0.5
+        assert (s.image.strides[-1] == 0) == (difficulty == 0.0)
+
+
+def test_grey_dataset_holds_one_plane_per_image():
+    n, (H, W) = 200, (64, 64)
+    tracemalloc.start()
+    try:
+        samples = generate_synthetic_dataset(n, seed=0, image_size=(H, W))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == n
+    assert held <= n * H * W * 8 + 2**19
+
+
+def test_every_small_extent_generates():
+    for H in range(2, 9):
+        for W in range(2, 9):
+            for s in generate_synthetic_dataset(4, seed=H * 10 + W, image_size=(H, W)):
+                assert s.image.shape == (H, W, 3)
+                assert np.all((s.image >= 0.0) & (s.image <= 1.0))
 
 
 # ---- checkpoint ------------------------------------------------------
